@@ -84,10 +84,7 @@ def _cmd_dmat(ns: argparse.Namespace) -> int:
     matrix = dmatrix(j, ns.theta)
     labels = [str(HalfInt(d)) for d in range(-j.doubled, j.doubled + 1, 2)]
     header = ["m_prime"] + [f"m={label}" for label in labels]
-    rows = [
-        tuple([labels[r]] + [float(v) for v in matrix[r]])
-        for r in range(matrix.shape[0])
-    ]
+    rows = [(label, *values) for label, values in zip(labels, matrix.tolist())]
     _emit(ns, header, rows, {"command": "dmat", "j": str(j), "theta": ns.theta})
     return 0
 

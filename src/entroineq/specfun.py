@@ -17,6 +17,7 @@ import numpy as np
 from .errors import (
     ConvergenceError,
     DomainError,
+    EntroineqError,
     PoleError,
     UnsupportedBranchError,
 )
@@ -55,6 +56,24 @@ def _jacobi_direct(n: int, a: float, b: float, x: float) -> float:
     )
 
 
+def _jacobi_degree_one(a, b, x):
+    """P_1^(a,b)(x); a and b may be float arrays."""
+    return (a + 1.0) + (a + b + 2.0) * (x - 1.0) / 2.0
+
+
+def _jacobi_coefficients(k: int, a, b, x):
+    """(c1, c2, denominator) of P_k = (c1 P_(k-1) - c2 P_(k-2)) / denominator.
+
+    The coefficients do not depend on the previous values, so a and b may
+    be float arrays that step many polynomials at once.
+    """
+    s = 2.0 * k + a + b
+    denom = 2.0 * k * (k + a + b) * (s - 2.0)
+    c1 = (s - 1.0) * (s * (s - 2.0) * x + a * a - b * b)
+    c2 = 2.0 * (k + a - 1.0) * (k + b - 1.0) * s
+    return c1, c2, denom
+
+
 def jacobi(n: int, a: float, b: float, x: float) -> float:
     """Jacobi polynomial P_n^(a,b)(x) by the three-term recurrence.
 
@@ -66,17 +85,35 @@ def jacobi(n: int, a: float, b: float, x: float) -> float:
     if n == 0:
         return 1.0
     p_prev = 1.0
-    p_curr = (a + 1.0) + (a + b + 2.0) * (x - 1.0) / 2.0
+    p_curr = _jacobi_degree_one(a, b, x)
     for k in range(2, n + 1):
-        denom = 2.0 * k * (k + a + b) * (2.0 * k + a + b - 2.0)
+        c1, c2, denom = _jacobi_coefficients(k, a, b, x)
         if abs(denom) < 1e-6:
             return _jacobi_direct(n, a, b, x)
-        c1 = (2.0 * k + a + b - 1.0) * (
-            (2.0 * k + a + b) * (2.0 * k + a + b - 2.0) * x + a * a - b * b
-        )
-        c2 = 2.0 * (k + a - 1.0) * (k + b - 1.0) * (2.0 * k + a + b)
         p_prev, p_curr = p_curr, (c1 * p_curr - c2 * p_prev) / denom
     return p_curr
+
+
+def _jacobi_by_degree(a: np.ndarray, b: np.ndarray, live: np.ndarray, x: float) -> np.ndarray:
+    """P_n^(a_i, b_i)(x) for entries sorted by falling degree n_i.
+
+    `live[k]` counts the entries of degree >= k, for k = 0..max degree, so
+    step k of the recurrence runs over that prefix only.  Integer a, b >= 0
+    keep every denominator positive, so no direct-summation fallback.
+    """
+    out = np.ones(a.size)
+    if live.size < 2:
+        return out
+    a, b = a[: live[1]], b[: live[1]]
+    p_prev, p_curr = np.ones(a.size), _jacobi_degree_one(a, b, x)
+    for k in range(2, live.size):
+        n = live[k]
+        out[n : p_curr.size] = p_curr[n:]  # degree k-1 entries are done
+        a, b, p_prev, p_curr = a[:n], b[:n], p_prev[:n], p_curr[:n]
+        c1, c2, denom = _jacobi_coefficients(k, a, b, x)
+        p_prev, p_curr = p_curr, (c1 * p_curr - c2 * p_prev) / denom
+    out[: p_curr.size] = p_curr
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -215,6 +252,35 @@ def _weight_triple(
     return two_j, doubled[0], doubled[1]
 
 
+def _finite_angle(theta: float) -> float:
+    """The rotation angle as a float; NaN and infinities raise DomainError."""
+    theta = float(theta)
+    if not math.isfinite(theta):
+        raise DomainError(f"rotation angle must be finite, got theta={theta}")
+    return theta
+
+
+def _log_factorial_ratio(two_j, two_mp, two_m, lgamma=math.lgamma):
+    """log[(j+m')!(j-m')! / ((j+m)!(j-m)!)] from doubled weights.
+
+    `lgamma` is only called at positive integers; the matrix route passes
+    a table lookup so that the same expression runs over weight arrays.
+    """
+    return (
+        lgamma((two_j + two_mp) // 2 + 1)
+        + lgamma((two_j - two_mp) // 2 + 1)
+        - lgamma((two_j + two_m) // 2 + 1)
+        - lgamma((two_j - two_m) // 2 + 1)
+    )
+
+
+def _overflow_error(two_j: int, two_mp: int, two_m: int, theta: float) -> EntroineqError:
+    return EntroineqError(
+        f"d-element overflows the float range at j={HalfInt(two_j)}, "
+        f"m'={HalfInt(two_mp)}, m={HalfInt(two_m)}, theta={theta!r}"
+    )
+
+
 def s_factor(j: HalfIntLike, m_prime: HalfIntLike, m: HalfIntLike, theta: float) -> float:
     """Envelope factor of a squared d-element in the canonical sector.
 
@@ -222,14 +288,10 @@ def s_factor(j: HalfIntLike, m_prime: HalfIntLike, m: HalfIntLike, theta: float)
     defined for m'+m >= 0 and m'-m >= 0; factorials go through log space.
     """
     two_j, two_mp, two_m = _weight_triple(j, m_prime, m)
+    theta = _finite_angle(theta)
     if two_mp + two_m < 0 or two_mp - two_m < 0:
         raise DomainError("canonical sector needs m'+m >= 0 and m'-m >= 0")
-    log_ratio = (
-        math.lgamma((two_j + two_mp) // 2 + 1)
-        + math.lgamma((two_j - two_mp) // 2 + 1)
-        - math.lgamma((two_j + two_m) // 2 + 1)
-        - math.lgamma((two_j - two_m) // 2 + 1)
-    )
+    log_ratio = _log_factorial_ratio(two_j, two_mp, two_m)
     cos_sq = math.cos(theta / 2.0) ** 2
     sin_sq = math.sin(theta / 2.0) ** 2
     return (
@@ -241,12 +303,7 @@ def s_factor(j: HalfIntLike, m_prime: HalfIntLike, m: HalfIntLike, theta: float)
 
 def _wigner_canonical(two_j: int, two_mp: int, two_m: int, theta: float) -> float:
     # caller guarantees m'+m >= 0 and m'-m >= 0
-    log_ratio = 0.5 * (
-        math.lgamma((two_j + two_mp) // 2 + 1)
-        + math.lgamma((two_j - two_mp) // 2 + 1)
-        - math.lgamma((two_j + two_m) // 2 + 1)
-        - math.lgamma((two_j - two_m) // 2 + 1)
-    )
+    log_ratio = 0.5 * _log_factorial_ratio(two_j, two_mp, two_m)
     degree = (two_j - two_mp) // 2
     a = (two_mp - two_m) // 2
     b = (two_mp + two_m) // 2
@@ -257,16 +314,26 @@ def _wigner_canonical(two_j: int, two_mp: int, two_m: int, theta: float) -> floa
 
 
 def _wigner_dispatch(two_j: int, two_mp: int, two_m: int, theta: float) -> float:
+    """d-element for a finite theta; a value that overflows raises."""
     sum_w = two_mp + two_m
     diff_w = two_mp - two_m
-    if sum_w >= 0 and diff_w >= 0:
-        return _wigner_canonical(two_j, two_mp, two_m, theta)
-    if sum_w <= 0 and diff_w >= 0:
-        return _wigner_canonical(two_j, -two_m, -two_mp, theta)
-    sign = -1.0 if (diff_w // 2) % 2 else 1.0
-    if sum_w >= 0:
-        return sign * _wigner_canonical(two_j, two_m, two_mp, theta)
-    return sign * _wigner_canonical(two_j, -two_mp, -two_m, theta)
+    try:
+        if sum_w >= 0 and diff_w >= 0:
+            value = _wigner_canonical(two_j, two_mp, two_m, theta)
+        elif sum_w <= 0 and diff_w >= 0:
+            value = _wigner_canonical(two_j, -two_m, -two_mp, theta)
+        else:
+            if sum_w >= 0:
+                value = _wigner_canonical(two_j, two_m, two_mp, theta)
+            else:
+                value = _wigner_canonical(two_j, -two_mp, -two_m, theta)
+            if (diff_w // 2) % 2:
+                value = -value
+    except OverflowError:  # math.exp of the factorial ratio
+        value = math.inf
+    if math.isfinite(value):
+        return value
+    raise _overflow_error(two_j, two_mp, two_m, theta)
 
 
 def wigner_d(j: HalfIntLike, m_prime: HalfIntLike, m: HalfIntLike, theta: float) -> float:
@@ -276,22 +343,55 @@ def wigner_d(j: HalfIntLike, m_prime: HalfIntLike, m: HalfIntLike, theta: float)
     Jacobi-polynomial form with signed half-angle powers; remaining
     sectors are reached through the index symmetries
     d_{m'm} = d_{-m,-m'} = (-1)^(m'-m) d_{mm'} = (-1)^(m'-m) d_{-m',-m}.
+    A non-finite theta raises DomainError; an element that overflows the
+    float range (large j) raises EntroineqError.
     """
     two_j, two_mp, two_m = _weight_triple(j, m_prime, m)
-    return _wigner_dispatch(two_j, two_mp, two_m, float(theta))
+    return _wigner_dispatch(two_j, two_mp, two_m, _finite_angle(theta))
 
 
 def dmatrix(j: HalfIntLike, theta: float) -> np.ndarray:
-    """Full (2j+1) x (2j+1) rotation matrix, rows/columns m', m ascending."""
+    """Full (2j+1) x (2j+1) rotation matrix, rows/columns m', m ascending.
+
+    One array recurrence evaluates the canonical sector m' >= |m|, about a
+    quarter of the entries, and the index symmetries of `wigner_d` fill
+    the rest.  Errors are those of `wigner_d`.
+    """
     two_j = HalfInt.coerce(j).doubled
     if two_j < 0:
         raise DomainError("j must be nonnegative")
-    size = two_j + 1
-    theta = float(theta)
-    out = np.empty((size, size))
-    for r, two_mp in enumerate(range(-two_j, two_j + 1, 2)):
-        for c, two_m in enumerate(range(-two_j, two_j + 1, 2)):
-            out[r, c] = _wigner_dispatch(two_j, two_mp, two_m, theta)
+    theta = _finite_angle(theta)
+    # canonical entries by ascending m', so by falling degree n = j - m'
+    group_mp = np.arange(two_j % 2, two_j + 1, 2)
+    two_mp = np.repeat(group_mp, group_mp + 1)
+    two_m = np.concatenate([np.arange(-w, w + 1, 2) for w in group_mp])
+    a = ((two_mp - two_m) // 2).astype(float)
+    b = ((two_mp + two_m) // 2).astype(float)
+    live = np.cumsum(group_mp + 1)[::-1]  # live[k]: entries of degree >= k
+    log_gamma_table = np.array([math.lgamma(n) for n in range(1, two_j + 2)])
+    log_norm = 0.5 * _log_factorial_ratio(
+        two_j, two_mp, two_m, lambda n: log_gamma_table[n - 1]
+    )
+    with np.errstate(all="ignore"):
+        poly = _jacobi_by_degree(a, b, live, math.cos(theta))
+        value = (
+            np.exp(log_norm)
+            * math.cos(theta / 2.0) ** b
+            * math.sin(theta / 2.0) ** a
+            * poly
+        )
+        finite = np.isfinite(value)
+        if not finite.all():
+            bad = int(np.argmin(finite))
+            raise _overflow_error(two_j, int(two_mp[bad]), int(two_m[bad]), theta)
+    row = (two_j + two_mp) // 2
+    col = (two_j + two_m) // 2
+    signed = np.where(a % 2 == 1.0, -value, value)  # (-1)^(m'-m)
+    out = np.empty((two_j + 1, two_j + 1))
+    out[row, col] = value
+    out[two_j - col, two_j - row] = value
+    out[col, row] = signed
+    out[two_j - row, two_j - col] = signed
     return out
 
 

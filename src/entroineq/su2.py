@@ -14,13 +14,13 @@ from .entropy import (
 from .errors import DomainError
 from .halfint import HalfInt, HalfIntLike
 from .probability import ProbabilityVector, bipartite_split
-from .specfun import _weight_triple, _wigner_dispatch
+from .specfun import _finite_angle, _weight_triple, _wigner_dispatch
 
 
 def column_distribution(j: HalfIntLike, m: HalfIntLike, theta: float) -> ProbabilityVector:
     """Probabilities |d^j_{m'm}(theta)|^2 over m' = -j..j ascending."""
     two_j, _, two_m = _weight_triple(j, m, m)
-    theta = float(theta)
+    theta = _finite_angle(theta)
     values = []
     for two_mp in range(-two_j, two_j + 1, 2):
         d = _wigner_dispatch(two_j, two_mp, two_m, theta)

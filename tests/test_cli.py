@@ -54,6 +54,18 @@ class TestDmat:
         assert main(["dmat", "--j", "nope", "--theta", "0"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_nan_angle_is_domain_error(self, capsys):
+        # used to print a NaN matrix and exit 0
+        assert main(["dmat", "--j", "1", "--theta", "nan"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+
+    def test_infinite_angle_is_domain_error(self, capsys):
+        # used to raise an uncaught ValueError
+        assert main(["dmat", "--j", "1/2", "--theta", "inf"]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
 
 class TestSu2Check:
     def test_single_point_zero(self, tmp_path):
@@ -64,6 +76,11 @@ class TestSu2Check:
         header, rows = parse_csv(data)
         assert header == ["theta", "h_joint", "h1", "h2", "lhs", "slack"]
         assert abs(float(rows[0][5])) <= 1e-9
+
+    def test_infinite_grid_is_domain_error(self, capsys):
+        # used to raise an uncaught ValueError
+        assert main(["su2-check", "--j", "1", "--m", "1", "--grid", "inf:inf:1"]) == 2
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_full_sweep_exit_zero(self, tmp_path):
         code, data = run_to_file(

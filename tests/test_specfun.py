@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from entroineq import (
     ConvergenceError,
     DomainError,
+    EntroineqError,
     HalfInt,
     PoleError,
     dmatrix,
@@ -21,6 +23,7 @@ from entroineq import (
     wigner_d,
     wigner_oracle,
 )
+from entroineq import specfun
 
 mpmath.mp.dps = 30
 
@@ -67,6 +70,24 @@ def summation_jacobi(n, a, b, x):
         * ((x + 1.0) / 2.0) ** (n - s)
         for s in range(n + 1)
     )
+
+
+def eigh_dmatrix(two_j, theta):
+    """exp(-i theta J_y) by exact diagonalization of the J_y generator."""
+    size = two_j + 1
+    gen = np.zeros((size, size), dtype=complex)
+    for idx in range(size - 1):
+        two_m = -two_j + 2 * idx
+        coupling = math.sqrt((two_j - two_m) * (two_j + two_m + 2)) / 2.0
+        gen[idx + 1, idx] = 0.5j * coupling
+        gen[idx, idx + 1] = -0.5j * coupling
+    eigenvalues, vectors = np.linalg.eigh(gen)
+    return ((vectors * np.exp(-1j * theta * eigenvalues)) @ vectors.conj().T).real
+
+
+LARGE_TWO_J = (0, 1, 40, 41, 81, 120, 121, 200)
+LARGE_THETAS = (0.0, 0.3, 1.3, math.pi, 3.0, 2.0 * math.pi)
+NON_FINITE = (math.nan, math.inf, -math.inf)
 
 
 class TestJacobi:
@@ -234,6 +255,11 @@ class TestSFactor:
         with pytest.raises(DomainError):
             s_factor(1, -1, 0, 0.4)
 
+    @pytest.mark.parametrize("theta", NON_FINITE)
+    def test_rejects_non_finite_angle(self, theta):
+        with pytest.raises(DomainError, match="finite"):
+            s_factor(1, 1, 0, theta)
+
 
 class TestWignerD:
     def test_zero_rotation_is_identity(self):
@@ -275,6 +301,23 @@ class TestWignerD:
             assert base == pytest.approx(sign * wigner_d(j, m, mp, theta), abs=1e-12)
             assert base == pytest.approx(sign * wigner_d(j, -mp, -m, theta), abs=1e-12)
 
+    @pytest.mark.parametrize("theta", NON_FINITE)
+    def test_rejects_non_finite_angle(self, theta):
+        with pytest.raises(DomainError, match="finite"):
+            wigner_d(1, 0, 0, theta)
+
+    @pytest.mark.parametrize(
+        "j, mp, m", ((1000, 200, -200), (800, 500, -500), (1100, 1100, 0))
+    )
+    def test_overflow_raises_with_parameters(self, j, mp, m):
+        # the first two used to return nan from the recurrence, the last
+        # raised OverflowError from the factorial ratio
+        with pytest.raises(EntroineqError) as info:
+            wigner_d(j, mp, m, 0.3)
+        message = str(info.value)
+        for part in (f"j={j},", f"m'={mp},", f"m={m},", "theta=0.3"):
+            assert part in message
+
 
 class TestDmatrix:
     def test_spin_one_half_turn_antidiagonal(self):
@@ -283,7 +326,7 @@ class TestDmatrix:
         assert np.max(np.abs(got - expected)) < 1e-14
 
     def test_orthogonality_across_spins(self):
-        for two_j in range(1, 11):
+        for two_j in sorted({*range(1, 11), *LARGE_TWO_J}):
             j = HalfInt(two_j)
             for theta in np.linspace(0.0, 2.0 * math.pi, 7):
                 d = dmatrix(j, float(theta))
@@ -296,6 +339,44 @@ class TestDmatrix:
         sq = d * d
         assert np.max(np.abs(sq.sum(axis=0) - 1.0)) < 1e-10
         assert np.max(np.abs(sq.sum(axis=1) - 1.0)) < 1e-10
+
+    def test_matches_eigh_at_large_spin(self):
+        for two_j in LARGE_TWO_J:
+            for theta in LARGE_THETAS:
+                got = dmatrix(HalfInt(two_j), theta)
+                assert np.max(np.abs(got - eigh_dmatrix(two_j, theta))) < 1e-9
+
+    def test_matches_scalar_route_entrywise(self):
+        # covers the four-way symmetry scatter and its signs
+        for two_j in (*range(0, 6), 40, 41):
+            weights = [HalfInt(w) for w in range(-two_j, two_j + 1, 2)]
+            for theta in (*LARGE_THETAS, 4.5):
+                got = dmatrix(HalfInt(two_j), theta)
+                want = np.array(
+                    [[wigner_d(HalfInt(two_j), mp, m, theta) for m in weights] for mp in weights]
+                )
+                assert np.max(np.abs(got - want)) < 1e-13
+
+    @pytest.mark.parametrize("theta", NON_FINITE)
+    def test_rejects_non_finite_angle(self, theta):
+        with pytest.raises(DomainError, match="finite"):
+            dmatrix("1/2", theta)
+
+    def test_overflow_raises_without_warnings(self, monkeypatch):
+        # a real overflow needs 2j >= 1440; plant one in the recurrence output
+        def overflowing(a, b, live, x):
+            out = np.ones(a.size)
+            out[3] = np.inf
+            out[4] = np.nan
+            return out
+
+        monkeypatch.setattr(specfun, "_jacobi_by_degree", overflowing)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EntroineqError) as info:
+                dmatrix(2, 0.3)
+        # entry 3 of the canonical order (m' ascending, then m) is m'=1, m=1
+        assert "j=2, m'=1, m=1, theta=0.3" in str(info.value)
 
 
 # frozen output of the generator-exponential route at j = 2, theta = 1

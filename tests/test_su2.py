@@ -62,6 +62,11 @@ class TestColumnDistribution:
         with pytest.raises(DomainError):
             column_distribution(1, 2, 0.5)
 
+    @pytest.mark.parametrize("theta", (math.nan, math.inf, -math.inf))
+    def test_rejects_non_finite_angle(self, theta):
+        with pytest.raises(DomainError, match="finite"):
+            column_distribution(1, 1, theta)
+
 
 class TestClosedFormCheck:
     def test_tight_on_both_examples(self):
