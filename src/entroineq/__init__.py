@@ -11,12 +11,10 @@ the mappings, and verifies the inequalities numerically.
 from .entropy import (
     SubadditivityReport,
     check_q,
-    joint_shannon,
     renyi,
     shannon,
     subadditivity_report,
     tsallis,
-    tsallis_power_sums,
     tsallis_subadditivity_report,
 )
 from .errors import (
@@ -31,16 +29,13 @@ from .errors import (
 from .halfint import HalfInt
 from .probability import (
     BistochasticMatrix,
-    JointTable,
-    ProbabilityVector,
+    Distribution,
     SeriesKind,
     bipartite_split,
     enumerate_weights,
-    general_reshape,
     interleave_split,
-    marginal_pair,
     marginals,
-    tripartite_reshape,
+    relabel,
 )
 from .specfun import (
     Su11Args,
@@ -79,13 +74,12 @@ __all__ = [
     "BistochasticMatrix",
     "ConvergenceError",
     "DimensionError",
+    "Distribution",
     "DomainError",
     "EntroineqError",
     "HalfInt",
-    "JointTable",
     "NormalizationError",
     "PoleError",
-    "ProbabilityVector",
     "SeriesKind",
     "Su11Args",
     "Su2Sweep",
@@ -103,16 +97,14 @@ __all__ = [
     "discrete_series_distribution",
     "dmatrix",
     "enumerate_weights",
-    "general_reshape",
     "hyp2f1",
     "interleave_split",
     "jacobi",
-    "joint_shannon",
     "l_function",
     "log_gamma",
-    "marginal_pair",
     "marginals",
     "mixed_series_report",
+    "relabel",
     "renyi",
     "rgamma",
     "s_factor",
@@ -122,9 +114,7 @@ __all__ = [
     "su2_tsallis_subadditivity",
     "subadditivity_report",
     "sweep",
-    "tripartite_reshape",
     "tsallis",
-    "tsallis_power_sums",
     "tsallis_subadditivity_report",
     "wigner_d",
     "wigner_oracle",

@@ -61,7 +61,7 @@ def _parse_complex(text: str) -> complex:
         raise EntroineqError(f"cannot parse complex number {text!r}") from exc
 
 
-def _emit(ns: argparse.Namespace, header: list[str], rows: list[tuple], config: dict) -> None:
+def _emit(ns: argparse.Namespace, header: Sequence[str], rows: list[tuple], config: dict) -> None:
     if ns.format == "csv":
         lines = [",".join(header)]
         lines.extend(",".join(_fmt(v) for v in row) for row in rows)
@@ -89,129 +89,63 @@ def _cmd_dmat(ns: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_su2_check(ns: argparse.Namespace) -> int:
+def _su2(ns: argparse.Namespace):
     j = HalfInt.coerce(ns.j)
     m = HalfInt.coerce(ns.m)
-    grid = _parse_grid(ns.grid)
-    header = ["theta", "h_joint", "h1", "h2", "lhs", "slack"]
-    rows = []
-    violated = False
-    for theta in grid:
-        report = su2_subadditivity(j, m, theta)
-        rows.append(
-            (
-                theta,
-                report.h_joint,
-                report.h_first,
-                report.h_second,
-                report.h_first + report.h_second,
-                report.slack,
-            )
-        )
-        if report.slack < SLACK_FLOOR:
-            violated = True
-    config = {"command": "su2-check", "j": str(j), "m": str(m), "grid": ns.grid}
-    _emit(ns, header, rows, config)
-    return 1 if violated else 0
+    tsallis = ns.command == "su2-tsallis"
+    q = check_q(ns.q) if tsallis else None
+    asserted = q is None or q > 1.0
+    mode = ("asserted" if asserted else "report_only",) if tsallis else ()
+
+    def row(theta: float) -> tuple:
+        if tsallis:
+            report = su2_tsallis_subadditivity(j, m, theta, q)
+        else:
+            report = su2_subadditivity(j, m, theta)
+        lhs = report.h_first + report.h_second
+        return (theta, report.h_joint, report.h_first, report.h_second, lhs, report.slack, *mode)
+
+    config = {"command": ns.command, "j": str(j), "m": str(m)}
+    if tsallis:
+        config["q"] = q
+    config["grid"] = ns.grid
+    return config, row, asserted
 
 
-def _cmd_su2_tsallis(ns: argparse.Namespace) -> int:
-    j = HalfInt.coerce(ns.j)
+def _su11_row(t: float, truncation: int, mass: float, report) -> tuple:
+    return (t, truncation, mass, report.h_joint, report.h_first, report.h_second, report.slack)
+
+
+def _su11_discrete(ns: argparse.Namespace):
+    if ns.k is None:
+        raise EntroineqError("--k is required for the discrete series")
     m = HalfInt.coerce(ns.m)
-    q = check_q(ns.q)
-    grid = _parse_grid(ns.grid)
-    asserted = q > 1.0
-    mode = "asserted" if asserted else "report_only"
-    header = ["theta", "h_joint", "h1", "h2", "lhs", "slack", "mode"]
-    rows = []
-    violated = False
-    for theta in grid:
-        report = su2_tsallis_subadditivity(j, m, theta, q)
-        rows.append(
-            (
-                theta,
-                report.h_joint,
-                report.h_first,
-                report.h_second,
-                report.h_first + report.h_second,
-                report.slack,
-                mode,
-            )
-        )
-        if asserted and report.slack < SLACK_FLOOR:
-            violated = True
+
+    def row(t: float) -> tuple:
+        dist = discrete_series_distribution(ns.k, m, t, eps=ns.eps)
+        return _su11_row(t, dist.truncation, dist.captured_mass, su11_subadditivity(dist))
+
     config = {
-        "command": "su2-tsallis",
-        "j": str(j),
+        "command": "su11-check",
+        "series": "discrete",
+        "k": ns.k,
         "m": str(m),
-        "q": q,
         "grid": ns.grid,
     }
-    _emit(ns, header, rows, config)
-    return 1 if violated else 0
+    return config, row, True
 
 
-def _cmd_su11_check(ns: argparse.Namespace) -> int:
-    grid = _parse_grid(ns.grid)
-    if ns.series == "discrete":
-        if ns.k is None:
-            raise EntroineqError("--k is required for the discrete series")
-        m = HalfInt.coerce(ns.m)
-        header = ["t", "truncation", "captured_mass", "h_joint", "h1", "h2", "slack"]
-        rows = []
-        violated = False
-        for t in grid:
-            dist = discrete_series_distribution(ns.k, m, t, eps=ns.eps)
-            report = su11_subadditivity(dist)
-            rows.append(
-                (
-                    t,
-                    dist.truncation,
-                    dist.captured_mass,
-                    report.h_joint,
-                    report.h_first,
-                    report.h_second,
-                    report.slack,
-                )
-            )
-            if report.slack < SLACK_FLOOR:
-                violated = True
-        config = {
-            "command": "su11-check",
-            "series": "discrete",
-            "k": ns.k,
-            "m": str(m),
-            "grid": ns.grid,
-        }
-        _emit(ns, header, rows, config)
-        return 1 if violated else 0
-
+def _su11_continuous(ns: argparse.Namespace):
     if ns.s is None:
         raise EntroineqError("--s is required for the continuous series")
     kind = _LATTICES[ns.lattice]
-    header = ["t", "truncation", "raw_mass", "h_joint", "h1", "h2", "slack"]
-    rows = []
-    for t in grid:
-        args = Su11Args(
-            series=kind,
-            m_prime=HalfInt(0 if kind is SeriesKind.CONTINUOUS_INTEGER else -1),
-            m=float(ns.m),
-            t=t,
-            s=ns.s,
-            sigma=ns.sigma,
-        )
+    m_prime = HalfInt(0 if kind is SeriesKind.CONTINUOUS_INTEGER else -1)
+
+    def row(t: float) -> tuple:
+        args = Su11Args(series=kind, m_prime=m_prime, m=float(ns.m), t=t, s=ns.s, sigma=ns.sigma)
         report = continuous_series_report(args, ns.truncation)
-        rows.append(
-            (
-                t,
-                ns.truncation,
-                report.raw_mass,
-                report.h_joint,
-                report.h_first,
-                report.h_second,
-                report.slack,
-            )
-        )
+        return _su11_row(t, ns.truncation, report.raw_mass, report)
+
     config = {
         "command": "su11-check",
         "series": "continuous",
@@ -222,8 +156,37 @@ def _cmd_su11_check(ns: argparse.Namespace) -> int:
         "truncation": ns.truncation,
         "grid": ns.grid,
     }
+    return config, row, False
+
+
+#: (command, --series or None) -> (CSV header, set-up).  `setup(ns)` checks
+#: the arguments once and returns the JSON config, the row function (grid
+#: point -> row laid out as the header) and whether the "slack" column is
+#: asserted.  The row functions look the pipelines up in this module when
+#: they run, so that they can be replaced there.
+_SWEEPS = {
+    ("su2-check", None): (("theta", "h_joint", "h1", "h2", "lhs", "slack"), _su2),
+    ("su2-tsallis", None): (("theta", "h_joint", "h1", "h2", "lhs", "slack", "mode"), _su2),
+    ("su11-check", "discrete"): (
+        ("t", "truncation", "captured_mass", "h_joint", "h1", "h2", "slack"),
+        _su11_discrete,
+    ),
+    ("su11-check", "continuous"): (
+        ("t", "truncation", "raw_mass", "h_joint", "h1", "h2", "slack"),
+        _su11_continuous,
+    ),
+}
+
+
+def _cmd_sweep(ns: argparse.Namespace) -> int:
+    """Evaluate one row per grid point; exit 1 if an asserted slack fails."""
+    header, setup = _SWEEPS[ns.command, getattr(ns, "series", None)]
+    config, row, asserted = setup(ns)
+    rows = [row(x) for x in _parse_grid(ns.grid)]
+    slack = header.index("slack")
+    violated = asserted and any(r[slack] < SLACK_FLOOR for r in rows)
     _emit(ns, header, rows, config)
-    return 0
+    return 1 if violated else 0
 
 
 def _cmd_hyp2f1(ns: argparse.Namespace) -> int:
@@ -264,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", required=True)
     p.add_argument("--grid", required=True, help="start:stop:count (inclusive)")
     common(p)
-    p.set_defaults(handler=_cmd_su2_check)
+    p.set_defaults(handler=_cmd_sweep)
 
     p = sub.add_parser("su2-tsallis", help="Tsallis inequality sweep for a d-column")
     p.add_argument("--j", required=True)
@@ -272,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=float, required=True)
     p.add_argument("--grid", required=True)
     common(p)
-    p.set_defaults(handler=_cmd_su2_tsallis)
+    p.set_defaults(handler=_cmd_sweep)
 
     p = sub.add_parser("su11-check", help="inequality sweep over the boost rapidity")
     p.add_argument("--series", choices=("discrete", "continuous"), default="discrete")
@@ -285,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--truncation", type=int, default=64, help="continuous ladder length")
     p.add_argument("--lattice", choices=tuple(_LATTICES), default="integer")
     common(p)
-    p.set_defaults(handler=_cmd_su11_check)
+    p.set_defaults(handler=_cmd_sweep)
 
     p = sub.add_parser("hyp2f1", help="evaluate the Gauss hypergeometric series")
     p.add_argument("--a", required=True)

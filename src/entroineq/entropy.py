@@ -8,18 +8,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Union
+from typing import Callable, Iterable, Optional
 
-from .errors import DimensionError, DomainError
-from .probability import JointTable, ProbabilityVector, marginals
-
-Distribution = Union[ProbabilityVector, Iterable[float]]
+from .errors import DomainError
+from .probability import Distribution, DistributionLike, marginals
 
 
-def _values(p: Distribution) -> tuple[float, ...]:
-    if isinstance(p, ProbabilityVector):
-        return p.components
-    return tuple(float(v) for v in p)
+def _values(p: DistributionLike) -> list[float]:
+    if isinstance(p, Distribution):
+        return p.as_array().ravel().tolist()
+    return [float(v) for v in p]
 
 
 def _plogp_sum(values: Iterable[float]) -> float:
@@ -38,23 +36,18 @@ def check_q(q: float) -> float:
     return q
 
 
-def shannon(p: Distribution) -> float:
-    """H = -sum p_k ln p_k."""
+def shannon(p: DistributionLike) -> float:
+    """H = -sum p_k ln p_k over every entry of `p`, whatever its rank."""
     return -_plogp_sum(_values(p))
 
 
-def joint_shannon(t: JointTable) -> float:
-    """Shannon entropy of a joint table (entropy of the flattened entries)."""
-    return -_plogp_sum(t.entries)
-
-
-def tsallis(p: Distribution, q: float) -> float:
+def tsallis(p: DistributionLike, q: float) -> float:
     """S_q = (sum p_k^q - 1) / (1 - q)."""
     q = check_q(q)
     return (_power_sum(_values(p), q) - 1.0) / (1.0 - q)
 
 
-def renyi(p: Distribution, q: float) -> float:
+def renyi(p: DistributionLike, q: float) -> float:
     """S_q = ln(sum p_k^q) / (1 - q).  Computed for reporting only."""
     q = check_q(q)
     return math.log(_power_sum(_values(p), q)) / (1.0 - q)
@@ -78,64 +71,35 @@ class SubadditivityReport:
     report_only: bool = False
     raw_mass: Optional[float] = None
 
-    def holds(self, tol: float = 1e-12) -> bool:
-        return self.slack >= -tol
 
-
-def subadditivity_report(t: JointTable) -> SubadditivityReport:
-    """Shannon entropies of a 2-D table and its marginals."""
-    if t.ndim != 2:
-        raise DimensionError("subadditivity_report() needs a 2-D table")
+def _report(
+    t: Distribution, entropy: Callable[[Distribution], float], kind: str, q: Optional[float] = None
+) -> SubadditivityReport:
     first, second = marginals(t)
-    h_joint = joint_shannon(t)
-    h_first = shannon(first)
-    h_second = shannon(second)
+    h_joint = entropy(t)
+    h_first = entropy(first)
+    h_second = entropy(second)
     return SubadditivityReport(
         h_joint=h_joint,
         h_first=h_first,
         h_second=h_second,
         slack=h_first + h_second - h_joint,
-        kind="shannon",
+        kind=kind,
+        q=q,
+        report_only=q is not None and q < 1.0,
     )
 
 
-def tsallis_subadditivity_report(t: JointTable, q: float) -> SubadditivityReport:
+def subadditivity_report(t: Distribution) -> SubadditivityReport:
+    """Shannon entropies of a 2-D table and its marginals."""
+    return _report(t, shannon, "shannon")
+
+
+def tsallis_subadditivity_report(t: Distribution, q: float) -> SubadditivityReport:
     """Tsallis entropies of a 2-D table and its marginals.
 
     The slack is only guaranteed nonnegative for q > 1; for 0 < q < 1 the
     report is flagged `report_only`.
     """
     q = check_q(q)
-    if t.ndim != 2:
-        raise DimensionError("tsallis_subadditivity_report() needs a 2-D table")
-    first, second = marginals(t)
-    h_joint = tsallis(t.entries, q)
-    h_first = tsallis(first, q)
-    h_second = tsallis(second, q)
-    return SubadditivityReport(
-        h_joint=h_joint,
-        h_first=h_first,
-        h_second=h_second,
-        slack=h_first + h_second - h_joint,
-        kind="tsallis",
-        q=q,
-        report_only=q < 1.0,
-    )
-
-
-def tsallis_power_sums(t: JointTable, q: float) -> tuple[float, float, float]:
-    """Raw power sums (marginal 1, marginal 2, joint) behind a Tsallis report.
-
-    Note: for q > 1 the power sums satisfy sum1 + sum2 - 1 <= joint (the
-    reverse of the entropy-level inequality), since x -> x^q flips
-    direction under the 1/(1-q) factor.
-    """
-    q = check_q(q)
-    if t.ndim != 2:
-        raise DimensionError("tsallis_power_sums() needs a 2-D table")
-    first, second = marginals(t)
-    return (
-        _power_sum(first.components, q),
-        _power_sum(second.components, q),
-        _power_sum(t.entries, q),
-    )
+    return _report(t, lambda p: tsallis(p, q), "tsallis", q)

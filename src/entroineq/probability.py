@@ -1,4 +1,4 @@
-"""Probability vectors, joint tables, and invertible index mappings.
+"""Validated distributions of any rank and invertible index relabellings.
 
 A flat probability vector can be relabelled as a 2-D (or 3-D) table of
 "subsystem" indices; the relabelling is invertible and manufactures the
@@ -10,7 +10,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -24,85 +24,65 @@ NEGATIVE_CLAMP = 1e-12
 #: Allowed deviation of a total probability mass from 1.
 SUM_TOLERANCE = 1e-9
 
-VectorLike = Union["ProbabilityVector", Sequence[float], np.ndarray]
+DistributionLike = Union["Distribution", Sequence[float], np.ndarray]
 
 
-def _clean(values: Iterable[float], clamp: float = NEGATIVE_CLAMP) -> tuple[float, ...]:
-    out = []
-    for v in values:
-        v = float(v)
-        if not math.isfinite(v):
-            raise DomainError(f"non-finite probability {v!r}")
-        if v < -clamp:
-            raise DomainError(f"negative probability {v!r}")
-        out.append(v if v > 0.0 else 0.0)
-    return tuple(out)
+def _clean(values) -> np.ndarray:
+    """A float copy of `values`; tiny negatives become 0, others raise."""
+    array = np.array(values, dtype=float)
+    finite = np.isfinite(array)
+    if not finite.all():
+        raise DomainError(f"non-finite probability {float(array[~finite][0])!r}")
+    if (array < -NEGATIVE_CLAMP).any():
+        raise DomainError(f"negative probability {float(array.min())!r}")
+    array[array <= 0.0] = 0.0  # also folds -0.0
+    return array
 
 
-@dataclass(frozen=True)
-class ProbabilityVector:
-    """Finite nonnegative vector summing to 1 within `tolerance`."""
+class Distribution:
+    """Finite nonnegative array of any rank >= 1 with total mass 1.
 
-    components: tuple[float, ...]
-    tolerance: float = SUM_TOLERANCE
+    Rank 1 is a probability vector; rank 2 or 3 is a joint table over two
+    or three subsystem indices, stored row-major.  Construction copies and
+    validates the values once; the stored array is read-only and the
+    instance is frozen.
+    """
 
-    def __post_init__(self) -> None:
-        comps = _clean(self.components)
-        if not comps:
-            raise DimensionError("a probability vector needs at least one component")
-        total = math.fsum(comps)
-        if abs(total - 1.0) > self.tolerance:
-            raise DomainError(f"components sum to {total!r}, not 1")
-        object.__setattr__(self, "components", comps)
+    __slots__ = ("_array",)
 
-    def __len__(self) -> int:
-        return len(self.components)
-
-    def __iter__(self) -> Iterator[float]:
-        return iter(self.components)
-
-    def __getitem__(self, index: int) -> float:
-        return self.components[index]
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.components)
-
-
-@dataclass(frozen=True)
-class JointTable:
-    """2-D or 3-D nonnegative table with total mass 1, stored row-major."""
-
-    dims: tuple[int, ...]
-    entries: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        dims = tuple(int(n) for n in self.dims)
-        if len(dims) not in (2, 3):
-            raise DimensionError("joint tables are 2-D or 3-D")
-        if any(n < 1 for n in dims):
-            raise DimensionError(f"invalid dims {dims}")
-        entries = _clean(self.entries)
-        if len(entries) != math.prod(dims):
-            raise DimensionError(
-                f"{len(entries)} entries do not fill dims {dims}"
-            )
-        total = math.fsum(entries)
+    def __init__(self, values: DistributionLike) -> None:
+        array = np.array(values, dtype=float)
+        if array.ndim < 1 or array.size == 0:
+            raise DimensionError("a distribution needs at least one entry")
+        flat = array.ravel().tolist()
+        # Python's min skips a NaN after the first entry, but fsum then
+        # returns NaN: a finite total over positive entries needs no clamp.
+        total = math.fsum(flat) if min(flat) > 0.0 else math.nan
+        if not math.isfinite(total):
+            array = _clean(array)
+            total = math.fsum(array.ravel().tolist())
         if abs(total - 1.0) > SUM_TOLERANCE:
             raise DomainError(f"entries sum to {total!r}, not 1")
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "entries", entries)
+        array.flags.writeable = False
+        object.__setattr__(self, "_array", array)
 
-    @staticmethod
-    def from_array(array: np.ndarray) -> "JointTable":
-        a = np.asarray(array, dtype=float)
-        return JointTable(a.shape, tuple(a.reshape(-1)))
+    @classmethod
+    def _trusted(cls, array: np.ndarray) -> "Distribution":
+        """Wrap an array derived from a validated distribution, unchecked."""
+        self = object.__new__(cls)
+        array.flags.writeable = False
+        object.__setattr__(self, "_array", array)
+        return self
 
-    @property
-    def ndim(self) -> int:
-        return len(self.dims)
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def as_array(self) -> np.ndarray:
-        return np.asarray(self.entries).reshape(self.dims)
+        return self._array
+
+
+def _checked(p: DistributionLike) -> Distribution:
+    return p if isinstance(p, Distribution) else Distribution(p)
 
 
 @dataclass(frozen=True)
@@ -116,7 +96,7 @@ class BistochasticMatrix:
         n = int(self.n)
         if n < 1:
             raise DimensionError(f"invalid size {n}")
-        entries = _clean(self.entries)
+        entries = tuple(_clean(self.entries).tolist())
         if len(entries) != n * n:
             raise DimensionError(f"{len(entries)} entries do not fill {n}x{n}")
         grid = np.asarray(entries).reshape(n, n)
@@ -138,12 +118,6 @@ class BistochasticMatrix:
     def as_array(self) -> np.ndarray:
         return np.asarray(self.entries).reshape(self.n, self.n)
 
-    def column(self, k: int) -> ProbabilityVector:
-        return ProbabilityVector(tuple(self.as_array()[:, k]))
-
-    def row(self, i: int) -> ProbabilityVector:
-        return ProbabilityVector(tuple(self.as_array()[i, :]))
-
 
 class SeriesKind(str, enum.Enum):
     """Weight-lattice orderings for infinite (and mirrored finite) series."""
@@ -154,65 +128,45 @@ class SeriesKind(str, enum.Enum):
     CONTINUOUS_HALF_INTEGER = "continuous_half_integer"
 
 
-def _components(p: VectorLike) -> list[float]:
-    if isinstance(p, ProbabilityVector):
-        return list(p.components)
-    return [float(v) for v in p]
+def relabel(p: DistributionLike, dims: Sequence[int]) -> Distribution:
+    """Row-major fill of a table of shape `dims`; unused cells are zero.
+
+    The relabelling is invertible: the flattened table without its zero
+    padding is `p` again.  A `Distribution` is placed as it is; anything
+    else is validated first.
+    """
+    flat = _checked(p).as_array().ravel()
+    dims = tuple(int(n) for n in dims)
+    if not dims or min(dims) < 1:
+        raise DimensionError(f"invalid table shape {dims}")
+    size = math.prod(dims)
+    if size < flat.size:
+        raise DimensionError(f"cannot place {flat.size} components into a {dims} table")
+    table = np.zeros(size)
+    table[: flat.size] = flat
+    return Distribution._trusted(table.reshape(dims))
 
 
-def bipartite_split(p: ProbabilityVector) -> JointTable:
+def bipartite_split(p: DistributionLike) -> Distribution:
     """Relabel a flat vector as a 2 x ceil(N/2) table.
 
     Row 1 holds the first ceil(N/2) components, row 2 the remainder; a
     single zero is appended when N is odd.
     """
-    values = _components(p)
-    n = len(values)
-    if n < 2:
+    p = _checked(p)
+    if p.as_array().size < 2:
         raise DimensionError("need at least two components to split")
-    cols = (n + 1) // 2
-    values += [0.0] * (2 * cols - n)
-    return JointTable((2, cols), tuple(values))
+    return relabel(p, (2, (p.as_array().size + 1) // 2))
 
 
-def general_reshape(p: ProbabilityVector, n1: int, n2: int) -> JointTable:
-    """Row-major fill of an N1 x N2 table; unused cells are zero."""
-    values = _components(p)
-    if n1 < 1 or n2 < 1:
-        raise DimensionError(f"invalid table shape ({n1}, {n2})")
-    if n1 * n2 < len(values):
-        raise DimensionError(
-            f"cannot place {len(values)} components into a {n1}x{n2} table"
-        )
-    values += [0.0] * (n1 * n2 - len(values))
-    return JointTable((n1, n2), tuple(values))
-
-
-def tripartite_reshape(p: ProbabilityVector, n1: int, n2: int, n3: int) -> JointTable:
-    """Row-major fill of an N1 x N2 x N3 table; unused cells are zero."""
-    values = _components(p)
-    if n1 < 1 or n2 < 1 or n3 < 1:
-        raise DimensionError(f"invalid table shape ({n1}, {n2}, {n3})")
-    if n1 * n2 * n3 < len(values):
-        raise DimensionError(
-            f"cannot place {len(values)} components into a {n1}x{n2}x{n3} table"
-        )
-    values += [0.0] * (n1 * n2 * n3 - len(values))
-    return JointTable((n1, n2, n3), tuple(values))
-
-
-def interleave_split(p: VectorLike) -> JointTable:
+def interleave_split(p: DistributionLike) -> Distribution:
     """Relabel a flat vector as a ceil(N/2) x 2 table of consecutive pairs.
 
     Row k is (p_{2k-1}, p_{2k}); the column marginal is the pair of
     odd-index and even-index sums, the row marginal the pair sums.
     """
-    values = _components(p)
-    if not values:
-        raise DimensionError("cannot split an empty vector")
-    if len(values) % 2:
-        values.append(0.0)
-    return JointTable((len(values) // 2, 2), tuple(values))
+    p = _checked(p)
+    return relabel(p, ((p.as_array().size + 1) // 2, 2))
 
 
 def enumerate_weights(
@@ -251,29 +205,13 @@ def enumerate_weights(
     return tuple(out)
 
 
-def marginals(t: JointTable) -> tuple[ProbabilityVector, ProbabilityVector]:
+def marginals(t: Distribution) -> tuple[Distribution, Distribution]:
     """Both marginals of a 2-D table.
 
     The first marginal sums out the row index (length N2), the second
     sums out the column index (length N1).
     """
-    if t.ndim != 2:
-        raise DimensionError("marginals() needs a 2-D table; use marginal_pair()")
     grid = t.as_array()
-    first = ProbabilityVector(tuple(grid.sum(axis=0)))
-    second = ProbabilityVector(tuple(grid.sum(axis=1)))
-    return first, second
-
-
-def marginal_pair(t: JointTable, keep: tuple[int, int]) -> JointTable:
-    """Sum a 3-D table down to the two axes in `keep` (order preserved)."""
-    if t.ndim != 3:
-        raise DimensionError("marginal_pair() needs a 3-D table")
-    a, b = keep
-    if sorted((a, b)) not in ([0, 1], [0, 2], [1, 2]):
-        raise DimensionError(f"invalid axis pair {keep}")
-    dropped = ({0, 1, 2} - {a, b}).pop()
-    grid = t.as_array().sum(axis=dropped)
-    if a > b:
-        grid = grid.T
-    return JointTable.from_array(grid)
+    if grid.ndim != 2:
+        raise DimensionError("marginals() needs a 2-D table")
+    return Distribution._trusted(grid.sum(axis=0)), Distribution._trusted(grid.sum(axis=1))

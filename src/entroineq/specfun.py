@@ -291,11 +291,14 @@ def s_factor(j: HalfIntLike, m_prime: HalfIntLike, m: HalfIntLike, theta: float)
     theta = _finite_angle(theta)
     if two_mp + two_m < 0 or two_mp - two_m < 0:
         raise DomainError("canonical sector needs m'+m >= 0 and m'-m >= 0")
-    log_ratio = _log_factorial_ratio(two_j, two_mp, two_m)
+    try:
+        ratio = math.exp(_log_factorial_ratio(two_j, two_mp, two_m))
+    except OverflowError:
+        raise _overflow_error(two_j, two_mp, two_m, theta) from None
     cos_sq = math.cos(theta / 2.0) ** 2
     sin_sq = math.sin(theta / 2.0) ** 2
     return (
-        math.exp(log_ratio)
+        ratio
         * cos_sq ** ((two_mp + two_m) // 2)
         * sin_sq ** ((two_mp - two_m) // 2)
     )
@@ -461,6 +464,8 @@ class Su11Args:
         object.__setattr__(self, "series", series)
         object.__setattr__(self, "m_prime", HalfInt.coerce(self.m_prime))
         t = float(self.t)
+        if not math.isfinite(t):
+            raise DomainError(f"rapidity must be finite, got t={t}")
         if t < 0.0:
             raise DomainError("rapidity t must be nonnegative")
         object.__setattr__(self, "t", t)

@@ -4,17 +4,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Callable, Optional, Sequence
 
 from .entropy import SubadditivityReport, subadditivity_report
 from .errors import ConvergenceError, DomainError, NormalizationError
 from .halfint import HalfInt, HalfIntLike
-from .probability import (
-    ProbabilityVector,
-    SeriesKind,
-    enumerate_weights,
-    interleave_split,
-)
+from .probability import SeriesKind, enumerate_weights, interleave_split
 from .specfun import Su11Args, bargmann_b, c_function, l_function
 
 #: Adaptive truncation: stop once terms fall below this ...
@@ -43,6 +38,8 @@ class TruncatedDistribution:
         values = tuple(float(v) for v in self.values)
         if not values:
             raise DomainError("a truncated distribution needs at least one value")
+        if not all(math.isfinite(v) for v in values):
+            raise DomainError("probabilities must be finite")
         if any(v < 0.0 for v in values):
             raise DomainError("probabilities must be nonnegative")
         if self.truncation != len(values):
@@ -50,19 +47,6 @@ class TruncatedDistribution:
         if abs(math.fsum(values) - self.captured_mass) > 1e-12:
             raise DomainError("captured_mass must equal the sum of the values")
         object.__setattr__(self, "values", values)
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __iter__(self):
-        return iter(self.values)
-
-    def to_probability_vector(self) -> ProbabilityVector:
-        """Renormalize the stored prefix to total mass 1."""
-        if self.captured_mass <= 0.0:
-            raise NormalizationError("no probability mass captured")
-        scale = 1.0 / self.captured_mass
-        return ProbabilityVector(tuple(v * scale for v in self.values))
 
 
 def discrete_series_distribution(
@@ -132,24 +116,42 @@ def su11_subadditivity(d: TruncatedDistribution) -> SubadditivityReport:
     """Shannon subadditivity of the pair/parity split of a weight ladder.
 
     The stored prefix is renormalized, split into consecutive pairs, and
-    reported; requires captured mass within 1e-6 of 1.
+    reported; requires captured mass within 1e-6 of 1 on either side.
     """
-    if d.captured_mass < 1.0 - 1e-6:
+    if abs(d.captured_mass - 1.0) > 1e-6:
         raise NormalizationError(
-            f"captured mass {d.captured_mass!r} is too far below 1"
+            f"captured mass {d.captured_mass!r} is not within 1e-6 of 1"
         )
-    table = interleave_split(d.to_probability_vector())
-    report = subadditivity_report(table)
-    return replace(report, raw_mass=d.captured_mass)
+    return _renormalized_report(d.values, d.captured_mass)
 
 
-def _report_from_values(values: list[float]) -> tuple[SubadditivityReport, float]:
-    raw_mass = math.fsum(values)
-    if raw_mass <= 0.0:
-        raise NormalizationError("all computed weights vanished")
-    vector = ProbabilityVector(tuple(v / raw_mass for v in values))
-    report = subadditivity_report(interleave_split(vector))
-    return report, raw_mass
+def _renormalized_report(
+    values: Sequence[float], mass: float, report_only: bool = False
+) -> SubadditivityReport:
+    """Report the pair/parity split of `values` scaled to unit total.
+
+    `mass` is the sum of `values`; it is attached as `raw_mass`.
+    """
+    if mass <= 0.0:
+        raise NormalizationError("no probability mass captured")
+    scale = 1.0 / mass
+    report = subadditivity_report(interleave_split([v * scale for v in values]))
+    return replace(report, report_only=report_only, raw_mass=mass)
+
+
+def _ladder_report(
+    element: Callable[[Su11Args], complex],
+    args: Su11Args,
+    kind: SeriesKind,
+    edge: Optional[HalfInt],
+    truncation: int,
+) -> SubadditivityReport:
+    """Report-only `_renormalized_report` of |element|^2 on a weight ladder."""
+    if truncation < 1:
+        raise DomainError("truncation must be at least 1")
+    weights = enumerate_weights(kind, edge, truncation)
+    values = [abs(element(replace(args, m_prime=w))) ** 2 for w in weights]
+    return _renormalized_report(values, math.fsum(values), report_only=True)
 
 
 def mixed_series_report(args: Su11Args, truncation: int) -> SubadditivityReport:
@@ -158,16 +160,9 @@ def mixed_series_report(args: Su11Args, truncation: int) -> SubadditivityReport:
     The raw (pre-renormalization) mass is attached as `raw_mass`; no
     normalization is asserted for the mixed basis.
     """
-    if truncation < 1:
-        raise DomainError("truncation must be at least 1")
-    weights = enumerate_weights(
-        SeriesKind.DISCRETE_POSITIVE, HalfInt(-args.k), truncation
+    return _ladder_report(
+        c_function, args, SeriesKind.DISCRETE_POSITIVE, HalfInt(-args.k), truncation
     )
-    values = [
-        abs(c_function(replace(args, m_prime=w))) ** 2 for w in weights
-    ]
-    report, raw_mass = _report_from_values(values)
-    return replace(report, report_only=True, raw_mass=raw_mass)
 
 
 def continuous_series_report(args: Su11Args, truncation: int) -> SubadditivityReport:
@@ -175,13 +170,6 @@ def continuous_series_report(args: Su11Args, truncation: int) -> SubadditivityRe
 
     As `mixed_series_report`: renormalized, report-only, raw mass attached.
     """
-    if truncation < 1:
-        raise DomainError("truncation must be at least 1")
     if args.is_discrete:
         raise DomainError("continuous_series_report needs a continuous series")
-    weights = enumerate_weights(args.series, None, truncation)
-    values = [
-        abs(l_function(replace(args, m_prime=w))) ** 2 for w in weights
-    ]
-    report, raw_mass = _report_from_values(values)
-    return replace(report, report_only=True, raw_mass=raw_mass)
+    return _ladder_report(l_function, args, args.series, None, truncation)

@@ -13,11 +13,11 @@ from .entropy import (
 )
 from .errors import DomainError
 from .halfint import HalfInt, HalfIntLike
-from .probability import ProbabilityVector, bipartite_split
+from .probability import Distribution, bipartite_split
 from .specfun import _finite_angle, _weight_triple, _wigner_dispatch
 
 
-def column_distribution(j: HalfIntLike, m: HalfIntLike, theta: float) -> ProbabilityVector:
+def column_distribution(j: HalfIntLike, m: HalfIntLike, theta: float) -> Distribution:
     """Probabilities |d^j_{m'm}(theta)|^2 over m' = -j..j ascending."""
     two_j, _, two_m = _weight_triple(j, m, m)
     theta = _finite_angle(theta)
@@ -25,7 +25,7 @@ def column_distribution(j: HalfIntLike, m: HalfIntLike, theta: float) -> Probabi
     for two_mp in range(-two_j, two_j + 1, 2):
         d = _wigner_dispatch(two_j, two_mp, two_m, theta)
         values.append(d * d)
-    return ProbabilityVector(tuple(values))
+    return Distribution(values)
 
 
 def su2_subadditivity(j: HalfIntLike, m: HalfIntLike, theta: float) -> SubadditivityReport:
@@ -79,7 +79,7 @@ def closed_form_check(j: HalfIntLike, theta: float) -> float:
         expected = _closed_forms_two(float(theta))
     else:
         raise DomainError("closed forms are available for j = 3/2 and j = 2 only")
-    computed = column_distribution(j, j, theta)
+    computed = column_distribution(j, j, theta).as_array().tolist()
     return max(abs(a - b) for a, b in zip(computed, expected))
 
 

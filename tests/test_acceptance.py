@@ -11,8 +11,8 @@ import numpy as np
 
 from entroineq import (
     BistochasticMatrix,
+    Distribution,
     HalfInt,
-    JointTable,
     SeriesKind,
     Su11Args,
     Su2Sweep,
@@ -192,7 +192,7 @@ def _random_tables(rng, count):
         n1 = int(rng.integers(2, 5))
         n2 = int(rng.integers(2, 6))
         raw = rng.random(n1 * n2) + 1e-4
-        tables.append(JointTable((n1, n2), tuple(raw / raw.sum())))
+        tables.append(Distribution((raw / raw.sum()).reshape(n1, n2)))
     return tables
 
 
@@ -290,7 +290,7 @@ def test_criterion_09_entropy_properties():
         n2 = int(rng.integers(2, 6))
         p = rng.dirichlet(np.ones(n1))
         q = rng.dirichlet(np.ones(n2))
-        table = JointTable.from_array(np.outer(p, q))
+        table = Distribution(np.outer(p, q))
         report = subadditivity_report(table)
         product_worst = max(product_worst, abs(report.slack))
         grid = table.as_array()

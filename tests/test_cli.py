@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from entroineq import HalfInt, wigner_oracle
+from entroineq import HalfInt, su11, wigner_oracle
 from entroineq.cli import main
 
 
@@ -184,6 +184,32 @@ class TestSu11Check:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("grid", ["nan:nan:1", "inf:inf:1", "0.5:nan:2"])
+    def test_non_finite_rapidity_is_domain_error(self, grid, capsys, monkeypatch):
+        # used to run 1e5 discrete or 1e6 hypergeometric terms before failing
+        evaluated = []
+        for name in ("bargmann_b", "l_function"):
+            original = getattr(su11, name)
+            monkeypatch.setattr(
+                su11, name, lambda args, f=original: evaluated.append(args) or f(args)
+            )
+        discrete = ["su11-check", "--k", "2", "--m", "1", "--grid", grid]
+        continuous = [
+            "su11-check", "--series", "continuous", "--s", "0.5", "--m", "0.5", "--grid", grid,
+        ]
+        for argv in (discrete, continuous):
+            assert main(argv) == 2
+            assert "rapidity must be finite" in capsys.readouterr().err
+        assert not evaluated  # rejected before any element is evaluated
+
+    def test_excess_captured_mass_is_domain_error(self, capsys):
+        # the large-m discrete ladder captures mass 4460; it used to be
+        # renormalized away and printed with exit 0
+        code = main(["su11-check", "--k", "3", "--m", "61/2", "--grid", "1.5:1.5:1"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "captured mass 4460.83" in err
+
 
 class TestHyp2f1Command:
     def test_binomial_point(self, capsys):
@@ -253,6 +279,44 @@ class TestOutputContracts:
         for row in payload["rows"]:
             assert row["slack"] == row["h1"] + row["h2"] - row["h_joint"]
             assert row["lhs"] == row["h1"] + row["h2"]
+
+    @pytest.mark.parametrize(
+        "argv, config, header",
+        [
+            (
+                ["su2-check", "--j", "1", "--m", "0", "--grid", "0:3:2"],
+                ["command", "j", "m", "grid"],
+                ["theta", "h_joint", "h1", "h2", "lhs", "slack"],
+            ),
+            (
+                ["su2-tsallis", "--j", "1", "--m", "0", "--q", "0.5", "--grid", "0:3:2"],
+                ["command", "j", "m", "q", "grid"],
+                ["theta", "h_joint", "h1", "h2", "lhs", "slack", "mode"],
+            ),
+            (
+                ["su11-check", "--k", "2", "--m", "1", "--grid", "0.1:0.2:2"],
+                ["command", "series", "k", "m", "grid"],
+                ["t", "truncation", "captured_mass", "h_joint", "h1", "h2", "slack"],
+            ),
+            (
+                [
+                    "su11-check", "--series", "continuous", "--s", "0.5", "--m", "0.5",
+                    "--truncation", "8", "--grid", "0.1:0.2:2",
+                ],
+                ["command", "series", "s", "sigma", "m", "lattice", "truncation", "grid"],
+                ["t", "truncation", "raw_mass", "h_joint", "h1", "h2", "slack"],
+            ),
+        ],
+    )
+    def test_json_config_and_columns_per_sweep(self, tmp_path, argv, config, header):
+        code, data = run_to_file(tmp_path, "s.json", [*argv, "--format", "json"])
+        assert code == 0
+        payload = json.loads(data)
+        assert list(payload["config"]) == config
+        assert payload["config"]["command"] == argv[0]
+        assert len(payload["rows"]) == 2
+        for row in payload["rows"]:
+            assert list(row) == header
 
     def test_module_entry_point(self, tmp_path):
         out = tmp_path / "sub.csv"

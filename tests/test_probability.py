@@ -1,4 +1,4 @@
-"""Probability vectors, joint tables, and the index mappings."""
+"""Distributions of any rank, `relabel` and its named layouts, marginals."""
 
 import math
 
@@ -10,17 +10,14 @@ from entroineq import (
     BistochasticMatrix,
     DimensionError,
     DomainError,
+    Distribution,
     HalfInt,
-    JointTable,
-    ProbabilityVector,
     SeriesKind,
     bipartite_split,
     enumerate_weights,
-    general_reshape,
     interleave_split,
-    marginal_pair,
     marginals,
-    tripartite_reshape,
+    relabel,
 )
 
 
@@ -30,50 +27,71 @@ def prob_vectors(draw, min_size=2, max_size=12):
         st.lists(st.floats(1e-3, 1.0), min_size=min_size, max_size=max_size)
     )
     total = math.fsum(raw)
-    return ProbabilityVector(tuple(v / total for v in raw))
+    return Distribution([v / total for v in raw])
+
+
+def flat(t):
+    return t.as_array().ravel().tolist()
 
 
 class TestProbabilityVector:
+    """Rank-1 distributions."""
+
     def test_clamps_tiny_negatives(self):
-        p = ProbabilityVector((1.0, -5e-13, 5e-13))
-        assert p[1] == 0.0
+        p = Distribution((1.0, -5e-13, 5e-13))
+        assert p.as_array()[1] == 0.0
+        assert math.copysign(1.0, Distribution((1.0, -0.0)).as_array()[1]) == 1.0
 
     def test_rejects_real_negatives(self):
         with pytest.raises(DomainError):
-            ProbabilityVector((1.0, -1e-6))
+            Distribution((1.0, -1e-6))
 
     def test_rejects_bad_total(self):
         with pytest.raises(DomainError):
-            ProbabilityVector((0.4, 0.4))
+            Distribution((0.4, 0.4))
 
     def test_rejects_empty_and_nan(self):
         with pytest.raises(DimensionError):
-            ProbabilityVector(())
+            Distribution(())
+        with pytest.raises(DimensionError):
+            Distribution(1.0)
         with pytest.raises(DomainError):
-            ProbabilityVector((float("nan"), 1.0))
+            Distribution((float("nan"), 1.0))
+        with pytest.raises(DomainError):
+            Distribution((float("inf"), 1.0))
 
 
 class TestJointTable:
+    """Rank-2 and rank-3 distributions: one validation, a read-only copy."""
+
     def test_validates_shape_and_total(self):
         with pytest.raises(DimensionError):
-            JointTable((4,), (0.25,) * 4)
-        with pytest.raises(DimensionError):
-            JointTable((2, 3), (0.5, 0.5))
+            Distribution(np.zeros((2, 0)))
         with pytest.raises(DomainError):
-            JointTable((2, 2), (0.5, 0.5, 0.5, 0.5))
+            Distribution(np.full((2, 2), 0.5))
+        with pytest.raises(DomainError):
+            Distribution(np.full((2, 2, 2), 0.25))
+        with pytest.raises(DomainError):
+            Distribution([[0.5, 0.5], [0.5, -1e-6]])
 
     def test_round_trips_arrays(self):
         grid = np.array([[0.1, 0.2], [0.3, 0.4]])
-        t = JointTable.from_array(grid)
-        assert t.dims == (2, 2)
+        t = Distribution(grid)
+        assert t.as_array().shape == (2, 2)
         assert np.array_equal(t.as_array(), grid)
+        grid[0, 0] = 0.5  # the distribution holds its own copy
+        assert t.as_array()[0, 0] == 0.1
+        with pytest.raises(ValueError):
+            t.as_array()[0, 0] = 0.5
+        with pytest.raises(AttributeError):
+            t._array = grid
 
 
 class TestBistochastic:
     def test_accepts_doubly_stochastic(self):
         m = BistochasticMatrix.from_array(np.array([[0.3, 0.7], [0.7, 0.3]]))
-        assert m.column(0).components == (0.3, 0.7)
-        assert m.row(1).components == (0.7, 0.3)
+        assert m.as_array()[:, 0].tolist() == [0.3, 0.7]
+        assert m.as_array()[1, :].tolist() == [0.7, 0.3]
 
     def test_rejects_row_stochastic_only(self):
         bad = np.array([[0.5, 0.5], [0.9, 0.1]])
@@ -83,99 +101,108 @@ class TestBistochastic:
 
 class TestBipartiteSplit:
     def test_even_case(self):
-        t = bipartite_split(ProbabilityVector((0.1, 0.2, 0.3, 0.4)))
-        assert t.dims == (2, 2)
-        assert t.entries == (0.1, 0.2, 0.3, 0.4)
+        t = bipartite_split(Distribution((0.1, 0.2, 0.3, 0.4)))
+        assert t.as_array().shape == (2, 2)
+        assert flat(t) == [0.1, 0.2, 0.3, 0.4]
 
     def test_two_components(self):
-        t = bipartite_split(ProbabilityVector((0.5, 0.5)))
-        assert t.dims == (2, 1)
-        assert t.entries == (0.5, 0.5)
+        t = bipartite_split(Distribution((0.5, 0.5)))
+        assert t.as_array().shape == (2, 1)
+        assert flat(t) == [0.5, 0.5]
 
     def test_odd_case_pads_one_zero(self):
-        t = bipartite_split(ProbabilityVector((0.2, 0.3, 0.5)))
-        assert t.dims == (2, 2)
-        assert t.entries == (0.2, 0.3, 0.5, 0.0)
+        t = bipartite_split(Distribution((0.2, 0.3, 0.5)))
+        assert t.as_array().shape == (2, 2)
+        assert flat(t) == [0.2, 0.3, 0.5, 0.0]
 
     def test_rejects_single_component(self):
         with pytest.raises(DimensionError):
-            bipartite_split(ProbabilityVector((1.0,)))
+            bipartite_split(Distribution((1.0,)))
 
 
 class TestGeneralReshape:
+    """`relabel` into two axes."""
+
     def test_uniform(self):
-        t = general_reshape(ProbabilityVector((0.25,) * 4), 2, 2)
-        assert t.entries == (0.25,) * 4
+        t = relabel(Distribution((0.25,) * 4), (2, 2))
+        assert flat(t) == [0.25] * 4
 
     def test_degenerate_axis_preserves_vector(self):
-        p = ProbabilityVector((0.1, 0.2, 0.3, 0.4))
-        t = general_reshape(p, 4, 1)
+        p = Distribution((0.1, 0.2, 0.3, 0.4))
+        t = relabel(p, (4, 1))
         first, second = marginals(t)
-        assert first.components == (1.0,)
-        assert second.components == p.components
+        assert flat(first) == [1.0]
+        assert flat(second) == flat(p)
 
     def test_padding_matches_bipartite_on_padded_input(self):
-        t = general_reshape(ProbabilityVector((0.5, 0.5)), 2, 2)
-        assert t.entries == (0.5, 0.5, 0.0, 0.0)
-        padded = bipartite_split(ProbabilityVector((0.5, 0.5, 0.0, 0.0)))
-        assert t.entries == padded.entries
+        t = relabel(Distribution((0.5, 0.5)), (2, 2))
+        assert flat(t) == [0.5, 0.5, 0.0, 0.0]
+        padded = bipartite_split(Distribution((0.5, 0.5, 0.0, 0.0)))
+        assert flat(t) == flat(padded)
 
     def test_rejects_too_small_table(self):
         with pytest.raises(DimensionError):
-            general_reshape(ProbabilityVector((0.25,) * 4), 1, 3)
+            relabel(Distribution((0.25,) * 4), (1, 3))
+        with pytest.raises(DimensionError):
+            relabel(Distribution((0.25,) * 4), (0, 4))
+        with pytest.raises(DimensionError):
+            relabel(Distribution((0.25,) * 4), ())
+
+    def test_plain_sequences_are_validated(self):
+        assert flat(relabel([0.5, 0.5], (1, 3))) == [0.5, 0.5, 0.0]
+        with pytest.raises(DomainError):
+            relabel([0.5, 0.4], (2, 1))
 
 
 class TestTripartiteReshape:
+    """`relabel` into three axes, the layout of strong subadditivity."""
+
     def test_uniform_eight(self):
-        t = tripartite_reshape(ProbabilityVector((0.125,) * 8), 2, 2, 2)
-        assert t.dims == (2, 2, 2)
-        assert t.entries == (0.125,) * 8
+        t = relabel(Distribution((0.125,) * 8), (2, 2, 2))
+        assert t.as_array().shape == (2, 2, 2)
+        assert flat(t) == [0.125] * 8
 
     def test_delta(self):
-        t = tripartite_reshape(ProbabilityVector((1.0, 0.0)), 2, 2, 2)
+        t = relabel(Distribution((1.0, 0.0)), (2, 2, 2))
         assert t.as_array()[0, 0, 0] == 1.0
-        assert math.fsum(t.entries) == 1.0
+        assert math.fsum(flat(t)) == 1.0
 
     def test_row_major_fill_and_pair_marginals(self):
-        comps = tuple(i / 21.0 for i in range(1, 7))
-        t = tripartite_reshape(ProbabilityVector(comps), 3, 2, 1)
-        assert t.entries == comps  # row-major keeps flat order
-        for keep in ((0, 1), (0, 2), (1, 2)):
-            reduced = marginal_pair(t, keep)
-            assert abs(math.fsum(reduced.entries) - 1.0) < 1e-12
-
-    def test_pair_marginal_requires_3d(self):
-        t = JointTable((2, 2), (0.25,) * 4)
-        with pytest.raises(DimensionError):
-            marginal_pair(t, (0, 1))
+        comps = [i / 21.0 for i in range(1, 7)]
+        t = relabel(Distribution(comps), (3, 2, 1))
+        assert flat(t) == comps  # row-major keeps flat order
+        assert t.as_array()[2, 1, 0] == comps[5]
+        for axis in range(3):
+            reduced = t.as_array().sum(axis=axis)
+            assert abs(math.fsum(reduced.ravel().tolist()) - 1.0) < 1e-12
 
 
 class TestInterleaveSplit:
     def test_pairs_and_marginals(self):
-        t = interleave_split(ProbabilityVector((0.4, 0.1, 0.3, 0.2)))
-        assert t.dims == (2, 2)
+        t = interleave_split(Distribution((0.4, 0.1, 0.3, 0.2)))
+        assert t.as_array().shape == (2, 2)
         assert t.as_array()[0].tolist() == [0.4, 0.1]
         assert t.as_array()[1].tolist() == [0.3, 0.2]
         parity, pairs = marginals(t)
-        assert parity.components == pytest.approx((0.7, 0.3), abs=1e-15)
-        assert pairs.components == pytest.approx((0.5, 0.5), abs=1e-15)
+        assert flat(parity) == pytest.approx((0.7, 0.3), abs=1e-15)
+        assert flat(pairs) == pytest.approx((0.5, 0.5), abs=1e-15)
 
     def test_delta(self):
-        t = interleave_split(ProbabilityVector((1.0, 0.0, 0.0, 0.0)))
+        t = interleave_split(Distribution((1.0, 0.0, 0.0, 0.0)))
         parity, pairs = marginals(t)
-        assert parity.components == (1.0, 0.0)
-        assert pairs.components == (1.0, 0.0)
+        assert flat(parity) == [1.0, 0.0]
+        assert flat(pairs) == [1.0, 0.0]
 
     def test_uniform(self):
-        t = interleave_split(ProbabilityVector((0.25,) * 4))
+        t = interleave_split(Distribution((0.25,) * 4))
         parity, pairs = marginals(t)
-        assert parity.components == (0.5, 0.5)
-        assert pairs.components == (0.5, 0.5)
+        assert flat(parity) == [0.5, 0.5]
+        assert flat(pairs) == [0.5, 0.5]
 
     def test_odd_length_pads(self):
-        t = interleave_split(ProbabilityVector((0.5, 0.25, 0.25)))
-        assert t.dims == (2, 2)
-        assert t.entries == (0.5, 0.25, 0.25, 0.0)
+        t = interleave_split(Distribution((0.5, 0.25, 0.25)))
+        assert t.as_array().shape == (2, 2)
+        assert flat(t) == [0.5, 0.25, 0.25, 0.0]
 
     def test_empty_rejected(self):
         with pytest.raises(DimensionError):
@@ -206,56 +233,59 @@ class TestEnumerateWeights:
 
 class TestMarginals:
     def test_hand_example(self):
-        t = JointTable((2, 2), (0.1, 0.2, 0.3, 0.4))
+        t = Distribution([[0.1, 0.2], [0.3, 0.4]])
         first, second = marginals(t)
-        assert first.components == pytest.approx((0.4, 0.6), abs=1e-15)
-        assert second.components == pytest.approx((0.3, 0.7), abs=1e-15)
+        assert flat(first) == pytest.approx((0.4, 0.6), abs=1e-15)
+        assert flat(second) == pytest.approx((0.3, 0.7), abs=1e-15)
 
     def test_delta_table(self):
-        t = JointTable((2, 2), (1.0, 0.0, 0.0, 0.0))
+        t = Distribution([[1.0, 0.0], [0.0, 0.0]])
         first, second = marginals(t)
-        assert first.components == (1.0, 0.0)
-        assert second.components == (1.0, 0.0)
+        assert flat(first) == [1.0, 0.0]
+        assert flat(second) == [1.0, 0.0]
 
     def test_product_table_recovers_factors(self):
         p = (0.5, 0.5)
         q = (0.25, 0.25, 0.25, 0.25)
-        t = JointTable.from_array(np.outer(p, q))
+        t = Distribution(np.outer(p, q))
         first, second = marginals(t)
-        assert first.components == q
-        assert second.components == p
+        assert flat(first) == list(q)
+        assert flat(second) == list(p)
 
     def test_requires_2d(self):
-        t = tripartite_reshape(ProbabilityVector((0.125,) * 8), 2, 2, 2)
+        t = relabel(Distribution((0.125,) * 8), (2, 2, 2))
         with pytest.raises(DimensionError):
             marginals(t)
+        with pytest.raises(DimensionError):
+            marginals(Distribution((0.5, 0.5)))
 
 
 @settings(max_examples=80, deadline=None)
 @given(prob_vectors())
 def test_bipartite_round_trip(p):
-    t = bipartite_split(p)
-    flat = t.entries[: len(p)]
-    assert flat == p.components
-    assert all(v == 0.0 for v in t.entries[len(p):])
+    t = flat(bipartite_split(p))
+    n = p.as_array().size
+    assert t[:n] == flat(p)
+    assert all(v == 0.0 for v in t[n:])
 
 
 @settings(max_examples=80, deadline=None)
 @given(prob_vectors())
 def test_mappings_emit_valid_tables(p):
+    n = p.as_array().size
     for table in (
         bipartite_split(p),
         interleave_split(p),
-        general_reshape(p, len(p), 2),
-        tripartite_reshape(p, len(p), 2, 1),
+        relabel(p, (n, 2)),
+        relabel(p, (n, 2, 1)),
     ):
-        assert abs(math.fsum(table.entries) - 1.0) <= 1e-9
-        assert min(table.entries) >= 0.0
+        assert abs(math.fsum(flat(table)) - 1.0) <= 1e-9
+        assert min(flat(table)) >= 0.0
 
 
 @settings(max_examples=50, deadline=None)
 @given(prob_vectors())
 def test_degenerate_reshape_marginal_is_identity(p):
-    first, second = marginals(general_reshape(p, len(p), 1))
-    assert first.components == pytest.approx((1.0,), abs=1e-12)
-    assert second.components == p.components  # single-entry rows stay exact
+    first, second = marginals(relabel(p, (p.as_array().size, 1)))
+    assert flat(first) == pytest.approx((1.0,), abs=1e-12)
+    assert flat(second) == flat(p)  # single-entry rows stay exact

@@ -260,6 +260,14 @@ class TestSFactor:
         with pytest.raises(DomainError, match="finite"):
             s_factor(1, 1, 0, theta)
 
+    def test_overflow_raises_with_parameters(self):
+        # used to raise a bare OverflowError from the factorial ratio
+        with pytest.raises(EntroineqError) as info:
+            s_factor(600, 600, 0, 1.0)
+        message = str(info.value)
+        for part in ("j=600,", "m'=600,", "m=0,", "theta=1.0"):
+            assert part in message
+
 
 class TestWignerD:
     def test_zero_rotation_is_identity(self):

@@ -16,6 +16,7 @@ from entroineq import (
     discrete_series_distribution,
     enumerate_weights,
     mixed_series_report,
+    shannon,
     su11_subadditivity,
 )
 
@@ -69,6 +70,21 @@ class TestDiscreteSeriesDistribution:
         with pytest.raises(DomainError):
             discrete_series_distribution(2, HalfInt(2), 1.9)
 
+    @pytest.mark.parametrize("t", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite_rapidity(self, t):
+        with pytest.raises(DomainError, match="finite"):
+            discrete_series_distribution(2, HalfInt(2), t, truncation=5)
+        with pytest.raises(DomainError, match="finite"):
+            discrete_series_distribution(2, HalfInt(2), t)
+        with pytest.raises(DomainError, match="finite"):
+            bargmann_b(
+                Su11Args(
+                    series=SeriesKind.DISCRETE_POSITIVE, m_prime=HalfInt(2), m=HalfInt(2), t=t, k=2
+                )
+            )
+        with pytest.raises(DomainError, match="finite"):
+            Su11Args(series=SeriesKind.CONTINUOUS_INTEGER, m_prime=HalfInt(0), m=0.5, t=t, s=0.5)
+
 
 class TestTruncatedDistribution:
     def test_consistency_checks(self):
@@ -81,8 +97,18 @@ class TestTruncatedDistribution:
 
     def test_renormalization(self):
         d = TruncatedDistribution(values=(0.5, 0.4999999), captured_mass=0.9999999, tail_bound=1e-7, truncation=2)
-        p = d.to_probability_vector()
-        assert abs(math.fsum(p.components) - 1.0) < 1e-12
+        report = su11_subadditivity(d)
+        scaled = [v / d.captured_mass for v in d.values]
+        assert abs(math.fsum(scaled) - 1.0) < 1e-12
+        assert report.h_joint == pytest.approx(shannon(scaled), abs=1e-12)
+        assert report.h_first == pytest.approx(shannon(scaled), abs=1e-12)
+        assert report.h_second == 0.0
+        assert report.raw_mass == d.captured_mass
+
+    def test_rejects_non_finite_values(self):
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(DomainError):
+                TruncatedDistribution(values=(bad, 0.5), captured_mass=bad, tail_bound=0.0, truncation=2)
 
 
 class TestSu11Subadditivity:
@@ -107,6 +133,25 @@ class TestSu11Subadditivity:
     def test_rejects_insufficient_mass(self):
         d = TruncatedDistribution(values=(0.5, 0.4), captured_mass=0.9, tail_bound=0.1, truncation=2)
         with pytest.raises(NormalizationError):
+            su11_subadditivity(d)
+
+    def test_rejects_excess_mass(self):
+        d = TruncatedDistribution(values=(0.5, 0.5 + 2e-6), captured_mass=1.0 + 2e-6, tail_bound=0.0, truncation=2)
+        with pytest.raises(NormalizationError, match="1.000002"):
+            su11_subadditivity(d)
+        d = TruncatedDistribution(values=(0.5, 0.5 + 5e-7), captured_mass=1.0 + 5e-7, tail_bound=0.0, truncation=2)
+        assert su11_subadditivity(d).raw_mass == 1.0 + 5e-7
+
+    @pytest.mark.parametrize(
+        "k, two_m, t, mass",
+        [(3, 61, 1.5, 4460.8), (2, 60, 1.7, 3.2e8)],
+    )
+    def test_rejects_blown_up_scan_mass(self, k, two_m, t, mass):
+        # the hypergeometric route cancels catastrophically at large m; the
+        # captured mass overshoots 1 and must not be renormalized away
+        d = discrete_series_distribution(k, HalfInt(two_m), t, truncation=400)
+        assert d.captured_mass == pytest.approx(mass, rel=1e-2)
+        with pytest.raises(NormalizationError, match="captured mass"):
             su11_subadditivity(d)
 
     def test_reports_raw_mass(self):

@@ -22,7 +22,7 @@ TWO_PI = 2.0 * math.pi
 class TestColumnDistribution:
     def test_zero_rotation_is_delta(self):
         p = column_distribution("3/2", "-1/2", 0.0)
-        assert p.components == (0.0, 1.0, 0.0, 0.0)
+        assert p.as_array().tolist() == [0.0, 1.0, 0.0, 0.0]
 
     def test_spin_three_half_closed_forms(self):
         theta = 1.1
@@ -34,7 +34,7 @@ class TestColumnDistribution:
             3.0 * math.sin(theta / 2.0) ** 2 * (math.sin(theta / 2.0) ** 2 - 1.0) ** 2,
             (c + 1.0) ** 3 / 8.0,
         )
-        assert p.components == pytest.approx(expected, abs=1e-14)
+        assert p.as_array().tolist() == pytest.approx(expected, abs=1e-14)
 
     def test_spin_two_closed_forms(self):
         theta = 0.8
@@ -49,14 +49,14 @@ class TestColumnDistribution:
             4.0 * ch**3 * (1.0 - ch),
             (c + 1.0) ** 4 / 16.0,
         )
-        assert p.components == pytest.approx(expected, abs=1e-14)
+        assert p.as_array().tolist() == pytest.approx(expected, abs=1e-14)
 
     def test_normalized_across_spins(self):
         for two_j in range(1, 11):
             j = HalfInt(two_j)
             for two_m in range(-two_j, two_j + 1, 2):
                 p = column_distribution(j, HalfInt(two_m), 1.7)
-                assert abs(math.fsum(p.components) - 1.0) < 1e-10
+                assert abs(math.fsum(p.as_array().tolist()) - 1.0) < 1e-10
 
     def test_invalid_column(self):
         with pytest.raises(DomainError):
