@@ -53,12 +53,10 @@ from .specfun import (
     wigner_oracle,
 )
 from .su2 import (
-    Su2Sweep,
     closed_form_check,
     column_distribution,
     su2_subadditivity,
     su2_tsallis_subadditivity,
-    sweep,
 )
 from .su11 import (
     TruncatedDistribution,
@@ -82,7 +80,6 @@ __all__ = [
     "PoleError",
     "SeriesKind",
     "Su11Args",
-    "Su2Sweep",
     "SubadditivityReport",
     "TruncatedDistribution",
     "UnsupportedBranchError",
@@ -113,7 +110,6 @@ __all__ = [
     "su2_subadditivity",
     "su2_tsallis_subadditivity",
     "subadditivity_report",
-    "sweep",
     "tsallis",
     "tsallis_subadditivity_report",
     "wigner_d",

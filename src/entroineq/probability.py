@@ -55,12 +55,15 @@ class Distribution:
         if array.ndim < 1 or array.size == 0:
             raise DimensionError("a distribution needs at least one entry")
         flat = array.ravel().tolist()
-        # Python's min skips a NaN after the first entry, but fsum then
-        # returns NaN: a finite total over positive entries needs no clamp.
-        total = math.fsum(flat) if min(flat) > 0.0 else math.nan
-        if not math.isfinite(total):
-            array = _clean(array)
-            total = math.fsum(array.ravel().tolist())
+        try:
+            # Python's min skips a NaN after the first entry, but fsum then
+            # returns NaN: a finite total over positive entries needs no clamp.
+            total = math.fsum(flat) if min(flat) > 0.0 else math.nan
+            if not math.isfinite(total):
+                array = _clean(array)
+                total = math.fsum(array.ravel().tolist())
+        except OverflowError:
+            raise DomainError("probability mass overflows the float range") from None
         if abs(total - 1.0) > SUM_TOLERANCE:
             raise DomainError(f"entries sum to {total!r}, not 1")
         array.flags.writeable = False

@@ -1,6 +1,6 @@
 """Special functions behind group matrix elements.
 
-Jacobi polynomials, Wigner d-functions with a matrix-exponential oracle,
+Jacobi polynomials, Wigner d-functions with an exact-diagonalisation oracle,
 the Gauss hypergeometric series, complex log-gamma, and the discrete /
 mixed / continuous series matrix elements of the hyperbolic analog group.
 """
@@ -26,6 +26,12 @@ from .probability import SeriesKind
 
 #: Series evaluation of the hypergeometric function needs |z| <= this.
 HYP2F1_RADIUS = 0.95
+
+#: The hypergeometric series stops once three consecutive terms fall
+#: below this relative to the partial sum ...
+HYP2F1_TOL = 1e-16
+#: ... and raises ConvergenceError after this many terms.
+HYP2F1_MAX_TERMS = 10**6
 
 #: Discrete-series rapidity domain: |z(it)| = (cosh t - 1)/2 < 0.95.
 DISCRETE_COSH_LIMIT = 2.9
@@ -185,15 +191,13 @@ def hyp2f1(
     b: Union[complex, float],
     c: Union[complex, float],
     z: Union[complex, float],
-    series_tol: float = 1e-16,
-    max_terms: int = 10**6,
 ) -> complex:
     """2F1(a, b; c; z) by direct power series.
 
     Requires |z| <= 0.95 unless a or b is a nonpositive integer, in which
     case the series terminates and any z is accepted.  The sum stops once
-    three consecutive terms fall below `series_tol` relative to the
-    partial sum.
+    three consecutive terms fall below `HYP2F1_TOL` relative to the
+    partial sum, and raises ConvergenceError after `HYP2F1_MAX_TERMS`.
     """
     a, b, c, z = complex(a), complex(b), complex(c), complex(z)
     degrees = [d for d in (_nonpos_int(a), _nonpos_int(b)) if d is not None]
@@ -206,15 +210,15 @@ def hyp2f1(
     if c_pole is not None and (n_term is None or c_pole < n_term):
         raise PoleError(f"c = {c} hits a pole before the series terminates")
 
+    series_tol = HYP2F1_TOL
+    max_terms = HYP2F1_MAX_TERMS
     term = 1.0 + 0.0j
     total = 1.0 + 0.0j
     small_streak = 0
     k = 0
     while True:
-        if n_term is not None and k == n_term:
-            break
         numerator = (a + k) * (b + k)
-        if numerator == 0:
+        if numerator == 0:  # a terminating series ends at degree n_term
             break
         term = term * numerator * z / ((c + k) * (k + 1))
         total += term
@@ -398,43 +402,23 @@ def dmatrix(j: HalfIntLike, theta: float) -> np.ndarray:
     return out
 
 
-def _expm_taylor(a: np.ndarray) -> np.ndarray:
-    """Matrix exponential by scaling-and-squaring with a Taylor core."""
-    norm = float(np.linalg.norm(a, 1))
-    squarings = max(0, math.ceil(math.log2(norm))) if norm > 1.0 else 0
-    b = a / (2.0**squarings)
-    size = a.shape[0]
-    out = np.eye(size, dtype=complex)
-    term = np.eye(size, dtype=complex)
-    for k in range(1, 80):
-        term = term @ b / k
-        out = out + term
-        if np.linalg.norm(term, 1) <= 1e-18 * max(1.0, np.linalg.norm(out, 1)):
-            break
-    for _ in range(squarings):
-        out = out @ out
-    return out
-
-
 def wigner_oracle(j: HalfIntLike, theta: float) -> np.ndarray:
-    """Independent route to dmatrix: exponentiate the tridiagonal generator.
+    """Independent route to dmatrix: exact diagonalisation of J_y.
 
-    Builds the y-axis angular-momentum generator on the ascending weight
-    basis and sums its scaled Taylor series; restricted to 2j <= 12.
+    exp(-i theta J_y) on the ascending weight basis, from the eigenpairs
+    (numpy.linalg.eigh) of the tridiagonal Hermitian generator; it shares
+    no recurrence or factorial with `dmatrix`.  Any spin is accepted; a
+    non-finite theta raises DomainError.
     """
     two_j = HalfInt.coerce(j).doubled
     if two_j < 0:
         raise DomainError("j must be nonnegative")
-    if two_j > 12:
-        raise DomainError("oracle restricted to 2j <= 12")
-    size = two_j + 1
-    gen = np.zeros((size, size), dtype=complex)
-    for idx in range(size - 1):
-        two_m = -two_j + 2 * idx
-        coupling = math.sqrt((two_j - two_m) * (two_j + two_m + 2)) / 2.0
-        gen[idx + 1, idx] = 0.5j * coupling
-        gen[idx, idx + 1] = -0.5j * coupling
-    return _expm_taylor(-1j * float(theta) * gen).real
+    theta = _finite_angle(theta)
+    two_m = np.arange(-two_j, two_j, 2)
+    coupling = 0.25j * np.sqrt((two_j - two_m) * (two_j + two_m + 2))
+    generator = np.diag(coupling, -1) - np.diag(coupling, 1)
+    eigenvalues, vectors = np.linalg.eigh(generator)
+    return ((vectors * np.exp(-1j * theta * eigenvalues)) @ vectors.conj().T).real
 
 
 # ----------------------------------------------------------------------
@@ -460,8 +444,7 @@ class Su11Args:
     sigma: int = 0
 
     def __post_init__(self) -> None:
-        series = SeriesKind(self.series)
-        object.__setattr__(self, "series", series)
+        object.__setattr__(self, "series", SeriesKind(self.series))
         object.__setattr__(self, "m_prime", HalfInt.coerce(self.m_prime))
         t = float(self.t)
         if not math.isfinite(t):
@@ -471,7 +454,7 @@ class Su11Args:
         object.__setattr__(self, "t", t)
         if self.sigma not in (0, 1):
             raise DomainError("sigma must be 0 or 1")
-        if series in (SeriesKind.DISCRETE_POSITIVE, SeriesKind.DISCRETE_NEGATIVE):
+        if self.is_discrete:
             if self.k is None or int(self.k) < 1:
                 raise DomainError("discrete series need an integer k >= 1")
             object.__setattr__(self, "k", int(self.k))
@@ -499,18 +482,26 @@ def _check_discrete_weight(k: int, value: HalfIntLike, positive: bool, label: st
     return doubled
 
 
-def _require_discrete_rapidity(t: float) -> None:
-    if math.cosh(t) >= DISCRETE_COSH_LIMIT:
+def _require_rapidity(t: float, cosh_limit: float) -> None:
+    if math.cosh(t) >= cosh_limit:
         raise DomainError(
-            f"cosh(t) = {math.cosh(t):.4f} outside the discrete-series domain (< {DISCRETE_COSH_LIMIT})"
+            f"cosh(t) = {math.cosh(t):.4f} outside the series domain (< {cosh_limit})"
         )
 
 
-def _require_continuous_rapidity(t: float) -> None:
-    if math.cosh(t) >= CONTINUOUS_COSH_LIMIT:
-        raise DomainError(
-            f"cosh(t) = {math.cosh(t):.4f} outside the series domain (< {CONTINUOUS_COSH_LIMIT})"
-        )
+def _positive_weights(args: Su11Args, name: str) -> tuple[int, int]:
+    """Doubled (m', m) of a discrete-series element on the positive series.
+
+    Checks the family, the rapidity and the weight lattice; weights of the
+    negative series are mirrored, (m', m) -> (-m', -m).
+    """
+    if not args.is_discrete:
+        raise DomainError(f"{name} is defined for the discrete series")
+    _require_rapidity(args.t, DISCRETE_COSH_LIMIT)
+    positive = args.series is SeriesKind.DISCRETE_POSITIVE
+    two_mp = _check_discrete_weight(args.k, args.m_prime, positive, "m'")
+    two_m = _check_discrete_weight(args.k, args.m, positive, "m")
+    return (two_mp, two_m) if positive else (-two_mp, -two_m)
 
 
 def _bargmann_positive(k: int, two_mp: int, two_m: int, t: float) -> complex:
@@ -544,17 +535,12 @@ def bargmann_b(args: Su11Args) -> complex:
     Hypergeometric route: b = N z^((m'-m)/2) (1-z)^((m'+m)/2)
     2F1(m'-j, m'+j+1; m'-m+1; z) / (m'-m)! with z = (1 - cosh t)/2.
     """
-    if not args.is_discrete:
-        raise DomainError("bargmann_b is defined for the discrete series")
-    _require_discrete_rapidity(args.t)
-    positive = args.series is SeriesKind.DISCRETE_POSITIVE
-    two_mp = _check_discrete_weight(args.k, args.m_prime, positive, "m'")
-    two_m = _check_discrete_weight(args.k, args.m, positive, "m")
-    if positive:
-        return _bargmann_positive(args.k, two_mp, two_m, args.t)
-    # negative series mirrors onto the positive one with (-1)^(m'-m)
-    sign = -1.0 if ((two_mp - two_m) // 2) % 2 else 1.0
-    return sign * _bargmann_positive(args.k, -two_mp, -two_m, args.t)
+    two_mp, two_m = _positive_weights(args, "bargmann_b")
+    value = _bargmann_positive(args.k, two_mp, two_m, args.t)
+    # the negative series mirrors onto the positive one with (-1)^(m'-m)
+    if args.series is SeriesKind.DISCRETE_NEGATIVE and ((two_mp - two_m) // 2) % 2:
+        return -value
+    return value
 
 
 def bargmann_b_continued(args: Su11Args) -> float:
@@ -564,15 +550,8 @@ def bargmann_b_continued(args: Su11Args) -> float:
     degree m+j in cosh(t) with half-angle hyperbolic envelopes, an
     algebraically independent route from `bargmann_b`.
     """
-    if not args.is_discrete:
-        raise DomainError("bargmann_b_continued is defined for the discrete series")
-    _require_discrete_rapidity(args.t)
     k = args.k
-    positive = args.series is SeriesKind.DISCRETE_POSITIVE
-    two_mp = _check_discrete_weight(k, args.m_prime, positive, "m'")
-    two_m = _check_discrete_weight(k, args.m, positive, "m")
-    if not positive:
-        two_mp, two_m = -two_mp, -two_m
+    two_mp, two_m = _positive_weights(args, "bargmann_b_continued")
     if two_mp < two_m:
         two_mp, two_m = two_m, two_mp  # modulus is swap-invariant
     degree = (two_m - k) // 2
@@ -595,6 +574,13 @@ def bargmann_b_continued(args: Su11Args) -> float:
     )
 
 
+def _hyp_branch(j: Union[complex, float], a: float, m: float, z: complex) -> complex:
+    """(1-z)^((a-im)/2) z^((a+im)/2) 2F1(-j+a, j+a+1; a+im+1; z)."""
+    im = 1j * m
+    series = hyp2f1(-j + a, j + a + 1.0, a + im + 1.0, z)
+    return (1.0 - z) ** ((a - im) / 2.0) * z ** ((a + im) / 2.0) * series
+
+
 def c_function(args: Su11Args) -> complex:
     """Mixed-basis element c^j_{m'm}(t): discrete row label, continuous column.
 
@@ -608,7 +594,7 @@ def c_function(args: Su11Args) -> complex:
         raise UnsupportedBranchError(
             "the m' <= j mixed-basis branch is not defined"
         )
-    _require_continuous_rapidity(args.t)
+    _require_rapidity(args.t, CONTINUOUS_COSH_LIMIT)
     k = args.k
     two_mp = _check_discrete_weight(k, args.m_prime, True, "m'")
     mp = two_mp / 2.0
@@ -633,13 +619,10 @@ def c_function(args: Su11Args) -> complex:
     norm = math.sqrt(2.0) * 2.0 ** (-j - 2.0) * s_norm * r_norm / math.pi
 
     z = (1.0 + 1j * math.sinh(args.t)) / 2.0
-    a = -mp
-    envelope = (1.0 - z) ** ((a - im) / 2.0) * z ** ((a + im) / 2.0)
-    series = hyp2f1(-j + a, j + a + 1.0, a + im + 1.0, z)
-    return norm * envelope * series
+    return norm * _hyp_branch(j, -mp, m, z)
 
 
-def l_function(args: Su11Args, series_tol: float = 1e-16) -> complex:
+def l_function(args: Su11Args) -> complex:
     """Continuous-series element l^j_{m'm sigma}(t) for j = -1/2 + i s.
 
     Combines the two hypergeometric branches at z(t) and z(-t) with the
@@ -647,14 +630,9 @@ def l_function(args: Su11Args, series_tol: float = 1e-16) -> complex:
     """
     if args.is_discrete:
         raise DomainError("l_function needs a continuous-series spin")
-    if args.series is SeriesKind.CONTINUOUS_INTEGER and not args.m_prime.is_integer:
-        raise DomainError("m' must be an integer on this lattice")
-    if (
-        args.series is SeriesKind.CONTINUOUS_HALF_INTEGER
-        and args.m_prime.is_integer
-    ):
-        raise DomainError("m' must be half-odd on this lattice")
-    _require_continuous_rapidity(args.t)
+    if args.m_prime.is_integer != (args.series is SeriesKind.CONTINUOUS_INTEGER):
+        raise DomainError(f"m' = {args.m_prime} is off the {args.series.value} lattice")
+    _require_rapidity(args.t, CONTINUOUS_COSH_LIMIT)
     j = complex(-0.5, args.s)
     m = float(args.m)
     im = 1j * m
@@ -679,16 +657,10 @@ def l_function(args: Su11Args, series_tol: float = 1e-16) -> complex:
             / denominator
         )
 
-    def f_factor(a: float, z: complex) -> complex:
-        series = hyp2f1(
-            -j + a, j + a + 1.0, a + im + 1.0, z, series_tol=series_tol
-        )
-        return (1.0 - z) ** ((a - im) / 2.0) * z ** ((a + im) / 2.0) * series
-
     z_plus = (1.0 - 1j * math.sinh(args.t)) / 2.0
     z_minus = (1.0 + 1j * math.sinh(args.t)) / 2.0
     parity_sign = -1.0 if sigma % 2 else 1.0
     return s_norm * (
-        t_factor(mp) * f_factor(mp, z_plus)
-        - parity_sign * t_factor(-mp) * f_factor(-mp, z_minus)
+        t_factor(mp) * _hyp_branch(j, mp, m, z_plus)
+        - parity_sign * t_factor(-mp) * _hyp_branch(j, -mp, m, z_minus)
     )

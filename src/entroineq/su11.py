@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
 from .entropy import SubadditivityReport, subadditivity_report
@@ -25,28 +25,33 @@ class TruncatedDistribution:
     """Finite prefix of an infinite probability sequence.
 
     `values` follow the series' canonical weight order; `captured_mass`
-    is their sum and `tail_bound` bounds the discarded mass (discrete
-    series only; report-only constructions carry tail_bound = nan).
+    is their sum, computed once, `truncation` their number, and
+    `tail_bound` = max(0, 1 - captured_mass) bounds the discarded mass.
     """
 
     values: tuple[float, ...]
-    captured_mass: float
-    tail_bound: float
-    truncation: int
+    captured_mass: float = field(init=False)
 
     def __post_init__(self) -> None:
         values = tuple(float(v) for v in self.values)
         if not values:
             raise DomainError("a truncated distribution needs at least one value")
-        if not all(math.isfinite(v) for v in values):
-            raise DomainError("probabilities must be finite")
-        if any(v < 0.0 for v in values):
-            raise DomainError("probabilities must be nonnegative")
-        if self.truncation != len(values):
-            raise DomainError("truncation must equal the number of stored values")
-        if abs(math.fsum(values) - self.captured_mass) > 1e-12:
-            raise DomainError("captured_mass must equal the sum of the values")
+        if not all(0.0 <= v < math.inf for v in values):
+            raise DomainError("probabilities must be finite and nonnegative")
+        try:
+            mass = math.fsum(values)
+        except OverflowError:
+            raise DomainError("probability mass overflows the float range") from None
         object.__setattr__(self, "values", values)
+        object.__setattr__(self, "captured_mass", mass)
+
+    @property
+    def truncation(self) -> int:
+        return len(self.values)
+
+    @property
+    def tail_bound(self) -> float:
+        return max(0.0, 1.0 - self.captured_mass)
 
 
 def discrete_series_distribution(
@@ -103,13 +108,7 @@ def discrete_series_distribution(
             raise ConvergenceError(
                 f"distribution did not stabilize within {MAX_TERMS} terms"
             )
-    captured = math.fsum(values)
-    return TruncatedDistribution(
-        values=tuple(values),
-        captured_mass=captured,
-        tail_bound=max(0.0, 1.0 - captured),
-        truncation=len(values),
-    )
+    return TruncatedDistribution(tuple(values))
 
 
 def su11_subadditivity(d: TruncatedDistribution) -> SubadditivityReport:
@@ -160,6 +159,8 @@ def mixed_series_report(args: Su11Args, truncation: int) -> SubadditivityReport:
     The raw (pre-renormalization) mass is attached as `raw_mass`; no
     normalization is asserted for the mixed basis.
     """
+    if not args.is_discrete:
+        raise DomainError("mixed_series_report needs a discrete series")
     return _ladder_report(
         c_function, args, SeriesKind.DISCRETE_POSITIVE, HalfInt(-args.k), truncation
     )

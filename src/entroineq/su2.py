@@ -1,10 +1,8 @@
-"""Rotation-group pipelines: squared d-columns, splits, inequality sweeps."""
+"""Rotation-group pipelines: squared d-columns, splits, inequality reports."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
 
 from .entropy import (
     SubadditivityReport,
@@ -82,33 +80,3 @@ def closed_form_check(j: HalfIntLike, theta: float) -> float:
     computed = column_distribution(j, j, theta).as_array().tolist()
     return max(abs(a - b) for a, b in zip(computed, expected))
 
-
-@dataclass(frozen=True)
-class Su2Sweep:
-    """A fixed-column inequality sweep over a rotation-angle grid."""
-
-    j: HalfInt
-    m: HalfInt
-    theta_grid: tuple[float, ...]
-    q: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "j", HalfInt.coerce(self.j))
-        object.__setattr__(self, "m", HalfInt.coerce(self.m))
-        grid = tuple(float(t) for t in self.theta_grid)
-        if not grid:
-            raise DomainError("the sweep grid must hold at least one angle")
-        object.__setattr__(self, "theta_grid", grid)
-
-
-def sweep(config: Su2Sweep) -> list[tuple[float, SubadditivityReport]]:
-    """Evaluate the inequality report at every grid angle, in grid order."""
-    if config.q is None:
-        return [
-            (theta, su2_subadditivity(config.j, config.m, theta))
-            for theta in config.theta_grid
-        ]
-    return [
-        (theta, su2_tsallis_subadditivity(config.j, config.m, theta, config.q))
-        for theta in config.theta_grid
-    ]

@@ -15,7 +15,6 @@ from entroineq import (
     HalfInt,
     SeriesKind,
     Su11Args,
-    Su2Sweep,
     bargmann_b_continued,
     closed_form_check,
     discrete_series_distribution,
@@ -26,7 +25,6 @@ from entroineq import (
     su2_tsallis_subadditivity,
     su11_subadditivity,
     subadditivity_report,
-    sweep,
     tsallis_subadditivity_report,
     wigner_d,
     wigner_oracle,
@@ -120,8 +118,7 @@ def test_criterion_04_figure_reproduction():
     detail = []
     for j in ("3/2", 2):
         jj = HalfInt.coerce(j)
-        results = sweep(Su2Sweep(j=jj, m=jj, theta_grid=grid))
-        slacks = np.array([report.slack for _, report in results])
+        slacks = np.array([su2_subadditivity(jj, jj, theta).slack for theta in grid])
         reference = np.array([_reference_slack(jj.doubled, theta) for theta in grid])
 
         floor = float(slacks.min())

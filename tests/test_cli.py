@@ -82,6 +82,10 @@ class TestSu2Check:
         assert main(["su2-check", "--j", "1", "--m", "1", "--grid", "inf:inf:1"]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_empty_grid_is_usage_error(self, capsys):
+        assert main(["su2-check", "--j", "1", "--m", "1", "--grid", "0:1:0"]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_full_sweep_exit_zero(self, tmp_path):
         code, data = run_to_file(
             tmp_path,

@@ -60,6 +60,13 @@ class TestProbabilityVector:
         with pytest.raises(DomainError):
             Distribution((float("inf"), 1.0))
 
+    @pytest.mark.parametrize("values", [(1e308, 1e308), (1e308, 1e308, 0.0)])
+    def test_overflowing_total_is_domain_error(self, values):
+        # positive entries take the fast total, a zero entry the cleaned one;
+        # math.fsum raises OverflowError on both
+        with pytest.raises(DomainError, match="overflows"):
+            Distribution(values)
+
 
 class TestJointTable:
     """Rank-2 and rank-3 distributions: one validation, a read-only copy."""

@@ -72,19 +72,6 @@ def summation_jacobi(n, a, b, x):
     )
 
 
-def eigh_dmatrix(two_j, theta):
-    """exp(-i theta J_y) by exact diagonalization of the J_y generator."""
-    size = two_j + 1
-    gen = np.zeros((size, size), dtype=complex)
-    for idx in range(size - 1):
-        two_m = -two_j + 2 * idx
-        coupling = math.sqrt((two_j - two_m) * (two_j + two_m + 2)) / 2.0
-        gen[idx + 1, idx] = 0.5j * coupling
-        gen[idx, idx + 1] = -0.5j * coupling
-    eigenvalues, vectors = np.linalg.eigh(gen)
-    return ((vectors * np.exp(-1j * theta * eigenvalues)) @ vectors.conj().T).real
-
-
 LARGE_TWO_J = (0, 1, 40, 41, 81, 120, 121, 200)
 LARGE_THETAS = (0.0, 0.3, 1.3, math.pi, 3.0, 2.0 * math.pi)
 NON_FINITE = (math.nan, math.inf, -math.inf)
@@ -229,9 +216,10 @@ class TestHyp2f1:
         value = hyp2f1(-2.0, 1.0, -3.0, 0.5)
         assert math.isfinite(value.real)
 
-    def test_nonconvergence_budget(self):
-        with pytest.raises(ConvergenceError):
-            hyp2f1(0.5, 0.5, 1.5, 0.95, max_terms=5)
+    def test_nonconvergence_budget(self, monkeypatch):
+        monkeypatch.setattr(specfun, "HYP2F1_MAX_TERMS", 5)
+        with pytest.raises(ConvergenceError, match="after 5 terms"):
+            hyp2f1(0.5, 0.5, 1.5, 0.95)
 
 
 class TestSFactor:
@@ -352,7 +340,7 @@ class TestDmatrix:
         for two_j in LARGE_TWO_J:
             for theta in LARGE_THETAS:
                 got = dmatrix(HalfInt(two_j), theta)
-                assert np.max(np.abs(got - eigh_dmatrix(two_j, theta))) < 1e-9
+                assert np.max(np.abs(got - wigner_oracle(HalfInt(two_j), theta))) < 1e-9
 
     def test_matches_scalar_route_entrywise(self):
         # covers the four-way symmetry scatter and its signs
@@ -387,7 +375,7 @@ class TestDmatrix:
         assert "j=2, m'=1, m=1, theta=0.3" in str(info.value)
 
 
-# frozen output of the generator-exponential route at j = 2, theta = 1
+# frozen output of the earlier Taylor-series exponential of J_y at j = 2, theta = 1
 ORACLE_J2_THETA1 = np.array(
     [
         (0.59313279836567701, -0.64805984911036874, 0.43360464379963376, -0.1934111356975278, 0.052830492497537331),
@@ -420,6 +408,7 @@ class TestWignerOracle:
                 diff = np.max(np.abs(dmatrix(j, float(theta)) - wigner_oracle(j, float(theta))))
                 assert diff < 1e-9
 
-    def test_rejects_large_spin(self):
-        with pytest.raises(DomainError):
-            wigner_oracle(7, 0.5)
+    @pytest.mark.parametrize("theta", NON_FINITE)
+    def test_rejects_non_finite_angle(self, theta):
+        with pytest.raises(DomainError, match="finite"):
+            wigner_oracle(1, theta)

@@ -1,6 +1,7 @@
 """Truncated weight-ladder distributions and their inequality reports."""
 
 import math
+import re
 
 import pytest
 
@@ -88,15 +89,17 @@ class TestDiscreteSeriesDistribution:
 
 class TestTruncatedDistribution:
     def test_consistency_checks(self):
+        # the mass, the count and the tail bound all derive from the values
         with pytest.raises(DomainError):
-            TruncatedDistribution(values=(), captured_mass=0.0, tail_bound=0.0, truncation=0)
-        with pytest.raises(DomainError):
-            TruncatedDistribution(values=(0.5, 0.5), captured_mass=0.9, tail_bound=0.0, truncation=2)
-        with pytest.raises(DomainError):
-            TruncatedDistribution(values=(0.5, 0.5), captured_mass=1.0, tail_bound=0.0, truncation=3)
+            TruncatedDistribution(values=())
+        d = TruncatedDistribution(values=(0.5, 0.25, 0.125))
+        assert d.captured_mass == 0.875
+        assert d.truncation == 3
+        assert d.tail_bound == 0.125
+        assert TruncatedDistribution(values=(0.5, 0.5 + 1e-9)).tail_bound == 0.0
 
     def test_renormalization(self):
-        d = TruncatedDistribution(values=(0.5, 0.4999999), captured_mass=0.9999999, tail_bound=1e-7, truncation=2)
+        d = TruncatedDistribution(values=(0.5, 0.4999999))
         report = su11_subadditivity(d)
         scaled = [v / d.captured_mass for v in d.values]
         assert abs(math.fsum(scaled) - 1.0) < 1e-12
@@ -108,7 +111,16 @@ class TestTruncatedDistribution:
     def test_rejects_non_finite_values(self):
         for bad in (float("nan"), float("inf")):
             with pytest.raises(DomainError):
-                TruncatedDistribution(values=(bad, 0.5), captured_mass=bad, tail_bound=0.0, truncation=2)
+                TruncatedDistribution(values=(bad, 0.5))
+
+    def test_rejects_negative_values(self):
+        with pytest.raises(DomainError, match="nonnegative"):
+            TruncatedDistribution(values=(0.5, -1e-300))
+
+    def test_overflowing_mass_is_domain_error(self):
+        # math.fsum raises OverflowError on this total
+        with pytest.raises(DomainError, match="overflows"):
+            TruncatedDistribution(values=(1e308, 1e308))
 
 
 class TestSu11Subadditivity:
@@ -131,16 +143,16 @@ class TestSu11Subadditivity:
         assert abs(s1 - s2) < 1e-8
 
     def test_rejects_insufficient_mass(self):
-        d = TruncatedDistribution(values=(0.5, 0.4), captured_mass=0.9, tail_bound=0.1, truncation=2)
+        d = TruncatedDistribution(values=(0.5, 0.4))
         with pytest.raises(NormalizationError):
             su11_subadditivity(d)
 
     def test_rejects_excess_mass(self):
-        d = TruncatedDistribution(values=(0.5, 0.5 + 2e-6), captured_mass=1.0 + 2e-6, tail_bound=0.0, truncation=2)
-        with pytest.raises(NormalizationError, match="1.000002"):
+        d = TruncatedDistribution(values=(0.5, 0.5 + 2e-6))
+        with pytest.raises(NormalizationError, match=re.escape(repr(d.captured_mass))):
             su11_subadditivity(d)
-        d = TruncatedDistribution(values=(0.5, 0.5 + 5e-7), captured_mass=1.0 + 5e-7, tail_bound=0.0, truncation=2)
-        assert su11_subadditivity(d).raw_mass == 1.0 + 5e-7
+        d = TruncatedDistribution(values=(0.5, 0.5 + 5e-7))
+        assert su11_subadditivity(d).raw_mass == d.captured_mass
 
     @pytest.mark.parametrize(
         "k, two_m, t, mass",
@@ -187,6 +199,14 @@ class TestMixedSeriesReport:
     def test_raw_mass_positive_and_reported(self):
         report = mixed_series_report(self.args(), 16)
         assert report.raw_mass > 0.0
+
+    def test_rejects_continuous_args(self):
+        # used to escape as a bare TypeError from HalfInt(-args.k)
+        args = Su11Args(
+            series=SeriesKind.CONTINUOUS_INTEGER, m_prime=HalfInt(0), m=0.5, t=0.2, s=0.5
+        )
+        with pytest.raises(DomainError, match="discrete"):
+            mixed_series_report(args, 4)
 
 
 class TestContinuousSeriesReport:

@@ -8,12 +8,10 @@ import pytest
 from entroineq import (
     DomainError,
     HalfInt,
-    Su2Sweep,
     closed_form_check,
     column_distribution,
     su2_subadditivity,
     su2_tsallis_subadditivity,
-    sweep,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -123,29 +121,13 @@ class TestSu2Tsallis:
 
 
 class TestSweep:
-    def test_preserves_grid_order(self):
-        grid = tuple(np.linspace(0.0, TWO_PI, 13))
-        results = sweep(Su2Sweep(j=HalfInt(3), m=HalfInt(3), theta_grid=grid))
-        assert tuple(theta for theta, _ in results) == grid
-
-    def test_single_point(self):
-        results = sweep(Su2Sweep(j=HalfInt(3), m=HalfInt(3), theta_grid=(1.0,)))
-        assert len(results) == 1
-        assert results[0][1].slack >= -1e-12
-
     def test_slack_nonnegative_and_zero_only_near_roots(self):
-        grid = tuple(np.linspace(0.0, TWO_PI, 256))
+        grid = np.linspace(0.0, TWO_PI, 256)
         for j in ("3/2", 2):
-            results = sweep(Su2Sweep(j=HalfInt.coerce(j), m=HalfInt.coerce(j), theta_grid=grid))
-            slacks = np.array([report.slack for _, report in results])
+            slacks = np.array([su2_subadditivity(j, j, theta).slack for theta in grid])
             assert slacks.min() >= -1e-12
-            big = [
-                theta
-                for (theta, report) in results
-                if report.slack > 1e-3
-            ]
             # the bulk of the sweep sits well above zero slack
-            assert len(big) > 150
+            assert (slacks > 1e-3).sum() > 150
 
     @pytest.mark.parametrize("j, order", [("3/2", 6), (2, 8)])
     def test_tangency_order_at_half_turn(self, j, order):
@@ -159,12 +141,6 @@ class TestSweep:
         assert math.log2(far / near) == pytest.approx(order, abs=0.1)
 
     def test_tsallis_mode(self):
-        results = sweep(
-            Su2Sweep(j=HalfInt(4), m=HalfInt(4), theta_grid=(0.5, 1.0), q=2.0)
-        )
-        assert all(report.kind == "tsallis" for _, report in results)
-        assert all(report.slack >= -1e-12 for _, report in results)
-
-    def test_empty_grid_rejected(self):
-        with pytest.raises(DomainError):
-            Su2Sweep(j=HalfInt(3), m=HalfInt(3), theta_grid=())
+        reports = [su2_tsallis_subadditivity(4, 4, theta, 2.0) for theta in (0.5, 1.0)]
+        assert all(report.kind == "tsallis" for report in reports)
+        assert all(report.slack >= -1e-12 for report in reports)
