@@ -408,6 +408,17 @@ class TestWignerOracle:
                 diff = np.max(np.abs(dmatrix(j, float(theta)) - wigner_oracle(j, float(theta))))
                 assert diff < 1e-9
 
+    def test_rejects_large_spin(self):
+        # the oracle once rejected 2j > 12; it now returns an orthogonal
+        # matrix there, checked on its own and against dmatrix at the old cut
+        got = wigner_oracle(7, 0.5)
+        assert got.shape == (15, 15)
+        assert np.max(np.abs(got - dmatrix(7, 0.5))) < 1e-9
+        for two_j in LARGE_TWO_J:
+            for theta in LARGE_THETAS:
+                d = wigner_oracle(HalfInt(two_j), theta)
+                assert np.max(np.abs(d @ d.T - np.eye(two_j + 1))) < 1e-10
+
     @pytest.mark.parametrize("theta", NON_FINITE)
     def test_rejects_non_finite_angle(self, theta):
         with pytest.raises(DomainError, match="finite"):
