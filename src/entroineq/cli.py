@@ -11,6 +11,8 @@ import json
 import sys
 from typing import Any, Optional, Sequence
 
+import numpy as np
+
 from .entropy import check_q
 from .errors import EntroineqError
 from .halfint import HalfInt
@@ -89,6 +91,11 @@ def _cmd_dmat(ns: argparse.Namespace) -> int:
     return 0
 
 
+def _per_point(row):
+    """Rows for a grid from a function of one grid point."""
+    return lambda grid: [row(x) for x in grid]
+
+
 def _su2(ns: argparse.Namespace):
     j = HalfInt.coerce(ns.j)
     m = HalfInt.coerce(ns.m)
@@ -97,19 +104,21 @@ def _su2(ns: argparse.Namespace):
     asserted = q is None or q > 1.0
     mode = ("asserted" if asserted else "report_only",) if tsallis else ()
 
-    def row(theta: float) -> tuple:
+    def rows(grid: list[float]) -> list[tuple]:
+        theta = np.array(grid)
         if tsallis:
             report = su2_tsallis_subadditivity(j, m, theta, q)
         else:
             report = su2_subadditivity(j, m, theta)
         lhs = report.h_first + report.h_second
-        return (theta, report.h_joint, report.h_first, report.h_second, lhs, report.slack, *mode)
+        columns = (report.h_joint, report.h_first, report.h_second, lhs, report.slack)
+        return [(*row, *mode) for row in zip(grid, *(c.tolist() for c in columns))]
 
     config = {"command": ns.command, "j": str(j), "m": str(m)}
     if tsallis:
         config["q"] = q
     config["grid"] = ns.grid
-    return config, row, asserted
+    return config, rows, asserted
 
 
 def _su11_row(t: float, truncation: int, mass: float, report) -> tuple:
@@ -132,7 +141,7 @@ def _su11_discrete(ns: argparse.Namespace):
         "m": str(m),
         "grid": ns.grid,
     }
-    return config, row, True
+    return config, _per_point(row), True
 
 
 def _su11_continuous(ns: argparse.Namespace):
@@ -156,14 +165,14 @@ def _su11_continuous(ns: argparse.Namespace):
         "truncation": ns.truncation,
         "grid": ns.grid,
     }
-    return config, row, False
+    return config, _per_point(row), False
 
 
 #: (command, --series or None) -> (CSV header, set-up).  `setup(ns)` checks
-#: the arguments once and returns the JSON config, the row function (grid
-#: point -> row laid out as the header) and whether the "slack" column is
-#: asserted.  The row functions look the pipelines up in this module when
-#: they run, so that they can be replaced there.
+#: the arguments once and returns the JSON config, the rows function (the
+#: grid -> one row per grid point, laid out as the header) and whether the
+#: "slack" column is asserted.  The rows functions look the pipelines up in
+#: this module when they run, so that they can be replaced there.
 _SWEEPS = {
     ("su2-check", None): (("theta", "h_joint", "h1", "h2", "lhs", "slack"), _su2),
     ("su2-tsallis", None): (("theta", "h_joint", "h1", "h2", "lhs", "slack", "mode"), _su2),
@@ -181,8 +190,8 @@ _SWEEPS = {
 def _cmd_sweep(ns: argparse.Namespace) -> int:
     """Evaluate one row per grid point; exit 1 if an asserted slack fails."""
     header, setup = _SWEEPS[ns.command, getattr(ns, "series", None)]
-    config, row, asserted = setup(ns)
-    rows = [row(x) for x in _parse_grid(ns.grid)]
+    config, rows_for, asserted = setup(ns)
+    rows = rows_for(_parse_grid(ns.grid))
     slack = header.index("slack")
     violated = asserted and any(r[slack] < SLACK_FLOOR for r in rows)
     _emit(ns, header, rows, config)

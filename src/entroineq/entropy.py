@@ -1,31 +1,40 @@
 """Shannon, Tsallis, and Renyi entropies with subadditivity reports.
 
 All entropies are in nats and use the 0*ln(0) = 0 convention, which makes
-them exactly invariant under zero padding.
+them exactly invariant under zero padding.  A distribution with batch axes
+gets one entropy per batch index, as an array over those axes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional, Union
+
+import numpy as np
 
 from .errors import DomainError
 from .probability import Distribution, DistributionLike, marginals
 
+#: An entropy of one distribution, or an array of them over batch axes.
+Entropy = Union[float, np.ndarray]
 
-def _values(p: DistributionLike) -> list[float]:
+
+def _sums(p: DistributionLike, term: Callable[..., np.ndarray]) -> Entropy:
+    """Exact sum of `term` over the positive entries of each distribution.
+
+    `term(v, out, where)` is a ufunc of the entries that writes only where
+    they are positive.  The result is a float, or an array over the batch
+    axes of `p`; a plain sequence is one distribution.
+    """
     if isinstance(p, Distribution):
-        return p.as_array().ravel().tolist()
-    return [float(v) for v in p]
-
-
-def _plogp_sum(values: Iterable[float]) -> float:
-    return math.fsum(v * math.log(v) for v in values if v > 0.0)
-
-
-def _power_sum(values: Iterable[float], q: float) -> float:
-    return math.fsum(v**q for v in values if v > 0.0)
+        array, batch_shape = p.as_array(), p.batch_shape
+    else:
+        array, batch_shape = np.asarray(p, dtype=float), ()
+    rows = array.reshape(math.prod(batch_shape), -1)
+    terms = term(rows, out=np.zeros(rows.shape), where=rows > 0.0)
+    sums = [math.fsum(row) for row in terms.tolist()]
+    return np.array(sums).reshape(batch_shape) if batch_shape else sums[0]
 
 
 def check_q(q: float) -> float:
@@ -36,36 +45,37 @@ def check_q(q: float) -> float:
     return q
 
 
-def shannon(p: DistributionLike) -> float:
+def shannon(p: DistributionLike) -> Entropy:
     """H = -sum p_k ln p_k over every entry of `p`, whatever its rank."""
-    return -_plogp_sum(_values(p))
+    return -_sums(p, lambda v, **mask: v * np.log(v, **mask))
 
 
-def tsallis(p: DistributionLike, q: float) -> float:
+def tsallis(p: DistributionLike, q: float) -> Entropy:
     """S_q = (sum p_k^q - 1) / (1 - q)."""
     q = check_q(q)
-    return (_power_sum(_values(p), q) - 1.0) / (1.0 - q)
+    return (_sums(p, lambda v, **mask: np.power(v, q, **mask)) - 1.0) / (1.0 - q)
 
 
-def renyi(p: DistributionLike, q: float) -> float:
+def renyi(p: DistributionLike, q: float) -> Entropy:
     """S_q = ln(sum p_k^q) / (1 - q).  Computed for reporting only."""
     q = check_q(q)
-    return math.log(_power_sum(_values(p), q)) / (1.0 - q)
+    return np.log(_sums(p, lambda v, **mask: np.power(v, q, **mask))) / (1.0 - q)
 
 
 @dataclass(frozen=True)
 class SubadditivityReport:
     """Joint and marginal entropies of a 2-D table plus their slack.
 
+    The four values are floats, or arrays over the table's batch axes.
     slack = h_first + h_second - h_joint.  It is nonnegative for Shannon
     entropy and for Tsallis entropy with q > 1; Renyi and Tsallis with
     q < 1 reports carry no sign contract (`report_only`).
     """
 
-    h_joint: float
-    h_first: float
-    h_second: float
-    slack: float
+    h_joint: Entropy
+    h_first: Entropy
+    h_second: Entropy
+    slack: Entropy
     kind: str
     q: Optional[float] = None
     report_only: bool = False
@@ -73,7 +83,7 @@ class SubadditivityReport:
 
 
 def _report(
-    t: Distribution, entropy: Callable[[Distribution], float], kind: str, q: Optional[float] = None
+    t: Distribution, entropy: Callable[[Distribution], Entropy], kind: str, q: Optional[float] = None
 ) -> SubadditivityReport:
     first, second = marginals(t)
     h_joint = entropy(t)

@@ -43,38 +43,42 @@ class Distribution:
     """Finite nonnegative array of any rank >= 1 with total mass 1.
 
     Rank 1 is a probability vector; rank 2 or 3 is a joint table over two
-    or three subsystem indices, stored row-major.  Construction copies and
-    validates the values once; the stored array is read-only and the
-    instance is frozen.
+    or three subsystem indices, stored row-major.  With `batch_ndim`
+    leading batch axes the array stacks one such distribution per batch
+    index (one per angle of a sweep, say), and every one of them is
+    checked.  Construction copies and validates the values once; the
+    stored array is read-only and the instance is frozen.
     """
 
-    __slots__ = ("_array",)
+    __slots__ = ("_array", "batch_ndim")
 
-    def __init__(self, values: DistributionLike) -> None:
+    def __init__(self, values: DistributionLike, batch_ndim: int = 0) -> None:
         array = np.array(values, dtype=float)
-        if array.ndim < 1 or array.size == 0:
-            raise DimensionError("a distribution needs at least one entry")
-        flat = array.ravel().tolist()
+        if not 0 <= batch_ndim < array.ndim or array.size == 0:
+            raise DimensionError("a distribution needs an axis and an entry beyond its batch axes")
+        if not (array > 0.0).all():  # zeros, negatives and NaN need the checks
+            array = _clean(array)
+        rows = array.reshape(math.prod(array.shape[:batch_ndim]), -1).tolist()
         try:
-            # Python's min skips a NaN after the first entry, but fsum then
-            # returns NaN: a finite total over positive entries needs no clamp.
-            total = math.fsum(flat) if min(flat) > 0.0 else math.nan
-            if not math.isfinite(total):
-                array = _clean(array)
-                total = math.fsum(array.ravel().tolist())
+            totals = [math.fsum(row) for row in rows]
         except OverflowError:
             raise DomainError("probability mass overflows the float range") from None
-        if abs(total - 1.0) > SUM_TOLERANCE:
-            raise DomainError(f"entries sum to {total!r}, not 1")
+        for total in totals:
+            if not math.isfinite(total):
+                _clean(array)  # raises for the infinite entry
+            if abs(total - 1.0) > SUM_TOLERANCE:
+                raise DomainError(f"entries sum to {total!r}, not 1")
         array.flags.writeable = False
         object.__setattr__(self, "_array", array)
+        object.__setattr__(self, "batch_ndim", batch_ndim)
 
     @classmethod
-    def _trusted(cls, array: np.ndarray) -> "Distribution":
+    def _trusted(cls, array: np.ndarray, batch_ndim: int = 0) -> "Distribution":
         """Wrap an array derived from a validated distribution, unchecked."""
         self = object.__new__(cls)
         array.flags.writeable = False
         object.__setattr__(self, "_array", array)
+        object.__setattr__(self, "batch_ndim", batch_ndim)
         return self
 
     def __setattr__(self, name: str, value) -> None:
@@ -82,6 +86,15 @@ class Distribution:
 
     def as_array(self) -> np.ndarray:
         return self._array
+
+    @property
+    def batch_shape(self) -> tuple[int, ...]:
+        return self._array.shape[: self.batch_ndim]
+
+    @property
+    def size(self) -> int:
+        """Entries of one distribution, without the batch axes."""
+        return math.prod(self._array.shape[self.batch_ndim :])
 
 
 def _checked(p: DistributionLike) -> Distribution:
@@ -135,19 +148,20 @@ def relabel(p: DistributionLike, dims: Sequence[int]) -> Distribution:
     """Row-major fill of a table of shape `dims`; unused cells are zero.
 
     The relabelling is invertible: the flattened table without its zero
-    padding is `p` again.  A `Distribution` is placed as it is; anything
-    else is validated first.
+    padding is `p` again.  Batch axes of `p` stay in front, so the result
+    has shape `p.batch_shape + dims`.  A `Distribution` is placed as it
+    is; anything else is validated first.
     """
-    flat = _checked(p).as_array().ravel()
+    p = _checked(p)
     dims = tuple(int(n) for n in dims)
     if not dims or min(dims) < 1:
         raise DimensionError(f"invalid table shape {dims}")
-    size = math.prod(dims)
-    if size < flat.size:
-        raise DimensionError(f"cannot place {flat.size} components into a {dims} table")
-    table = np.zeros(size)
-    table[: flat.size] = flat
-    return Distribution._trusted(table.reshape(dims))
+    batch, n = p.batch_shape, p.size
+    if math.prod(dims) < n:
+        raise DimensionError(f"cannot place {n} components into a {dims} table")
+    table = np.zeros(batch + (math.prod(dims),))
+    table[..., :n] = p.as_array().reshape(batch + (n,))
+    return Distribution._trusted(table.reshape(batch + dims), p.batch_ndim)
 
 
 def bipartite_split(p: DistributionLike) -> Distribution:
@@ -157,9 +171,9 @@ def bipartite_split(p: DistributionLike) -> Distribution:
     single zero is appended when N is odd.
     """
     p = _checked(p)
-    if p.as_array().size < 2:
+    if p.size < 2:
         raise DimensionError("need at least two components to split")
-    return relabel(p, (2, (p.as_array().size + 1) // 2))
+    return relabel(p, (2, (p.size + 1) // 2))
 
 
 def interleave_split(p: DistributionLike) -> Distribution:
@@ -169,7 +183,7 @@ def interleave_split(p: DistributionLike) -> Distribution:
     odd-index and even-index sums, the row marginal the pair sums.
     """
     p = _checked(p)
-    return relabel(p, ((p.as_array().size + 1) // 2, 2))
+    return relabel(p, ((p.size + 1) // 2, 2))
 
 
 def enumerate_weights(
@@ -208,13 +222,29 @@ def enumerate_weights(
     return tuple(out)
 
 
-def marginals(t: Distribution) -> tuple[Distribution, Distribution]:
-    """Both marginals of a 2-D table.
+def marginals(t: Distribution, *keep: Sequence[int]) -> tuple[Distribution, ...]:
+    """Marginals of a table, one per subset of table axes in `keep`.
 
-    The first marginal sums out the row index (length N2), the second
-    sums out the column index (length N1).
+    Table axes are counted after the batch axes; a marginal keeps the
+    listed axes, in table order, and sums out the others.  Without `keep`,
+    `t` must be a 2-D table and the result is both of its marginals: the
+    first sums out the row index (length N2), the second the column index
+    (length N1).
     """
-    grid = t.as_array()
-    if grid.ndim != 2:
-        raise DimensionError("marginals() needs a 2-D table")
-    return Distribution._trusted(grid.sum(axis=0)), Distribution._trusted(grid.sum(axis=1))
+    grid, batch = t.as_array(), t.batch_ndim
+    rank = grid.ndim - batch
+    if not keep:
+        if rank != 2:
+            raise DimensionError("marginals() without axes needs a 2-D table")
+        return (
+            Distribution._trusted(grid.sum(axis=batch), batch),
+            Distribution._trusted(grid.sum(axis=batch + 1), batch),
+        )
+    out = []
+    for axes in keep:
+        kept = set(axes)
+        if not kept or not kept <= set(range(rank)):
+            raise DimensionError(f"axes {tuple(axes)} are not a subset of a rank-{rank} table")
+        summed = tuple(batch + a for a in range(rank) if a not in kept)
+        out.append(Distribution._trusted(grid.sum(axis=summed), batch))
+    return tuple(out)

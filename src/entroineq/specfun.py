@@ -80,21 +80,26 @@ def _jacobi_coefficients(k: int, a, b, x):
     return c1, c2, denom
 
 
-def jacobi(n: int, a: float, b: float, x: float) -> float:
+def jacobi(n: int, a: float, b: float, x):
     """Jacobi polynomial P_n^(a,b)(x) by the three-term recurrence.
 
-    Any real (a, b) is accepted; degenerate recurrence denominators
-    (possible for negative integer a+b) fall back to direct summation.
+    `x` is a float or a float array: the recurrence coefficients depend on
+    (k, a, b) only, so one recurrence steps every entry of an array.  Any
+    real (a, b) is accepted; degenerate recurrence denominators (possible
+    for negative integer a+b) fall back to direct summation, entry by entry.
     """
     if n < 0:
         raise DomainError("polynomial degree must be nonnegative")
     if n == 0:
-        return 1.0
+        return np.ones_like(x, dtype=float) if isinstance(x, np.ndarray) else 1.0
     p_prev = 1.0
     p_curr = _jacobi_degree_one(a, b, x)
     for k in range(2, n + 1):
         c1, c2, denom = _jacobi_coefficients(k, a, b, x)
         if abs(denom) < 1e-6:
+            if isinstance(x, np.ndarray):
+                flat = [_jacobi_direct(n, a, b, v) for v in x.ravel().tolist()]
+                return np.array(flat).reshape(x.shape)
             return _jacobi_direct(n, a, b, x)
         p_prev, p_curr = p_curr, (c1 * p_curr - c2 * p_prev) / denom
     return p_curr
@@ -175,11 +180,17 @@ def log_gamma(z: Union[complex, float]) -> complex:
 
 
 def rgamma(z: Union[complex, float]) -> complex:
-    """1 / Gamma(z), equal to 0 at the poles of Gamma."""
+    """1 / Gamma(z), equal to 0 at the poles of Gamma.
+
+    A value beyond the float range raises EntroineqError.
+    """
     z = complex(z)
     if _nonpos_int(z) is not None:
         return 0.0 + 0.0j
-    return cmath.exp(-log_gamma(z))
+    try:
+        return cmath.exp(-log_gamma(z))
+    except OverflowError:
+        raise EntroineqError(f"1/Gamma(z) overflows the float range at z = {z}") from None
 
 
 # ----------------------------------------------------------------------
@@ -194,12 +205,31 @@ def hyp2f1(
 ) -> complex:
     """2F1(a, b; c; z) by direct power series.
 
-    Requires |z| <= 0.95 unless a or b is a nonpositive integer, in which
-    case the series terminates and any z is accepted.  The sum stops once
-    three consecutive terms fall below `HYP2F1_TOL` relative to the
-    partial sum, and raises ConvergenceError after `HYP2F1_MAX_TERMS`.
+    For Re z < 0 the Pfaff transformation (DLMF 15.8.1)
+    2F1(a, b; c; z) = (1-z)^(-a) 2F1(a, c-b; c; z/(z-1)) replaces the
+    cancelling series at z by one at z/(z-1), whose real part lies in
+    (0, 1); a terminating parameter is kept in the first slot, so the new
+    series terminates too.
+
+    The summed series needs |z| <= 0.95 (the transformed argument when
+    Re z < 0) unless a or b is a nonpositive integer, in which case it
+    terminates and any z is accepted.  The sum stops once three
+    consecutive terms fall below `HYP2F1_TOL` relative to the partial sum,
+    and raises ConvergenceError after `HYP2F1_MAX_TERMS`.
     """
     a, b, c, z = complex(a), complex(b), complex(c), complex(z)
+    scale = None
+    if z.real < 0.0:
+        degree_a, degree_b = _nonpos_int(a), _nonpos_int(b)
+        if degree_b is not None and (degree_a is None or degree_b < degree_a):
+            a, b = b, a
+        try:
+            scale = (1.0 - z) ** (-a)
+        except OverflowError:
+            raise EntroineqError(
+                f"(1-z)^(-a) overflows the float range at a = {a}, z = {z}"
+            ) from None
+        b, z = c - b, z / (z - 1.0)
     degrees = [d for d in (_nonpos_int(a), _nonpos_int(b)) if d is not None]
     n_term = min(degrees) if degrees else None
     if n_term is None and abs(z) > HYP2F1_RADIUS:
@@ -232,7 +262,7 @@ def hyp2f1(
                 small_streak = 0
             if k >= max_terms:
                 raise ConvergenceError(f"no convergence after {max_terms} terms")
-    return total
+    return total if scale is None else scale * total
 
 
 # ----------------------------------------------------------------------
@@ -262,6 +292,15 @@ def _finite_angle(theta: float) -> float:
     if not math.isfinite(theta):
         raise DomainError(f"rotation angle must be finite, got theta={theta}")
     return theta
+
+
+def _finite_angles(theta) -> np.ndarray:
+    """One angle or an array of angles as a float array, checked as above."""
+    angles = np.asarray(theta, dtype=float)
+    finite = np.isfinite(angles)
+    if not finite.all():
+        _finite_angle(angles[~finite][0])
+    return angles
 
 
 def _log_factorial_ratio(two_j, two_mp, two_m, lgamma=math.lgamma):
@@ -308,39 +347,70 @@ def s_factor(j: HalfIntLike, m_prime: HalfIntLike, m: HalfIntLike, theta: float)
     )
 
 
-def _wigner_canonical(two_j: int, two_mp: int, two_m: int, theta: float) -> float:
-    # caller guarantees m'+m >= 0 and m'-m >= 0
-    log_ratio = 0.5 * _log_factorial_ratio(two_j, two_mp, two_m)
+def _canonical_image(two_mp: int, two_m: int) -> tuple[int, int, bool]:
+    """(m', m) moved into the canonical sector m'+m >= 0, m'-m >= 0.
+
+    Uses d_{m'm} = (-1)^(m'-m) d_{mm'} = d_{-m,-m'}; the flag says whether
+    the element changes sign on the way.
+    """
+    flip = False
+    if two_mp < two_m:
+        flip = bool(((two_mp - two_m) // 2) % 2)
+        two_mp, two_m = two_m, two_mp
+    if two_mp + two_m < 0:
+        two_mp, two_m = -two_m, -two_mp
+    return two_mp, two_m, flip
+
+
+def _wigner_canonical(two_j: int, two_mp: int, two_m: int, cos_half, sin_half, cos_theta):
+    """Canonical-sector element from cos(t/2), sin(t/2) and cos(t).
+
+    The three angle terms are floats or float arrays alike; a factorial
+    ratio beyond the float range makes the value non-finite.
+    """
     degree = (two_j - two_mp) // 2
     a = (two_mp - two_m) // 2
     b = (two_mp + two_m) // 2
-    c = math.cos(theta / 2.0)
-    s = math.sin(theta / 2.0)
-    poly = jacobi(degree, float(a), float(b), math.cos(theta))
-    return math.exp(log_ratio) * c**b * s**a * poly
+    try:
+        norm = math.exp(0.5 * _log_factorial_ratio(two_j, two_mp, two_m))
+    except OverflowError:
+        norm = math.inf
+    poly = jacobi(degree, float(a), float(b), cos_theta)
+    return norm * cos_half**b * sin_half**a * poly
 
 
 def _wigner_dispatch(two_j: int, two_mp: int, two_m: int, theta: float) -> float:
     """d-element for a finite theta; a value that overflows raises."""
-    sum_w = two_mp + two_m
-    diff_w = two_mp - two_m
-    try:
-        if sum_w >= 0 and diff_w >= 0:
-            value = _wigner_canonical(two_j, two_mp, two_m, theta)
-        elif sum_w <= 0 and diff_w >= 0:
-            value = _wigner_canonical(two_j, -two_m, -two_mp, theta)
-        else:
-            if sum_w >= 0:
-                value = _wigner_canonical(two_j, two_m, two_mp, theta)
-            else:
-                value = _wigner_canonical(two_j, -two_mp, -two_m, theta)
-            if (diff_w // 2) % 2:
-                value = -value
-    except OverflowError:  # math.exp of the factorial ratio
-        value = math.inf
+    mp, m, flip = _canonical_image(two_mp, two_m)
+    value = _wigner_canonical(
+        two_j, mp, m, math.cos(theta / 2.0), math.sin(theta / 2.0), math.cos(theta)
+    )
     if math.isfinite(value):
-        return value
+        return -value if flip else value
     raise _overflow_error(two_j, two_mp, two_m, theta)
+
+
+def _wigner_column(two_j: int, two_m: int, theta: np.ndarray) -> np.ndarray:
+    """d^j_{m'm} at every angle of a 1-D finite `theta`, one row per m' = -j..j.
+
+    The route of `_wigner_dispatch` with arrays for the angle terms, so each
+    m' runs one Jacobi recurrence over all angles.  An element that
+    overflows raises, naming the first angle where one does.
+    """
+    cos_half, sin_half, cos_theta = np.cos(theta / 2.0), np.sin(theta / 2.0), np.cos(theta)
+    rows = []
+    with np.errstate(all="ignore"):
+        for two_mp in range(-two_j, two_j + 1, 2):
+            mp, m, flip = _canonical_image(two_mp, two_m)
+            value = _wigner_canonical(two_j, mp, m, cos_half, sin_half, cos_theta)
+            rows.append(-value if flip else value)
+    column = np.array(rows)
+    finite = np.isfinite(column)
+    if not finite.all():
+        angle = int(np.argmin(finite.all(axis=0)))
+        row = int(np.argmin(finite[:, angle]))
+        raise _overflow_error(two_j, 2 * row - two_j, two_m, float(theta[angle]))
+    return column
 
 
 def wigner_d(j: HalfIntLike, m_prime: HalfIntLike, m: HalfIntLike, theta: float) -> float:

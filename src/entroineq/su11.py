@@ -65,8 +65,10 @@ def discrete_series_distribution(
 
     Terms follow m' = k/2, k/2+1, ... and are extended adaptively until
     the current term drops below 1e-14, ten consecutive terms were
-    non-increasing, and at least 1 - eps of the mass is captured.  Pass
-    `truncation` to force a fixed number of terms instead.
+    non-increasing, and at least 1 - eps of the mass is captured.
+    `TAIL_RUN` exact zeros after some mass with less than 1 - eps of it
+    captured raise NormalizationError, since no later term can add to it.
+    Pass `truncation` to force a fixed number of terms instead.
     """
     k = int(k)
     if k < 1:
@@ -98,12 +100,16 @@ def discrete_series_distribution(
             values.append(value)
             streak = streak + 1 if value <= previous else 1
             previous = value
-            if (
-                value < TERM_FLOOR
-                and streak >= TAIL_RUN
-                and math.fsum(values) >= 1.0 - eps
-            ):
-                break
+            if value < TERM_FLOOR and streak >= TAIL_RUN:
+                mass = math.fsum(values)
+                if mass >= 1.0 - eps:
+                    break
+                # past the bulk, exact zeros can no longer change the mass
+                if mass > 0.0 and not any(values[-TAIL_RUN:]):
+                    raise NormalizationError(
+                        f"captured mass {mass!r} stays below 1 - eps: "
+                        f"the last {TAIL_RUN} terms are exactly 0"
+                    )
         else:
             raise ConvergenceError(
                 f"distribution did not stabilize within {MAX_TERMS} terms"

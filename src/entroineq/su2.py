@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .entropy import (
     SubadditivityReport,
     subadditivity_report,
@@ -12,27 +14,33 @@ from .entropy import (
 from .errors import DomainError
 from .halfint import HalfInt, HalfIntLike
 from .probability import Distribution, bipartite_split
-from .specfun import _finite_angle, _weight_triple, _wigner_dispatch
+from .specfun import _finite_angles, _weight_triple, _wigner_column
 
 
-def column_distribution(j: HalfIntLike, m: HalfIntLike, theta: float) -> Distribution:
-    """Probabilities |d^j_{m'm}(theta)|^2 over m' = -j..j ascending."""
+def column_distribution(j: HalfIntLike, m: HalfIntLike, theta) -> Distribution:
+    """Probabilities |d^j_{m'm}(theta)|^2 over m' = -j..j ascending.
+
+    `theta` is one angle or an array of angles.  An array gives one
+    distribution per angle, its axes leading as batch axes; every angle is
+    checked as a single one is.
+    """
     two_j, _, two_m = _weight_triple(j, m, m)
-    theta = _finite_angle(theta)
-    values = []
-    for two_mp in range(-two_j, two_j + 1, 2):
-        d = _wigner_dispatch(two_j, two_mp, two_m, theta)
-        values.append(d * d)
-    return Distribution(values)
+    angles = _finite_angles(theta)
+    column = _wigner_column(two_j, two_m, angles.ravel())
+    squared = (column * column).T.reshape(angles.shape + (two_j + 1,))
+    return Distribution(squared, angles.ndim)
 
 
-def su2_subadditivity(j: HalfIntLike, m: HalfIntLike, theta: float) -> SubadditivityReport:
-    """Shannon subadditivity report for the split column distribution."""
+def su2_subadditivity(j: HalfIntLike, m: HalfIntLike, theta) -> SubadditivityReport:
+    """Shannon subadditivity report for the split column distribution.
+
+    For an array of angles the report holds one value per angle.
+    """
     return subadditivity_report(bipartite_split(column_distribution(j, m, theta)))
 
 
 def su2_tsallis_subadditivity(
-    j: HalfIntLike, m: HalfIntLike, theta: float, q: float
+    j: HalfIntLike, m: HalfIntLike, theta, q: float
 ) -> SubadditivityReport:
     """Tsallis analog of `su2_subadditivity` (asserted only for q > 1)."""
     return tsallis_subadditivity_report(

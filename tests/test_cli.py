@@ -4,11 +4,13 @@ import json
 import math
 import subprocess
 import sys
+import time
 
+import mpmath
 import numpy as np
 import pytest
 
-from entroineq import HalfInt, su11, wigner_oracle
+from entroineq import HalfInt, cli, su11, wigner_oracle
 from entroineq.cli import main
 
 
@@ -85,6 +87,27 @@ class TestSu2Check:
     def test_empty_grid_is_usage_error(self, capsys):
         assert main(["su2-check", "--j", "1", "--m", "1", "--grid", "0:1:0"]) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("grid", ["0:nan:5", "1:inf:3"])
+    def test_non_finite_point_inside_the_grid_is_domain_error(self, grid, capsys):
+        assert main(["su2-check", "--j", "1", "--m", "1", "--grid", grid]) == 2
+        assert capsys.readouterr().err.startswith("error: rotation angle must be finite")
+
+    @pytest.mark.parametrize("command", (["su2-check"], ["su2-tsallis", "--q", "0.5"]))
+    def test_one_pipeline_call_per_grid(self, tmp_path, monkeypatch, command):
+        name = "su2_subadditivity" if command[0] == "su2-check" else "su2_tsallis_subadditivity"
+        calls = []
+        original = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *args: calls.append(args) or original(*args))
+        argv = [*command, "--j", "3/2", "--m", "1/2", "--grid", "0.1:6.2:256"]
+        code, data = run_to_file(tmp_path, "s.csv", argv)
+        assert code == 0
+        assert len(calls) == 1
+        theta = calls[0][2]
+        assert isinstance(theta, np.ndarray) and theta.shape == (256,)
+        # the theta column prints the parsed grid points themselves
+        _, rows = parse_csv(data)
+        assert [float(row[0]) for row in rows] == cli._parse_grid("0.1:6.2:256")
 
     def test_full_sweep_exit_zero(self, tmp_path):
         code, data = run_to_file(
@@ -206,6 +229,14 @@ class TestSu11Check:
             assert "rapidity must be finite" in capsys.readouterr().err
         assert not evaluated  # rejected before any element is evaluated
 
+    def test_zero_tail_exits_promptly(self, capsys):
+        # used to run past 20 s towards the 1e5-term budget
+        start = time.perf_counter()
+        code = main(["su11-check", "--k", "3", "--m", "61/2", "--grid", "1.0:1.0:1"])
+        assert time.perf_counter() - start < 5.0
+        assert code == 2
+        assert "exactly 0" in capsys.readouterr().err
+
     def test_excess_captured_mass_is_domain_error(self, capsys):
         # the large-m discrete ladder captures mass 4460; it used to be
         # renormalized away and printed with exit 0
@@ -232,6 +263,14 @@ class TestHyp2f1Command:
         assert code == 0
         header, rows = capsys.readouterr().out.strip().split("\n")
         assert float(rows.split(",")[0]) == pytest.approx(-0.26, abs=1e-13)
+
+    def test_negative_argument_matches_mpmath(self, capsys):
+        # printed -6841.54 with exit 0 before the Pfaff transformation
+        code = main(["hyp2f1", "--a", "8", "--b", "8", "--c", "1.5", "--z", "-0.95"])
+        assert code == 0
+        _, row = capsys.readouterr().out.strip().split("\n")
+        ref = float(mpmath.hyp2f1(8, 8, 1.5, -0.95))
+        assert abs(float(row.split(",")[0]) - ref) <= 1e-12 * abs(ref)
 
     def test_convergence_domain_exit(self, capsys):
         code = main(["hyp2f1", "--a", "0.5", "--b", "0.5", "--c", "1.5", "--z", "0.97"])

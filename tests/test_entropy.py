@@ -230,3 +230,25 @@ def test_slack_zero_iff_product_form():
     rows = grid.sum(axis=1)
     cols = grid.sum(axis=0)
     assert np.max(np.abs(grid - np.outer(rows, cols))) > 1e-8
+
+
+def test_batch_axes_give_one_entropy_per_distribution():
+    rows = np.array([[0.5, 0.5, 0.0, 0.0], [0.1, 0.2, 0.3, 0.4], [1.0, 0.0, 0.0, 0.0]])
+    batched = Distribution(rows, 1)
+    for entropy in (shannon, lambda p: tsallis(p, 2.0), lambda p: renyi(p, 0.5)):
+        values = entropy(batched)
+        assert values.shape == (3,)
+        assert values.tolist() == [entropy(row.tolist()) for row in rows]
+    report = subadditivity_report(relabel(batched, (2, 2)))
+    for index, row in enumerate(rows):
+        single = subadditivity_report(relabel(row.tolist(), (2, 2)))
+        assert report.slack[index] == single.slack
+        assert report.h_joint[index] == single.h_joint
+
+
+def test_zero_padding_leaves_batched_entropies_unchanged():
+    rows = np.array([[0.25, 0.75], [0.6, 0.4]])
+    padded = np.hstack([rows, np.zeros((2, 3))])
+    for entropy in (shannon, lambda p: tsallis(p, 0.5), lambda p: renyi(p, 2.0)):
+        plain = entropy(Distribution(rows, 1))
+        assert entropy(Distribution(padded, 1)).tolist() == plain.tolist()

@@ -106,6 +106,53 @@ class TestBistochastic:
             BistochasticMatrix.from_array(bad)
 
 
+class TestBatchAxes:
+    """Leading batch axes stack one checked distribution per index."""
+
+    ROWS = np.array([[0.5, 0.5, 0.0], [0.2, 0.3, 0.5], [1.0, 0.0, 0.0], [0.1, 0.1, 0.8]])
+
+    def test_every_row_is_checked(self):
+        p = Distribution(self.ROWS, 1)
+        assert p.batch_ndim == 1 and p.batch_shape == (4,) and p.size == 3
+        bad = self.ROWS.copy()
+        bad[2, 0] = 0.9
+        with pytest.raises(DomainError, match="sum to 0.9"):
+            Distribution(bad, 1)
+        bad[2, 0], bad[2, 1] = 1.0 + 2e-6, -2e-6
+        with pytest.raises(DomainError, match="negative"):
+            Distribution(bad, 1)
+        with pytest.raises(DimensionError):
+            Distribution(self.ROWS, 2)
+        with pytest.raises(DimensionError):
+            Distribution(np.zeros((0, 3)), 1)
+
+    def test_rows_are_clamped_like_a_single_distribution(self):
+        rows = self.ROWS.copy()
+        rows[0] = (0.5, 0.5 + 5e-13, -5e-13)
+        assert Distribution(rows, 1).as_array()[0, 2] == 0.0
+
+    def test_relabel_places_trailing_axes_under_the_batch_axes(self):
+        p = Distribution(self.ROWS.reshape(2, 2, 3), 2)
+        t = relabel(p, (2, 2))
+        assert t.batch_ndim == 2 and t.as_array().shape == (2, 2, 2, 2)
+        for i in range(2):
+            for k in range(2):
+                single = relabel(Distribution(self.ROWS[2 * i + k]), (2, 2))
+                assert t.as_array()[i, k].tolist() == single.as_array().tolist()
+        split = bipartite_split(Distribution(self.ROWS, 1))
+        assert split.as_array().shape == (4, 2, 2)
+        assert interleave_split(Distribution(self.ROWS, 1)).as_array().shape == (4, 2, 2)
+
+    def test_marginals_sum_table_axes_only(self):
+        t = bipartite_split(Distribution(self.ROWS, 1))
+        first, second = marginals(t)
+        assert first.batch_ndim == second.batch_ndim == 1
+        for index, row in enumerate(self.ROWS):
+            one_first, one_second = marginals(bipartite_split(Distribution(row)))
+            assert first.as_array()[index].tolist() == one_first.as_array().tolist()
+            assert second.as_array()[index].tolist() == one_second.as_array().tolist()
+
+
 class TestBipartiteSplit:
     def test_even_case(self):
         t = bipartite_split(Distribution((0.1, 0.2, 0.3, 0.4)))
@@ -258,6 +305,19 @@ class TestMarginals:
         first, second = marginals(t)
         assert flat(first) == list(q)
         assert flat(second) == list(p)
+
+    def test_axis_subsets_of_a_three_way_table(self):
+        comps = [i / 36.0 for i in range(1, 9)]
+        cube = relabel(comps, (2, 2, 2))
+        grid = cube.as_array()
+        m12, m23, m2, m123 = marginals(cube, (0, 1), (1, 2), (1,), (2, 1, 0))
+        assert m12.as_array().tolist() == grid.sum(axis=2).tolist()
+        assert m23.as_array().tolist() == grid.sum(axis=0).tolist()
+        assert m2.as_array().tolist() == grid.sum(axis=(0, 2)).tolist()
+        assert m123.as_array().tolist() == grid.tolist()
+        for axes in ((), (3,), (0, -1)):
+            with pytest.raises(DimensionError):
+                marginals(cube, axes)
 
     def test_requires_2d(self):
         t = relabel(Distribution((0.125,) * 8), (2, 2, 2))

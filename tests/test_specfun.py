@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import re
 import warnings
 
 import mpmath
@@ -120,6 +121,17 @@ class TestJacobi:
         with pytest.raises(DomainError):
             jacobi(-1, 0.0, 0.0, 0.5)
 
+    def test_array_argument_steps_every_entry(self):
+        x = np.linspace(-1.0, 1.0, 33)
+        for n, a, b in ((0, 1.0, 2.0), (1, 0.5, 0.0), (7, 3.0, 1.0), (12, 0.0, 9.0)):
+            got = jacobi(n, a, b, x)
+            assert isinstance(got, np.ndarray) and got.shape == x.shape
+            assert got.tolist() == [jacobi(n, a, b, v) for v in x.tolist()]
+
+    def test_array_argument_falls_back_entry_by_entry(self):
+        x = np.array([-0.7, 0.0, 0.4, 0.9])
+        assert jacobi(2, -1.0, -1.0, x).tolist() == [jacobi(2, -1.0, -1.0, v) for v in x]
+
 
 class TestLogGamma:
     def test_unit_values(self):
@@ -162,6 +174,11 @@ class TestLogGamma:
         assert rgamma(0.0) == 0.0
         assert rgamma(-3.0) == 0.0
         assert rgamma(2.0) == pytest.approx(1.0, abs=1e-14)
+
+    def test_reciprocal_gamma_overflow_names_z(self):
+        # used to raise a bare OverflowError("math range error")
+        with pytest.raises(EntroineqError, match=re.escape("z = (-171+0.5j)")):
+            rgamma(complex(-171.0, 0.5))
 
 
 class TestHyp2f1:
@@ -215,6 +232,33 @@ class TestHyp2f1:
         # series ends at degree 2 before c = -3 can divide by zero
         value = hyp2f1(-2.0, 1.0, -3.0, 0.5)
         assert math.isfinite(value.real)
+
+    @pytest.mark.parametrize(
+        "a, b, c, z", [(8.0, 8.0, 1.5, -0.95), (4.8, 4.8, 1.3, -0.8)]
+    )
+    def test_negative_argument_matches_mpmath(self, a, b, c, z):
+        # the direct series cancels here: it gave -6841.54 (relative error
+        # 1.25e7) and 7.4e-8 before the Pfaff transformation
+        ref = complex(mpmath.hyp2f1(a, b, c, z))
+        assert abs(hyp2f1(a, b, c, z) - ref) <= 1e-12 * abs(ref)
+
+    def test_negative_argument_keeps_termination(self):
+        # the terminating parameter may sit in either slot; z/(z-1) = 0.99
+        # is outside the series disk, so only a terminating series works
+        ref = complex(mpmath.hyp2f1(2.5, -6.0, 1.5, -99.0))
+        for a, b in ((2.5, -6.0), (-6.0, 2.5)):
+            assert abs(hyp2f1(a, b, 1.5, -99.0) - ref) <= 1e-12 * abs(ref)
+
+    def test_negative_argument_domain_is_the_transformed_one(self):
+        # |z| = 5 gives |z/(z-1)| = 0.83; z = -20 gives 0.952 > 0.95
+        ref = complex(mpmath.hyp2f1(0.5, 1.5, 2.5, -5.0))
+        assert abs(hyp2f1(0.5, 1.5, 2.5, -5.0) - ref) <= 1e-12 * abs(ref)
+        with pytest.raises(DomainError, match="0.9524"):
+            hyp2f1(0.5, 1.5, 2.5, -20.0)
+
+    def test_transformation_prefactor_overflow_is_an_entroineq_error(self):
+        with pytest.raises(EntroineqError, match="overflows the float range"):
+            hyp2f1(-400.0, 1.0, 1.0, -1e3)
 
     def test_nonconvergence_budget(self, monkeypatch):
         monkeypatch.setattr(specfun, "HYP2F1_MAX_TERMS", 5)

@@ -2,11 +2,13 @@
 
 import math
 import re
+import time
 
 import pytest
 
 from entroineq import (
     DomainError,
+    EntroineqError,
     HalfInt,
     NormalizationError,
     SeriesKind,
@@ -57,6 +59,20 @@ class TestDiscreteSeriesDistribution:
                 k=k,
             )
             assert d.values[i] == pytest.approx(abs(bargmann_b(args)) ** 2, abs=1e-15)
+
+    def test_leading_zeros_do_not_stop_the_ladder(self):
+        # at t = 0 the 30 terms below m' = m are exact zeros with no mass yet
+        d = discrete_series_distribution(1, HalfInt(61), 0.0)
+        assert d.values[30] == 1.0
+        assert d.captured_mass == 1.0
+
+    def test_zero_tail_below_the_mass_budget_raises(self):
+        # every term from index 657 on is exactly 0, so the mass stays at
+        # 0.99999892 < 1 - eps; the loop used to run on towards 1e5 terms
+        start = time.perf_counter()
+        with pytest.raises(NormalizationError, match=r"captured mass 0\.9999989.* exactly 0"):
+            discrete_series_distribution(3, HalfInt(61), 1.0)
+        assert time.perf_counter() - start < 5.0
 
     def test_forced_truncation(self):
         d = discrete_series_distribution(2, HalfInt(2), 0.5, truncation=7)
@@ -199,6 +215,12 @@ class TestMixedSeriesReport:
     def test_raw_mass_positive_and_reported(self):
         report = mixed_series_report(self.args(), 16)
         assert report.raw_mass > 0.0
+
+    def test_gamma_overflow_is_an_entroineq_error(self):
+        # 1/Gamma(1 - m' + i m) leaves the float range on the long ladder;
+        # it used to escape as a bare OverflowError
+        with pytest.raises(EntroineqError, match="overflows the float range at z = "):
+            mixed_series_report(self.args(), 256)
 
     def test_rejects_continuous_args(self):
         # used to escape as a bare TypeError from HalfInt(-args.k)

@@ -7,14 +7,23 @@ import pytest
 
 from entroineq import (
     DomainError,
+    EntroineqError,
     HalfInt,
+    bipartite_split,
     closed_form_check,
     column_distribution,
+    shannon,
+    specfun,
     su2_subadditivity,
     su2_tsallis_subadditivity,
+    subadditivity_report,
+    tsallis,
+    tsallis_subadditivity_report,
+    wigner_d,
 )
 
 TWO_PI = 2.0 * math.pi
+GRID = np.linspace(0.0, TWO_PI, 256)
 
 
 class TestColumnDistribution:
@@ -144,3 +153,85 @@ class TestSweep:
         reports = [su2_tsallis_subadditivity(4, 4, theta, 2.0) for theta in (0.5, 1.0)]
         assert all(report.kind == "tsallis" for report in reports)
         assert all(report.slack >= -1e-12 for report in reports)
+
+
+def split_reference(p, entropy):
+    """(h_joint, h1, h2, slack) of the 2 x ceil(N/2) split of a plain list."""
+    half = (len(p) + 1) // 2
+    top, bottom = p[:half], p[half:] + [0.0] * (2 * half - len(p))
+    h_joint = entropy(p)
+    h1 = entropy([a + b for a, b in zip(top, bottom)])
+    h2 = entropy([sum(top), sum(bottom)])
+    return h_joint, h1, h2, h1 + h2 - h_joint
+
+
+class TestAngleArrays:
+    """A theta array runs the pipeline once over all its angles."""
+
+    ENTROPIES = (
+        (None, shannon),
+        (2.0, lambda p: tsallis(p, 2.0)),
+        (0.5, lambda p: tsallis(p, 0.5)),
+    )
+
+    @pytest.mark.parametrize("two_j", [*range(1, 9), 20, 60])
+    def test_matches_per_angle_reference(self, two_j):
+        # every column over 256 angles against scalar wigner_d and scalar
+        # entropies; at 2j = 60 the scalar reference (61 x 61 elements per
+        # angle) is taken at every 8th angle to keep the test short
+        j = HalfInt(two_j)
+        weights = [HalfInt(w) for w in range(-two_j, two_j + 1, 2)]
+        step = 8 if two_j > 20 else 1
+        squared = {
+            index: [[wigner_d(j, mp, m, float(GRID[index])) ** 2 for mp in weights] for m in weights]
+            for index in range(0, GRID.size, step)
+        }
+        for column, m in enumerate(weights):
+            table = bipartite_split(column_distribution(j, m, GRID))
+            for q, entropy in self.ENTROPIES:
+                if q is None:
+                    report = subadditivity_report(table)
+                else:
+                    report = tsallis_subadditivity_report(table, q)
+                got = np.stack([report.h_joint, report.h_first, report.h_second, report.slack], 1)
+                assert got.shape == (GRID.size, 4)
+                for index, columns in squared.items():
+                    want = split_reference(columns[column], entropy)
+                    assert np.max(np.abs(got[index] - want)) <= 1e-14, (m, q, GRID[index])
+
+    def test_scalar_angle_is_the_one_angle_case(self):
+        for theta in (0.0, 0.7, math.pi, 5.9):
+            for report_of in (
+                lambda t: su2_subadditivity("5/2", "1/2", t),
+                lambda t: su2_tsallis_subadditivity("5/2", "1/2", t, 0.5),
+            ):
+                scalar, batched = report_of(theta), report_of(np.array([theta]))
+                for field in ("h_joint", "h_first", "h_second", "slack"):
+                    value = getattr(scalar, field)
+                    assert isinstance(value, float)
+                    assert getattr(batched, field).tolist() == [value]
+
+    def test_column_distribution_has_one_checked_row_per_angle(self):
+        p = column_distribution(2, 1, GRID)
+        assert p.batch_ndim == 1
+        assert p.as_array().shape == (256, 5)
+        for index in (0, 100, 255):
+            single = column_distribution(2, 1, float(GRID[index]))
+            assert single.batch_ndim == 0
+            assert p.as_array()[index].tolist() == single.as_array().tolist()
+
+    @pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))
+    def test_non_finite_angle_inside_an_array(self, bad):
+        with pytest.raises(DomainError, match=f"theta={bad}"):
+            column_distribution(1, 1, np.array([0.1, 0.2, bad, math.nan]))
+
+    def test_overflow_names_the_first_bad_angle(self, monkeypatch):
+        # a genuine overflow needs j ~ 1000, where a column costs seconds;
+        # here the Jacobi factor leaves the float range for theta > pi/3
+        jacobi = specfun.jacobi
+        monkeypatch.setattr(
+            specfun, "jacobi", lambda n, a, b, x: np.where(x < 0.5, math.inf, jacobi(n, a, b, x))
+        )
+        with pytest.raises(EntroineqError) as info:
+            column_distribution(2, 1, np.array([0.3, 0.5, 2.0, 1.5]))
+        assert str(info.value).endswith("j=2, m'=-2, m=1, theta=2.0")
