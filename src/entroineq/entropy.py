@@ -23,18 +23,19 @@ Entropy = Union[float, np.ndarray]
 def _sums(p: DistributionLike, term: Callable[..., np.ndarray]) -> Entropy:
     """Exact sum of `term` over the positive entries of each distribution.
 
-    `term(v, out, where)` is a ufunc of the entries that writes only where
-    they are positive.  The result is a float, or an array over the batch
-    axes of `p`; a plain sequence is one distribution.
+    `term(v, **mask)` is a ufunc of the entries; given `out` and `where`
+    it writes only where they are positive.  The result is a float, or an
+    array over the batch axes of `p`; a plain sequence is one distribution.
     """
     if isinstance(p, Distribution):
         array, batch_shape = p.as_array(), p.batch_shape
     else:
         array, batch_shape = np.asarray(p, dtype=float), ()
+    if not batch_shape:
+        return math.fsum(term(array[array > 0.0]).tolist())
     rows = array.reshape(math.prod(batch_shape), -1)
     terms = term(rows, out=np.zeros(rows.shape), where=rows > 0.0)
-    sums = [math.fsum(row) for row in terms.tolist()]
-    return np.array(sums).reshape(batch_shape) if batch_shape else sums[0]
+    return np.array([math.fsum(row) for row in terms.tolist()]).reshape(batch_shape)
 
 
 def check_q(q: float) -> float:

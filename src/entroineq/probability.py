@@ -222,29 +222,16 @@ def enumerate_weights(
     return tuple(out)
 
 
-def marginals(t: Distribution, *keep: Sequence[int]) -> tuple[Distribution, ...]:
-    """Marginals of a table, one per subset of table axes in `keep`.
+def marginals(t: Distribution) -> tuple[Distribution, Distribution]:
+    """Both marginals of a 2-D table, per batch index when `t` has batch axes.
 
-    Table axes are counted after the batch axes; a marginal keeps the
-    listed axes, in table order, and sums out the others.  Without `keep`,
-    `t` must be a 2-D table and the result is both of its marginals: the
-    first sums out the row index (length N2), the second the column index
-    (length N1).
+    The first sums out the row index (length N2), the second the column
+    index (length N1).
     """
     grid, batch = t.as_array(), t.batch_ndim
-    rank = grid.ndim - batch
-    if not keep:
-        if rank != 2:
-            raise DimensionError("marginals() without axes needs a 2-D table")
-        return (
-            Distribution._trusted(grid.sum(axis=batch), batch),
-            Distribution._trusted(grid.sum(axis=batch + 1), batch),
-        )
-    out = []
-    for axes in keep:
-        kept = set(axes)
-        if not kept or not kept <= set(range(rank)):
-            raise DimensionError(f"axes {tuple(axes)} are not a subset of a rank-{rank} table")
-        summed = tuple(batch + a for a in range(rank) if a not in kept)
-        out.append(Distribution._trusted(grid.sum(axis=summed), batch))
-    return tuple(out)
+    if grid.ndim - batch != 2:
+        raise DimensionError("marginals() needs a 2-D table")
+    return (
+        Distribution._trusted(grid.sum(axis=batch), batch),
+        Distribution._trusted(grid.sum(axis=batch + 1), batch),
+    )

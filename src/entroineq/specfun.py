@@ -62,11 +62,6 @@ def _jacobi_direct(n: int, a: float, b: float, x: float) -> float:
     )
 
 
-def _jacobi_degree_one(a, b, x):
-    """P_1^(a,b)(x); a and b may be float arrays."""
-    return (a + 1.0) + (a + b + 2.0) * (x - 1.0) / 2.0
-
-
 def _jacobi_coefficients(k: int, a, b, x):
     """(c1, c2, denominator) of P_k = (c1 P_(k-1) - c2 P_(k-2)) / denominator.
 
@@ -80,50 +75,59 @@ def _jacobi_coefficients(k: int, a, b, x):
     return c1, c2, denom
 
 
-def jacobi(n: int, a: float, b: float, x):
+def jacobi(n: int, a, b, x):
     """Jacobi polynomial P_n^(a,b)(x) by the three-term recurrence.
 
-    `x` is a float or a float array: the recurrence coefficients depend on
-    (k, a, b) only, so one recurrence steps every entry of an array.  Any
-    real (a, b) is accepted; degenerate recurrence denominators (possible
-    for negative integer a+b) fall back to direct summation, entry by entry.
+    The recurrence coefficients depend on (k, a, b) only, so `x`, `a` and
+    `b` may be float arrays that broadcast together: one recurrence steps
+    every entry.  Scalar (a, b) may be any reals; degenerate recurrence
+    denominators (possible for negative integer a+b) fall back to direct
+    summation, which takes a scalar x only.  Array (a, b) need a, b > -1,
+    which keeps every denominator positive.
     """
     if n < 0:
         raise DomainError("polynomial degree must be nonnegative")
+    scalar_parameters = not (np.ndim(a) or np.ndim(b))
+    if not scalar_parameters and np.min(np.minimum(a, b)) <= -1.0:
+        raise DomainError("array parameters need a, b > -1")
     if n == 0:
-        return np.ones_like(x, dtype=float) if isinstance(x, np.ndarray) else 1.0
+        shape = np.broadcast(a, b, x).shape
+        return np.ones(shape) if shape else 1.0
     p_prev = 1.0
-    p_curr = _jacobi_degree_one(a, b, x)
+    p_curr = (a + 1.0) + (a + b + 2.0) * (x - 1.0) / 2.0
     for k in range(2, n + 1):
         c1, c2, denom = _jacobi_coefficients(k, a, b, x)
-        if abs(denom) < 1e-6:
-            if isinstance(x, np.ndarray):
-                flat = [_jacobi_direct(n, a, b, v) for v in x.ravel().tolist()]
-                return np.array(flat).reshape(x.shape)
+        if scalar_parameters and abs(denom) < 1e-6:
+            if np.ndim(x):
+                raise DomainError("a degenerate Jacobi recurrence needs a scalar x")
             return _jacobi_direct(n, a, b, x)
         p_prev, p_curr = p_curr, (c1 * p_curr - c2 * p_prev) / denom
     return p_curr
 
 
-def _jacobi_by_degree(a: np.ndarray, b: np.ndarray, live: np.ndarray, x: float) -> np.ndarray:
+def _jacobi_by_degree(a: np.ndarray, b: np.ndarray, live: np.ndarray, x) -> np.ndarray:
     """P_n^(a_i, b_i)(x) for entries sorted by falling degree n_i.
 
+    Entries run along the first axis of `a` and `b`, which broadcast
+    against `x` (a float, or an array of points for every entry).
     `live[k]` counts the entries of degree >= k, for k = 0..max degree, so
-    step k of the recurrence runs over that prefix only.  Integer a, b >= 0
-    keep every denominator positive, so no direct-summation fallback.
+    step k of the recurrence runs over that prefix only; `jacobi` gives
+    the degree-one start.  Integer a, b >= 0 keep every denominator
+    positive, so no direct-summation fallback.
     """
-    out = np.ones(a.size)
+    out = np.ones(np.broadcast_shapes(a.shape, np.shape(x)))
     if live.size < 2:
         return out
     a, b = a[: live[1]], b[: live[1]]
-    p_prev, p_curr = np.ones(a.size), _jacobi_degree_one(a, b, x)
+    p_curr = jacobi(1, a, b, x)
+    p_prev = np.ones(p_curr.shape)
     for k in range(2, live.size):
         n = live[k]
-        out[n : p_curr.size] = p_curr[n:]  # degree k-1 entries are done
+        out[n : len(p_curr)] = p_curr[n:]  # degree k-1 entries are done
         a, b, p_prev, p_curr = a[:n], b[:n], p_prev[:n], p_curr[:n]
         c1, c2, denom = _jacobi_coefficients(k, a, b, x)
         p_prev, p_curr = p_curr, (c1 * p_curr - c2 * p_prev) / denom
-    out[: p_curr.size] = p_curr
+    out[: len(p_curr)] = p_curr
     return out
 
 
@@ -306,8 +310,8 @@ def _finite_angles(theta) -> np.ndarray:
 def _log_factorial_ratio(two_j, two_mp, two_m, lgamma=math.lgamma):
     """log[(j+m')!(j-m')! / ((j+m)!(j-m)!)] from doubled weights.
 
-    `lgamma` is only called at positive integers; the matrix route passes
-    a table lookup so that the same expression runs over weight arrays.
+    `lgamma` is only called at positive integers; `_log_norms` passes a
+    table lookup so that the same expression runs over weight arrays.
     """
     return (
         lgamma((two_j + two_mp) // 2 + 1)
@@ -315,6 +319,12 @@ def _log_factorial_ratio(two_j, two_mp, two_m, lgamma=math.lgamma):
         - lgamma((two_j + two_m) // 2 + 1)
         - lgamma((two_j - two_m) // 2 + 1)
     )
+
+
+def _log_norms(two_j: int, two_mp: np.ndarray, two_m: np.ndarray) -> np.ndarray:
+    """Half the log factorial ratio over arrays of canonical weights."""
+    log_gamma_table = np.array([math.lgamma(n) for n in range(1, two_j + 2)])
+    return 0.5 * _log_factorial_ratio(two_j, two_mp, two_m, lambda n: log_gamma_table[n - 1])
 
 
 def _overflow_error(two_j: int, two_mp: int, two_m: int, theta: float) -> EntroineqError:
@@ -362,29 +372,16 @@ def _canonical_image(two_mp: int, two_m: int) -> tuple[int, int, bool]:
     return two_mp, two_m, flip
 
 
-def _wigner_canonical(two_j: int, two_mp: int, two_m: int, cos_half, sin_half, cos_theta):
-    """Canonical-sector element from cos(t/2), sin(t/2) and cos(t).
-
-    The three angle terms are floats or float arrays alike; a factorial
-    ratio beyond the float range makes the value non-finite.
-    """
-    degree = (two_j - two_mp) // 2
-    a = (two_mp - two_m) // 2
-    b = (two_mp + two_m) // 2
-    try:
-        norm = math.exp(0.5 * _log_factorial_ratio(two_j, two_mp, two_m))
-    except OverflowError:
-        norm = math.inf
-    poly = jacobi(degree, float(a), float(b), cos_theta)
-    return norm * cos_half**b * sin_half**a * poly
-
-
 def _wigner_dispatch(two_j: int, two_mp: int, two_m: int, theta: float) -> float:
     """d-element for a finite theta; a value that overflows raises."""
     mp, m, flip = _canonical_image(two_mp, two_m)
-    value = _wigner_canonical(
-        two_j, mp, m, math.cos(theta / 2.0), math.sin(theta / 2.0), math.cos(theta)
-    )
+    try:
+        norm = math.exp(0.5 * _log_factorial_ratio(two_j, mp, m))
+    except OverflowError:
+        norm = math.inf
+    a, b = (mp - m) // 2, (mp + m) // 2
+    poly = jacobi((two_j - mp) // 2, float(a), float(b), math.cos(theta))
+    value = norm * math.cos(theta / 2.0) ** b * math.sin(theta / 2.0) ** a * poly
     if math.isfinite(value):
         return -value if flip else value
     raise _overflow_error(two_j, two_mp, two_m, theta)
@@ -393,18 +390,27 @@ def _wigner_dispatch(two_j: int, two_mp: int, two_m: int, theta: float) -> float
 def _wigner_column(two_j: int, two_m: int, theta: np.ndarray) -> np.ndarray:
     """d^j_{m'm} at every angle of a 1-D finite `theta`, one row per m' = -j..j.
 
-    The route of `_wigner_dispatch` with arrays for the angle terms, so each
-    m' runs one Jacobi recurrence over all angles.  An element that
-    overflows raises, naming the first angle where one does.
+    Row m' is the canonical-sector element of `_wigner_dispatch`, whose
+    Jacobi degree is j - max(|m'|, |m|).  One recurrence by falling degree
+    steps every row and angle at once, so a column costs O(j) array
+    operations.  An element that overflows raises, naming the first angle
+    where one does.
     """
-    cos_half, sin_half, cos_theta = np.cos(theta / 2.0), np.sin(theta / 2.0), np.cos(theta)
-    rows = []
+    mp, m, flip = np.array([_canonical_image(w, two_m) for w in range(-two_j, two_j + 1, 2)]).T
+    a = ((mp - m) // 2).astype(float)[:, None]
+    b = ((mp + m) // 2).astype(float)[:, None]
+    # rows top..2j-top (|m'| <= |m|) have the top degree, then come pairs +-m'
+    top = (two_j - abs(two_m)) // 2
+    pair = np.arange(1, top + 1)
+    order = np.concatenate(
+        [np.arange(top, two_j - top + 1), np.stack([top - pair, two_j - top + pair], 1).ravel()]
+    )
+    live = two_j + 1 - 2 * np.arange(top + 1)  # live[k]: rows of degree >= k
+    poly = np.empty((two_j + 1, theta.size))
     with np.errstate(all="ignore"):
-        for two_mp in range(-two_j, two_j + 1, 2):
-            mp, m, flip = _canonical_image(two_mp, two_m)
-            value = _wigner_canonical(two_j, mp, m, cos_half, sin_half, cos_theta)
-            rows.append(-value if flip else value)
-    column = np.array(rows)
+        poly[order] = _jacobi_by_degree(a[order], b[order], live, np.cos(theta))
+        norm = np.where(flip, -1.0, 1.0) * np.exp(_log_norms(two_j, mp, m))
+        column = norm[:, None] * np.cos(theta / 2.0) ** b * np.sin(theta / 2.0) ** a * poly
     finite = np.isfinite(column)
     if not finite.all():
         angle = int(np.argmin(finite.all(axis=0)))
@@ -445,14 +451,10 @@ def dmatrix(j: HalfIntLike, theta: float) -> np.ndarray:
     a = ((two_mp - two_m) // 2).astype(float)
     b = ((two_mp + two_m) // 2).astype(float)
     live = np.cumsum(group_mp + 1)[::-1]  # live[k]: entries of degree >= k
-    log_gamma_table = np.array([math.lgamma(n) for n in range(1, two_j + 2)])
-    log_norm = 0.5 * _log_factorial_ratio(
-        two_j, two_mp, two_m, lambda n: log_gamma_table[n - 1]
-    )
     with np.errstate(all="ignore"):
         poly = _jacobi_by_degree(a, b, live, math.cos(theta))
         value = (
-            np.exp(log_norm)
+            np.exp(_log_norms(two_j, two_mp, two_m))
             * math.cos(theta / 2.0) ** b
             * math.sin(theta / 2.0) ** a
             * poly

@@ -306,19 +306,6 @@ class TestMarginals:
         assert flat(first) == list(q)
         assert flat(second) == list(p)
 
-    def test_axis_subsets_of_a_three_way_table(self):
-        comps = [i / 36.0 for i in range(1, 9)]
-        cube = relabel(comps, (2, 2, 2))
-        grid = cube.as_array()
-        m12, m23, m2, m123 = marginals(cube, (0, 1), (1, 2), (1,), (2, 1, 0))
-        assert m12.as_array().tolist() == grid.sum(axis=2).tolist()
-        assert m23.as_array().tolist() == grid.sum(axis=0).tolist()
-        assert m2.as_array().tolist() == grid.sum(axis=(0, 2)).tolist()
-        assert m123.as_array().tolist() == grid.tolist()
-        for axes in ((), (3,), (0, -1)):
-            with pytest.raises(DimensionError):
-                marginals(cube, axes)
-
     def test_requires_2d(self):
         t = relabel(Distribution((0.125,) * 8), (2, 2, 2))
         with pytest.raises(DimensionError):

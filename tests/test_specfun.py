@@ -128,9 +128,21 @@ class TestJacobi:
             assert isinstance(got, np.ndarray) and got.shape == x.shape
             assert got.tolist() == [jacobi(n, a, b, v) for v in x.tolist()]
 
-    def test_array_argument_falls_back_entry_by_entry(self):
-        x = np.array([-0.7, 0.0, 0.4, 0.9])
-        assert jacobi(2, -1.0, -1.0, x).tolist() == [jacobi(2, -1.0, -1.0, v) for v in x]
+    def test_array_parameters_step_every_pair(self):
+        a = np.array([[0.0], [2.0], [5.0]])
+        b = np.array([[3.0], [0.0], [0.5]])
+        x = np.linspace(-1.0, 1.0, 9)
+        for n in (0, 1, 6):
+            got = jacobi(n, a, b, x)
+            assert got.shape == (3, 9)
+            for row, (ai, bi) in enumerate(zip(a[:, 0], b[:, 0])):
+                assert got[row].tolist() == [jacobi(n, ai, bi, v) for v in x.tolist()]
+        with pytest.raises(DomainError):
+            jacobi(3, np.array([0.0, -1.0]), 0.0, 0.5)
+
+    def test_degenerate_recurrence_needs_scalar_x(self):
+        with pytest.raises(DomainError):
+            jacobi(2, -1.0, -1.0, np.array([-0.7, 0.0, 0.4, 0.9]))
 
 
 class TestLogGamma:

@@ -225,13 +225,27 @@ class TestAngleArrays:
         with pytest.raises(DomainError, match=f"theta={bad}"):
             column_distribution(1, 1, np.array([0.1, 0.2, bad, math.nan]))
 
-    def test_overflow_names_the_first_bad_angle(self, monkeypatch):
-        # a genuine overflow needs j ~ 1000, where a column costs seconds;
-        # here the Jacobi factor leaves the float range for theta > pi/3
-        jacobi = specfun.jacobi
+    @pytest.mark.parametrize("angles", [0.7, GRID])
+    def test_one_recurrence_per_column(self, monkeypatch, angles):
+        # a column steps all its rows at once: j - |m| recurrence steps,
+        # whether it is taken at one angle or at many
+        calls, steps = [], []
+        by_degree, coefficients = specfun._jacobi_by_degree, specfun._jacobi_coefficients
         monkeypatch.setattr(
-            specfun, "jacobi", lambda n, a, b, x: np.where(x < 0.5, math.inf, jacobi(n, a, b, x))
+            specfun, "_jacobi_by_degree", lambda *args: calls.append(1) or by_degree(*args)
         )
-        with pytest.raises(EntroineqError) as info:
-            column_distribution(2, 1, np.array([0.3, 0.5, 2.0, 1.5]))
-        assert str(info.value).endswith("j=2, m'=-2, m=1, theta=2.0")
+        monkeypatch.setattr(
+            specfun, "_jacobi_coefficients", lambda *args: steps.append(1) or coefficients(*args)
+        )
+        for j, m, top in ((30, 0, 30), ("61/2", "5/2", 28), (4, 4, 0)):
+            calls.clear()
+            steps.clear()
+            column_distribution(j, m, angles)
+            assert (len(calls), len(steps)) == (1, max(top - 1, 0))
+
+    def test_overflow_names_the_first_bad_angle(self):
+        # at j = 1000 the m = 0 column leaves the float range near theta = 0
+        # and theta = pi, but not in between
+        column_distribution(1000, 0, np.array([0.5, 1.5, 2.5]))
+        with pytest.raises(EntroineqError, match=r"at j=1000, m'=-?\d+, m=0, theta=3.1$"):
+            column_distribution(1000, 0, np.array([0.5, 1.5, 3.1, 0.05]))
