@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .entropy import (
     SubadditivityReport,
     subadditivity_report,
