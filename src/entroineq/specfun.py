@@ -10,7 +10,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -38,6 +38,11 @@ DISCRETE_COSH_LIMIT = 2.9
 
 #: Mixed/continuous rapidity domain: |z(t)| = cosh(t)/2 < 0.95.
 CONTINUOUS_COSH_LIMIT = 1.9
+
+#: A log-space factor of a mixed or continuous element is exponentiated
+#: only while its real part stays within this bound, which keeps it and its
+#: reciprocal normal floats with room for the factors it meets.
+LOG_FLOAT_RANGE = 700.0
 
 
 # ----------------------------------------------------------------------
@@ -646,16 +651,72 @@ def bargmann_b_continued(args: Su11Args) -> float:
     )
 
 
-def _hyp_branch(j: Union[complex, float], a: float, m: float, z: complex) -> complex:
-    """(1-z)^((a-im)/2) z^((a+im)/2) 2F1(-j+a, j+a+1; a+im+1; z)."""
+def _regularized_family(j: complex, m: float, z: complex, top: float, count: int) -> list[complex]:
+    """P(a) = 2F1(-j+a, j+a+1; a+im+1; z) / Gamma(a+im+1) for a = top, top-1, ...
+
+    Returns `count` values, a falling by one from `top >= 0`.  The seeds at
+    a = top+1 and top come from Euler's transformation (DLMF 15.8.1),
+    P(a) = (1-z)^(im-a) 2F1(j+1+im, -j+im; a+im+1; z) / Gamma(a+im+1),
+    whose numerator parameters do not grow with a.  The rest follow from
+    the contiguous relation in (a, b, c) -> (a-1, b-1, c-1),
+    P(a) = z(1-z)(a+1-j)(a+2+j) P(a+2) + (a+1+im - 2(a+1)z) P(a+1),
+    run in the falling direction only, where it is numerically satisfactory
+    (Gil, Segura and Temme, Math. Comp. 76, 2007).  It has no divisions,
+    so it crosses the poles c = 0, -1, ... of the unregularized function.
+    A seed beyond the float range raises EntroineqError.
+    """
     im = 1j * m
-    series = hyp2f1(-j + a, j + a + 1.0, a + im + 1.0, z)
-    return (1.0 - z) ** ((a - im) / 2.0) * z ** ((a + im) / 2.0) * series
+    log_one_minus_z = cmath.log(1.0 - z)
+
+    def seed(a: float) -> complex:
+        c = a + im + 1.0
+        log_scale = (im - a) * log_one_minus_z - log_gamma(c)
+        if abs(log_scale.real) > LOG_FLOAT_RANGE:
+            raise EntroineqError(
+                f"the regularized 2F1 family overflows the float range at z = {z}, m' = +-{top:g}"
+            )
+        return cmath.exp(log_scale) * hyp2f1(j + 1.0 + im, -j + im, c, z)
+
+    upper, value = seed(top + 1.0), seed(top)
+    family = [value]
+    z_one_minus_z = z * (1.0 - z)
+    for step in range(1, count):
+        a = top - step
+        upper, value = value, (
+            z_one_minus_z * (a + 1.0 - j) * (a + 2.0 + j) * upper
+            + (a + 1.0 + im - 2.0 * (a + 1.0) * z) * value
+        )
+        family.append(value)
+    return family
 
 
-def c_function(args: Su11Args) -> complex:
+def _scaled(log_factor: complex, family_value: complex, z: complex, m_prime: HalfInt) -> complex:
+    """exp(log_factor) * family_value, or EntroineqError naming m' outside the float range."""
+    if abs(log_factor.real) <= LOG_FLOAT_RANGE:
+        value = cmath.exp(log_factor) * family_value
+        if cmath.isfinite(value):
+            return value
+    raise EntroineqError(
+        f"the matrix element overflows the float range at z = {z}, m' = {m_prime}"
+    )
+
+
+def _log_envelope(a: float, im: complex, z: complex) -> complex:
+    """log of (1-z)^((a-im)/2) z^((a+im)/2), principal branches."""
+    return (a - im) / 2.0 * cmath.log(1.0 - z) + (a + im) / 2.0 * cmath.log(z)
+
+
+def c_function(args: Su11Args, weights: Optional[Sequence[HalfIntLike]] = None):
     """Mixed-basis element c^j_{m'm}(t): discrete row label, continuous column.
 
+    c = N(m') (1-z)^((a-im)/2) z^((a+im)/2) P(a) at a = -m' and
+    z = (1 + i sinh t)/2, with P the regularized 2F1 of
+    `_regularized_family`; 1/Gamma(1-m'+im) of the normalization is its
+    regularizer.  Given `weights`, returns the elements at those m' as a
+    tuple from one family; without, the element at `args.m_prime`, which
+    is the one-weight case of the same route.  An element whose factors
+    leave the float range (m' beyond about 170 to 190, falling with t)
+    raises EntroineqError.
     Only the m' >= -j branch is defined; the complementary branch has no
     closed form here and raises UnsupportedBranchError.  Evaluation only,
     no normalization contract.
@@ -666,73 +727,93 @@ def c_function(args: Su11Args) -> complex:
         raise UnsupportedBranchError(
             "the m' <= j mixed-basis branch is not defined"
         )
+    if weights is None:
+        return c_function(args, (args.m_prime,))[0]
     _require_rapidity(args.t, CONTINUOUS_COSH_LIMIT)
     k = args.k
-    two_mp = _check_discrete_weight(k, args.m_prime, True, "m'")
-    mp = two_mp / 2.0
-    m = float(args.m)
+    weights = [HalfInt(_check_discrete_weight(k, w, True, "m'")) for w in weights]
     j = -k / 2.0
+    m = float(args.m)
     im = 1j * m
-
-    s_norm = math.exp(
-        0.5
-        * (
-            math.lgamma((two_mp + k) // 2)
-            + math.lgamma((two_mp - k) // 2 + 1)
+    constant = (
+        math.sqrt(2.0)
+        * 2.0 ** (-j - 2.0)
+        / math.pi
+        * cmath.exp(
+            log_gamma(j + 1.0 + im)
+            + log_gamma((-j - im) / 2.0)
+            + log_gamma((-j + 1.0 + im) / 2.0)
         )
-        - math.lgamma((two_mp - k) // 2 + 1)
     )
-    r_norm = cmath.exp(
-        log_gamma(j + 1.0 + im)
-        + log_gamma((-j - im) / 2.0)
-        + log_gamma((-j + 1.0 + im) / 2.0)
-        - math.lgamma((two_mp + k) // 2)
-    ) * rgamma(1.0 - mp + im)
-    norm = math.sqrt(2.0) * 2.0 ** (-j - 2.0) * s_norm * r_norm / math.pi
-
     z = (1.0 + 1j * math.sinh(args.t)) / 2.0
-    return norm * _hyp_branch(j, -mp, m, z)
+    # a = -m' falls from a seed at a >= 0 on the lattice of k/2
+    top = (k % 2) / 2.0
+    family = _regularized_family(j, m, z, top, (max(weights).doubled + k % 2) // 2 + 1)
+    values = []
+    for w in weights:
+        mp = float(w)
+        log_norm = -0.5 * (math.lgamma(mp - j) + math.lgamma(mp + j + 1.0))
+        index = (w.doubled + k % 2) // 2
+        values.append(constant * _scaled(log_norm + _log_envelope(-mp, im, z), family[index], z, w))
+    return tuple(values)
 
 
-def l_function(args: Su11Args) -> complex:
+def l_function(args: Su11Args, weights: Optional[Sequence[HalfIntLike]] = None):
     """Continuous-series element l^j_{m'm sigma}(t) for j = -1/2 + i s.
 
-    Combines the two hypergeometric branches at z(t) and z(-t) with the
-    parity label sigma.  Evaluation only, no normalization contract.
+    Combines the branches a = m' at z+ = (1 - i sinh t)/2 and a = -m' at
+    z- = (1 + i sinh t)/2 with the parity label sigma; each branch is
+    (1-z)^((a-im)/2) z^((a+im)/2) P(a) with P the regularized 2F1 of
+    `_regularized_family`, whose 1/Gamma(a+1+im) is the factor of the
+    parity normalization.  Given `weights`, returns the elements at those
+    m' as a tuple from one family per branch over a = -A..A, A = max |m'|;
+    without, the element at `args.m_prime`, which is bit for bit that
+    weight of any ladder with the same A.  An element whose factors leave
+    the float range (|m'| beyond about 170 to 190, falling with t) raises
+    EntroineqError.
+    Evaluation only, no normalization contract.
     """
     if args.is_discrete:
         raise DomainError("l_function needs a continuous-series spin")
-    if args.m_prime.is_integer != (args.series is SeriesKind.CONTINUOUS_INTEGER):
-        raise DomainError(f"m' = {args.m_prime} is off the {args.series.value} lattice")
+    if weights is None:
+        return l_function(args, (args.m_prime,))[0]
+    weights = [HalfInt.coerce(w) for w in weights]
+    for w in weights:
+        if w.is_integer != (args.series is SeriesKind.CONTINUOUS_INTEGER):
+            raise DomainError(f"m' = {w} is off the {args.series.value} lattice")
     _require_rapidity(args.t, CONTINUOUS_COSH_LIMIT)
     j = complex(-0.5, args.s)
     m = float(args.m)
     im = 1j * m
-    mp = float(args.m_prime)
     sigma = args.sigma
-
-    s_norm = cmath.exp(
-        0.5 * (log_gamma(mp - j) + log_gamma(mp + j + 1.0)) - log_gamma(mp + j + 1.0)
-    )
-
-    def t_factor(a: float) -> complex:
-        denominator = (1j**sigma) * cmath.sin(cmath.pi * (-j + sigma - im) / 2.0)
-        if abs(denominator) < 1e-12:
-            raise PoleError("sine denominator of the parity factor vanishes")
-        return (
-            cmath.exp(
-                (j - 1.0) * math.log(2.0)
-                + log_gamma(-j + im)
-                - log_gamma(-a - j)
-            )
-            * rgamma(a + 1.0 + im)
-            / denominator
-        )
-
+    denominator = (1j**sigma) * cmath.sin(cmath.pi * (-j + sigma - im) / 2.0)
+    if abs(denominator) < 1e-12:
+        raise PoleError("sine denominator of the parity factor vanishes")
+    constant = cmath.exp((j - 1.0) * math.log(2.0) + log_gamma(-j + im)) / denominator
+    parity_sign = -1.0 if sigma % 2 else 1.0
     z_plus = (1.0 - 1j * math.sinh(args.t)) / 2.0
     z_minus = (1.0 + 1j * math.sinh(args.t)) / 2.0
-    parity_sign = -1.0 if sigma % 2 else 1.0
-    return s_norm * (
-        t_factor(mp) * _hyp_branch(j, mp, m, z_plus)
-        - parity_sign * t_factor(-mp) * _hyp_branch(j, -mp, m, z_minus)
-    )
+    top = max(abs(w).doubled for w in weights) / 2.0
+    count = int(2.0 * top) + 1
+    family_plus = _regularized_family(j, m, z_plus, top, count)
+    family_minus = _regularized_family(j, m, z_minus, top, count)
+    values = []
+    for w in weights:
+        mp = float(w)
+        log_upper = log_gamma(mp - j)
+        log_lower = log_gamma(mp + j + 1.0)
+        log_norm = 0.5 * (log_upper - log_lower)
+        plus = _scaled(
+            log_norm - log_gamma(-mp - j) + _log_envelope(mp, im, z_plus),
+            family_plus[int(top - mp)],
+            z_plus,
+            w,
+        )
+        minus = _scaled(
+            log_norm - log_upper + _log_envelope(-mp, im, z_minus),
+            family_minus[int(top + mp)],
+            z_minus,
+            w,
+        )
+        values.append(constant * (plus - parity_sign * minus))
+    return tuple(values)

@@ -145,17 +145,20 @@ def _renormalized_report(
 
 
 def _ladder_report(
-    element: Callable[[Su11Args], complex],
+    element: Callable[[Su11Args, Sequence[HalfInt]], Sequence[complex]],
     args: Su11Args,
     kind: SeriesKind,
     edge: Optional[HalfInt],
     truncation: int,
 ) -> SubadditivityReport:
-    """Report-only `_renormalized_report` of |element|^2 on a weight ladder."""
+    """Report-only `_renormalized_report` of |element|^2 on a weight ladder.
+
+    `element` evaluates the whole ladder in one call.
+    """
     if truncation < 1:
         raise DomainError("truncation must be at least 1")
     weights = enumerate_weights(kind, edge, truncation)
-    values = [abs(element(replace(args, m_prime=w))) ** 2 for w in weights]
+    values = [abs(value) ** 2 for value in element(args, weights)]
     return _renormalized_report(values, math.fsum(values), report_only=True)
 
 

@@ -1,12 +1,15 @@
 """Discrete, mixed, and continuous series matrix elements."""
 
+import functools
 import math
+from dataclasses import replace
 
 import mpmath
 import pytest
 
 from entroineq import (
     DomainError,
+    EntroineqError,
     HalfInt,
     SeriesKind,
     Su11Args,
@@ -14,6 +17,7 @@ from entroineq import (
     bargmann_b,
     bargmann_b_continued,
     c_function,
+    enumerate_weights,
     l_function,
 )
 from entroineq import specfun
@@ -264,6 +268,141 @@ class TestLFunction:
     def test_rapidity_domain(self):
         with pytest.raises(DomainError):
             l_function(self.continuous_args(t=1.4))
+
+
+@functools.lru_cache(maxsize=None)
+def mp_family_value(s, m, t, a, side):
+    """P(a) = 2F1(-j+a, j+a+1; a+im+1; z) / Gamma(a+im+1), z = (1 - side i sinh t)/2.
+
+    mpmath's direct series at 40 digits.  At the poles c = -n of m = 0 the
+    regularized value is (A)_(n+1) (B)_(n+1) z^(n+1)
+    2F1(A+n+1, B+n+1; n+2; z) / (n+1)! (DLMF 15.2.3_5).
+    """
+    with mpmath.workdps(40):
+        j = mpmath.mpc(-0.5, s)
+        big_a, big_b = -j + a, j + a + 1
+        z = (1 - side * mpmath.mpc(0, 1) * mpmath.sinh(t)) / 2
+        if m == 0 and a == int(a) and a < 0:
+            n = -int(a) - 1
+            return (
+                mpmath.rf(big_a, n + 1)
+                * mpmath.rf(big_b, n + 1)
+                / mpmath.factorial(n + 1)
+                * z ** (n + 1)
+                * mpmath.hyp2f1(big_a + n + 1, big_b + n + 1, n + 2, z)
+            )
+        c = a + mpmath.mpc(0, m) + 1
+        return mpmath.hyp2f1(big_a, big_b, c, z) / mpmath.gamma(c)
+
+
+def mp_l_regularized(s, m, sigma, t, mprime):
+    """l^j_{m'm sigma}(t) composed from `mp_family_value`; finite at m = 0."""
+    with mpmath.workdps(40):
+        j = mpmath.mpc(-0.5, s)
+        im = mpmath.mpc(0, m)
+        mp_ = mpmath.mpf(mprime)
+        norm = (
+            mpmath.sqrt(mpmath.gamma(mp_ - j) * mpmath.gamma(mp_ + j + 1))
+            / mpmath.gamma(mp_ + j + 1)
+            * mpmath.power(2, j - 1)
+            * mpmath.gamma(-j + im)
+            / (mpmath.power(mpmath.mpc(0, 1), sigma) * mpmath.sin(mpmath.pi * (-j + sigma - im) / 2))
+        )
+
+        def branch(a, side):
+            z = (1 - side * mpmath.mpc(0, 1) * mpmath.sinh(t)) / 2
+            return (
+                mpmath.power(1 - z, (a - im) / 2)
+                * mpmath.power(z, (a + im) / 2)
+                * mpmath.rgamma(-a - j)
+                * mp_family_value(s, m, t, float(a), side)
+            )
+
+        return norm * (branch(mp_, 1) - (-1) ** sigma * branch(-mp_, -1))
+
+
+#: sampled ladder weights up to |m'| = 128 on each lattice, both signs
+LADDER_SAMPLES = {
+    SeriesKind.CONTINUOUS_INTEGER: (0, 1, -1, 17, -64, 127, 128, -128),
+    SeriesKind.CONTINUOUS_HALF_INTEGER: ("1/2", "-1/2", "33/2", "-127/2", "255/2", "-255/2"),
+}
+
+
+class TestContinuousLadder:
+    """One regularized 2F1 family per branch evaluates a whole ladder."""
+
+    def args(self, kind=SeriesKind.CONTINUOUS_INTEGER, t=0.3, sigma=0, m=0.5, s=0.5):
+        return Su11Args(
+            series=kind, m_prime=HalfInt(0 if kind is SeriesKind.CONTINUOUS_INTEGER else 1),
+            m=m, t=t, s=s, sigma=sigma,
+        )
+
+    @pytest.mark.parametrize("t", [0.3, 1.2])
+    @pytest.mark.parametrize("kind", list(LADDER_SAMPLES))
+    def test_family_matches_mpmath(self, kind, t):
+        top = 128.0 if kind is SeriesKind.CONTINUOUS_INTEGER else 127.5
+        j = complex(-0.5, 0.5)
+        for side in (1, -1):
+            z = (1.0 - side * 1j * math.sinh(t)) / 2.0
+            family = specfun._regularized_family(j, 0.5, z, top, int(2 * top) + 1)
+            for w in LADDER_SAMPLES[kind]:
+                a = side * float(HalfInt.coerce(w))
+                want = complex(mp_family_value(0.5, 0.5, t, a, side))
+                got = family[int(top - a)]
+                assert abs(got - want) <= 1e-12 * abs(want), (side, a)
+
+    @pytest.mark.parametrize("t", [0.3, 1.2])
+    @pytest.mark.parametrize("kind", list(LADDER_SAMPLES))
+    def test_ladder_matches_mpmath(self, kind, t):
+        weights = [HalfInt.coerce(w) for w in LADDER_SAMPLES[kind]]
+        for sigma in (0, 1):
+            ladder = l_function(self.args(kind, t, sigma), weights)
+            for w, got in zip(weights, ladder):
+                want = complex(mp_l_regularized(0.5, 0.5, sigma, t, float(w)))
+                assert abs(got - want) <= 1e-10 * max(1.0, abs(want)), (sigma, str(w))
+
+    def test_integer_lattice_at_m_zero(self):
+        # c = a + 1 crosses the poles of Gamma; used to raise PoleError
+        weights = [HalfInt(2 * w) for w in (0, 1, -1, 3, -3, 16, -16)]
+        for sigma in (0, 1):
+            ladder = l_function(self.args(t=0.5, sigma=sigma, m=0.0), weights)
+            for w, got in zip(weights, ladder):
+                want = complex(mp_l_regularized(0.5, 0.0, sigma, 0.5, float(w)))
+                assert abs(got - want) <= 1e-12 * abs(want), (sigma, str(w))
+
+    @pytest.mark.parametrize("kind", list(LADDER_SAMPLES))
+    def test_one_weight_call_is_the_top_of_a_ladder(self, kind):
+        args = self.args(kind, t=0.75, sigma=1)
+        for truncation in (1, 2, 9, 40):
+            weights = enumerate_weights(kind, None, truncation)
+            ladder = l_function(args, weights)
+            top = max(abs(w) for w in weights)
+            for w, value in zip(weights, ladder):
+                if abs(w) == top:
+                    assert l_function(replace(args, m_prime=w)) == value
+
+    def test_mixed_one_weight_call_is_the_top_of_a_ladder(self):
+        args = Su11Args(series=SeriesKind.DISCRETE_POSITIVE, m_prime=HalfInt(3), m=0.5, t=0.3, k=3)
+        weights = enumerate_weights(SeriesKind.DISCRETE_POSITIVE, HalfInt(-3), 12)
+        assert c_function(replace(args, m_prime=weights[-1])) == c_function(args, weights)[-1]
+
+    def test_mixed_ladder_matches_mpmath(self):
+        for k in (1, 2, 5):
+            args = Su11Args(
+                series=SeriesKind.DISCRETE_POSITIVE, m_prime=HalfInt(k), m=0.5, t=0.3, k=k
+            )
+            weights = [HalfInt(k + 2 * i) for i in (0, 1, 14, 19, 32, 127)]
+            for w, got in zip(weights, c_function(args, weights)):
+                want = complex(mp_c_function(k, mpmath.mpf(float(w)), mpmath.mpf("0.5"), mpmath.mpf("0.3")))
+                assert abs(got - want) <= 1e-12 * abs(want), (k, str(w))
+
+    def test_beyond_the_float_range_names_the_weight(self):
+        args = self.args(t=1.2)
+        with pytest.raises(EntroineqError, match="float range at .*m'"):
+            l_function(args, [HalfInt(400)])
+        mixed = Su11Args(series=SeriesKind.DISCRETE_POSITIVE, m_prime=HalfInt(2), m=0.5, t=1.2, k=2)
+        with pytest.raises(EntroineqError, match="m' = 200"):
+            c_function(mixed, [HalfInt(400)])
 
 
 class TestSu11Args:

@@ -201,6 +201,37 @@ class TestSu11Check:
         assert len(rows) == 3
         assert all(float(r[2]) > 0.0 for r in rows)
 
+    def test_continuous_m_zero_on_the_integer_lattice(self, tmp_path):
+        # used to exit 2 with "c = 0j hits a pole"
+        code, data = run_to_file(
+            tmp_path,
+            "u.csv",
+            [
+                "su11-check", "--series", "continuous", "--s", "0.5", "--m", "0",
+                "--truncation", "16", "--grid", "0.5:0.5:1",
+            ],
+        )
+        assert code == 0
+        _, rows = parse_csv(data)
+        assert all(math.isfinite(float(v)) for v in rows[0])
+
+    @pytest.mark.parametrize("truncation, code", [(300, 0), (400, 2)])
+    def test_continuous_long_ladders(self, truncation, code, tmp_path, capsys):
+        # 400 used to end in a bare OverflowError (exit 1), 300 printed
+        # raw_mass 1.49e257; now the ladder is right or exits 2 naming m'
+        argv = [
+            "su11-check", "--series", "continuous", "--s", "0.5", "--m", "0.5",
+            "--truncation", str(truncation), "--grid", "1.2:1.2:1",
+            "--out", str(tmp_path / "u.csv"),
+        ]
+        assert main(argv) == code
+        if code == 0:
+            _, rows = parse_csv((tmp_path / "u.csv").read_bytes())
+            assert float(rows[0][2]) == pytest.approx(1.6757776951335162, rel=1e-10)
+        else:
+            err = capsys.readouterr().err
+            assert "float range" in err and "200" in err.partition("m' = ")[2]
+
     def test_missing_k_is_usage_error(self, capsys):
         code = main(["su11-check", "--m", "1", "--grid", "0.1:1:2"])
         assert code == 2

@@ -3,9 +3,11 @@
 import math
 import re
 import time
+from dataclasses import replace
 
 import pytest
 
+from entroineq import specfun, su11
 from entroineq import (
     DomainError,
     EntroineqError,
@@ -202,12 +204,30 @@ class TestMixedSeriesReport:
         assert report.report_only
 
     def test_pinned_report(self):
+        # the same report from a 40-digit mpmath ladder agrees within 3e-15
         report = mixed_series_report(self.args(), 64)
-        assert report.h_joint == pytest.approx(0.1549101617590093, rel=1e-10)
-        assert report.h_first == pytest.approx(0.11222605108365843, rel=1e-10)
-        assert report.h_second == pytest.approx(0.04278590705726357, rel=1e-10)
-        assert report.slack == pytest.approx(0.00010179638191271101, rel=1e-6)
-        assert report.raw_mass == pytest.approx(1.780754126620352e23, rel=1e-9)
+        assert report.h_joint == pytest.approx(3.057344952470515, rel=1e-10)
+        assert report.h_first == pytest.approx(0.6930133542997152, rel=1e-10)
+        assert report.h_second == pytest.approx(2.5282873300930486, rel=1e-10)
+        assert report.slack == pytest.approx(0.1639557319222491, rel=1e-6)
+        assert report.raw_mass == pytest.approx(1.6345297516853607, rel=1e-9)
+
+    def test_one_element_call_per_ladder(self, monkeypatch):
+        calls = {"c_function": 0, "hyp2f1": 0}
+        for module, name in ((su11, "c_function"), (specfun, "hyp2f1")):
+            original = getattr(module, name)
+
+            def counted(*args, name=name, original=original):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(module, name, counted)
+        seen = []
+        for truncation in (8, 120):
+            calls.update(c_function=0, hyp2f1=0)
+            mixed_series_report(self.args(), truncation)
+            seen.append(dict(calls))
+        assert seen == [{"c_function": 1, "hyp2f1": 2}] * 2
 
     def test_slack_still_nonnegative_after_renormalization(self):
         assert mixed_series_report(self.args(), 32).slack >= -1e-10
@@ -217,8 +237,8 @@ class TestMixedSeriesReport:
         assert report.raw_mass > 0.0
 
     def test_gamma_overflow_is_an_entroineq_error(self):
-        # 1/Gamma(1 - m' + i m) leaves the float range on the long ladder;
-        # it used to escape as a bare OverflowError
+        # the normalization of c leaves the float range on the long ladder
+        # (m' beyond about 190); it used to escape as a bare OverflowError
         with pytest.raises(EntroineqError, match="overflows the float range at z = "):
             mixed_series_report(self.args(), 256)
 
@@ -248,13 +268,44 @@ class TestContinuousSeriesReport:
         assert report.slack == 0.0
 
     def test_pinned_report(self):
+        # the same report from a 40-digit mpmath ladder agrees within 1.5e-14
         report = continuous_series_report(self.args(), 64)
-        assert report.h_joint == pytest.approx(3.2179829104341766, rel=1e-10)
-        assert report.h_first == pytest.approx(0.6931468682639028, rel=1e-10)
-        assert report.h_second == pytest.approx(2.7248215348005984, rel=1e-10)
-        assert report.slack == pytest.approx(0.1999854926303244, rel=1e-8)
-        assert report.raw_mass == pytest.approx(1.3659380648368686, rel=1e-10)
+        assert report.h_joint == pytest.approx(3.2177730073889284, rel=1e-10)
+        assert report.h_first == pytest.approx(0.6931469465430988, rel=1e-10)
+        assert report.h_second == pytest.approx(2.724620636241849, rel=1e-10)
+        assert report.slack == pytest.approx(0.1999945753960195, rel=1e-8)
+        assert report.raw_mass == pytest.approx(1.3658196812947323, rel=1e-10)
         assert report.report_only
+
+    def test_one_element_call_per_ladder(self, monkeypatch):
+        # the hyp2f1 calls are the family seeds: two per branch, whatever the length
+        calls = {"l_function": 0, "hyp2f1": 0}
+        for module, name in ((su11, "l_function"), (specfun, "hyp2f1")):
+            original = getattr(module, name)
+
+            def counted(*args, name=name, original=original):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(module, name, counted)
+        seen = []
+        for truncation in (1, 16, 256):
+            calls.update(l_function=0, hyp2f1=0)
+            continuous_series_report(self.args(), truncation)
+            seen.append(dict(calls))
+        assert seen == [{"l_function": 1, "hyp2f1": 4}] * 3
+
+    def test_long_ladder_at_the_top_of_the_rapidity_domain(self):
+        # used to report raw_mass 1.49e257; the pinned mass is that of a
+        # 40-digit mpmath ladder of the same 300 weights
+        args = replace(self.args(), t=1.2)
+        report = continuous_series_report(args, 300)
+        assert report.raw_mass == pytest.approx(1.6757776951335162, rel=1e-10)
+
+    def test_ladder_beyond_the_float_range_names_the_weight(self):
+        # used to escape as a bare OverflowError from the parity factor
+        with pytest.raises(EntroineqError, match=r"float range at .*m' = (\+-)?200"):
+            continuous_series_report(replace(self.args(), t=1.2), 400)
 
     def test_parity_labels_give_distinct_reports(self):
         r0 = continuous_series_report(self.args(sigma=0), 32)
