@@ -690,20 +690,21 @@ def _regularized_family(j: complex, m: float, z: complex, top: float, count: int
     return family
 
 
-def _scaled(log_factor: complex, family_value: complex, z: complex, m_prime: HalfInt) -> complex:
-    """exp(log_factor) * family_value, or EntroineqError naming m' outside the float range."""
+def _branch(
+    log_norm: complex, a: float, im: complex, z: complex, p: complex, m_prime: HalfInt
+) -> complex:
+    """exp(log_norm) (1-z)^((a-im)/2) z^((a+im)/2) p, the factors in log space.
+
+    A value outside the float range raises EntroineqError naming m'.
+    """
+    log_factor = log_norm + ((a - im) / 2.0 * cmath.log(1.0 - z) + (a + im) / 2.0 * cmath.log(z))
     if abs(log_factor.real) <= LOG_FLOAT_RANGE:
-        value = cmath.exp(log_factor) * family_value
+        value = cmath.exp(log_factor) * p
         if cmath.isfinite(value):
             return value
     raise EntroineqError(
         f"the matrix element overflows the float range at z = {z}, m' = {m_prime}"
     )
-
-
-def _log_envelope(a: float, im: complex, z: complex) -> complex:
-    """log of (1-z)^((a-im)/2) z^((a+im)/2), principal branches."""
-    return (a - im) / 2.0 * cmath.log(1.0 - z) + (a + im) / 2.0 * cmath.log(z)
 
 
 def c_function(args: Su11Args, weights: Optional[Sequence[HalfIntLike]] = None):
@@ -732,6 +733,8 @@ def c_function(args: Su11Args, weights: Optional[Sequence[HalfIntLike]] = None):
     _require_rapidity(args.t, CONTINUOUS_COSH_LIMIT)
     k = args.k
     weights = [HalfInt(_check_discrete_weight(k, w, True, "m'")) for w in weights]
+    if not weights:
+        return ()
     j = -k / 2.0
     m = float(args.m)
     im = 1j * m
@@ -754,7 +757,7 @@ def c_function(args: Su11Args, weights: Optional[Sequence[HalfIntLike]] = None):
         mp = float(w)
         log_norm = -0.5 * (math.lgamma(mp - j) + math.lgamma(mp + j + 1.0))
         index = (w.doubled + k % 2) // 2
-        values.append(constant * _scaled(log_norm + _log_envelope(-mp, im, z), family[index], z, w))
+        values.append(constant * _branch(log_norm, -mp, im, z, family[index], w))
     return tuple(values)
 
 
@@ -782,6 +785,8 @@ def l_function(args: Su11Args, weights: Optional[Sequence[HalfIntLike]] = None):
         if w.is_integer != (args.series is SeriesKind.CONTINUOUS_INTEGER):
             raise DomainError(f"m' = {w} is off the {args.series.value} lattice")
     _require_rapidity(args.t, CONTINUOUS_COSH_LIMIT)
+    if not weights:
+        return ()
     j = complex(-0.5, args.s)
     m = float(args.m)
     im = 1j * m
@@ -803,17 +808,9 @@ def l_function(args: Su11Args, weights: Optional[Sequence[HalfIntLike]] = None):
         log_upper = log_gamma(mp - j)
         log_lower = log_gamma(mp + j + 1.0)
         log_norm = 0.5 * (log_upper - log_lower)
-        plus = _scaled(
-            log_norm - log_gamma(-mp - j) + _log_envelope(mp, im, z_plus),
-            family_plus[int(top - mp)],
-            z_plus,
-            w,
+        plus = _branch(
+            log_norm - log_gamma(-mp - j), mp, im, z_plus, family_plus[int(top - mp)], w
         )
-        minus = _scaled(
-            log_norm - log_upper + _log_envelope(-mp, im, z_minus),
-            family_minus[int(top + mp)],
-            z_minus,
-            w,
-        )
+        minus = _branch(log_norm - log_upper, -mp, im, z_minus, family_minus[int(top + mp)], w)
         values.append(constant * (plus - parity_sign * minus))
     return tuple(values)

@@ -373,6 +373,7 @@ class TestContinuousLadder:
     @pytest.mark.parametrize("kind", list(LADDER_SAMPLES))
     def test_one_weight_call_is_the_top_of_a_ladder(self, kind):
         args = self.args(kind, t=0.75, sigma=1)
+        assert l_function(args, []) == ()
         for truncation in (1, 2, 9, 40):
             weights = enumerate_weights(kind, None, truncation)
             ladder = l_function(args, weights)
@@ -385,6 +386,7 @@ class TestContinuousLadder:
         args = Su11Args(series=SeriesKind.DISCRETE_POSITIVE, m_prime=HalfInt(3), m=0.5, t=0.3, k=3)
         weights = enumerate_weights(SeriesKind.DISCRETE_POSITIVE, HalfInt(-3), 12)
         assert c_function(replace(args, m_prime=weights[-1])) == c_function(args, weights)[-1]
+        assert c_function(args, []) == ()
 
     def test_mixed_ladder_matches_mpmath(self):
         for k in (1, 2, 5):

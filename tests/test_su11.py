@@ -26,6 +26,21 @@ from entroineq import (
 )
 
 
+def count_calls(monkeypatch, *targets):
+    """Wrap each (module, name) so that calls are counted by name."""
+    calls = {}
+    for module, name in targets:
+        original = getattr(module, name)
+        calls[name] = 0
+
+        def counted(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 class TestDiscreteSeriesDistribution:
     def test_identity_element_is_exact_delta(self):
         d = discrete_series_distribution(2, HalfInt(2), 0.0)
@@ -213,18 +228,10 @@ class TestMixedSeriesReport:
         assert report.raw_mass == pytest.approx(1.6345297516853607, rel=1e-9)
 
     def test_one_element_call_per_ladder(self, monkeypatch):
-        calls = {"c_function": 0, "hyp2f1": 0}
-        for module, name in ((su11, "c_function"), (specfun, "hyp2f1")):
-            original = getattr(module, name)
-
-            def counted(*args, name=name, original=original):
-                calls[name] += 1
-                return original(*args)
-
-            monkeypatch.setattr(module, name, counted)
+        calls = count_calls(monkeypatch, (su11, "c_function"), (specfun, "hyp2f1"))
         seen = []
         for truncation in (8, 120):
-            calls.update(c_function=0, hyp2f1=0)
+            calls.update(dict.fromkeys(calls, 0))
             mixed_series_report(self.args(), truncation)
             seen.append(dict(calls))
         assert seen == [{"c_function": 1, "hyp2f1": 2}] * 2
@@ -279,18 +286,10 @@ class TestContinuousSeriesReport:
 
     def test_one_element_call_per_ladder(self, monkeypatch):
         # the hyp2f1 calls are the family seeds: two per branch, whatever the length
-        calls = {"l_function": 0, "hyp2f1": 0}
-        for module, name in ((su11, "l_function"), (specfun, "hyp2f1")):
-            original = getattr(module, name)
-
-            def counted(*args, name=name, original=original):
-                calls[name] += 1
-                return original(*args)
-
-            monkeypatch.setattr(module, name, counted)
+        calls = count_calls(monkeypatch, (su11, "l_function"), (specfun, "hyp2f1"))
         seen = []
         for truncation in (1, 16, 256):
-            calls.update(l_function=0, hyp2f1=0)
+            calls.update(dict.fromkeys(calls, 0))
             continuous_series_report(self.args(), truncation)
             seen.append(dict(calls))
         assert seen == [{"l_function": 1, "hyp2f1": 4}] * 3
