@@ -6,6 +6,7 @@ floating point until they are explicitly converted.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -37,6 +38,8 @@ class HalfInt:
             return HalfInt(int(doubled))
         if isinstance(value, float):
             doubled = 2.0 * value
+            if not math.isfinite(doubled):
+                raise DomainError(f"{value} is not a half-integer in the float range")
             nearest = round(doubled)
             if abs(doubled - nearest) > 1e-9:
                 raise DomainError(f"{value} is not a half-integer")

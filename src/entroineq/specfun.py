@@ -220,13 +220,16 @@ def hyp2f1(
     (0, 1); a terminating parameter is kept in the first slot, so the new
     series terminates too.
 
-    The summed series needs |z| <= 0.95 (the transformed argument when
-    Re z < 0) unless a or b is a nonpositive integer, in which case it
-    terminates and any z is accepted.  The sum stops once three
-    consecutive terms fall below `HYP2F1_TOL` relative to the partial sum,
-    and raises ConvergenceError after `HYP2F1_MAX_TERMS`.
+    NaN or infinite parameters raise DomainError.  The summed series needs
+    |z| <= 0.95 (the transformed argument when Re z < 0) unless a or b is
+    a nonpositive integer, in which case it terminates and any z is
+    accepted.  The sum stops once three consecutive terms fall below
+    `HYP2F1_TOL` relative to the partial sum, and raises ConvergenceError
+    after `HYP2F1_MAX_TERMS`.
     """
     a, b, c, z = complex(a), complex(b), complex(c), complex(z)
+    if not (cmath.isfinite(a) and cmath.isfinite(b) and cmath.isfinite(c) and cmath.isfinite(z)):
+        raise DomainError(f"2F1 parameters must be finite, got a={a}, b={b}, c={c}, z={z}")
     scale = None
     if z.real < 0.0:
         degree_a, degree_b = _nonpos_int(a), _nonpos_int(b)
@@ -278,12 +281,18 @@ def hyp2f1(
 # Wigner d-functions
 
 
-def _weight_triple(
-    j: HalfIntLike, m_prime: HalfIntLike, m: HalfIntLike
-) -> tuple[int, int, int]:
+def _doubled_spin(j: HalfIntLike) -> int:
+    """2j of a spin label; a negative j raises DomainError."""
     two_j = HalfInt.coerce(j).doubled
     if two_j < 0:
         raise DomainError("j must be nonnegative")
+    return two_j
+
+
+def _weight_triple(
+    j: HalfIntLike, m_prime: HalfIntLike, m: HalfIntLike
+) -> tuple[int, int, int]:
+    two_j = _doubled_spin(j)
     doubled = []
     for label, value in (("m'", m_prime), ("m", m)):
         w = HalfInt.coerce(value).doubled
@@ -392,36 +401,41 @@ def _wigner_dispatch(two_j: int, two_mp: int, two_m: int, theta: float) -> float
     raise _overflow_error(two_j, two_mp, two_m, theta)
 
 
+def _canonical_d(two_j: int, two_mp: np.ndarray, two_m: np.ndarray, theta: np.ndarray):
+    """d^j_{m'm} at canonical weights m' >= |m| in any order, at a 1-D finite `theta`.
+
+    Returns one row per entry and one column per angle.  The element is the
+    Jacobi-polynomial form of `_wigner_dispatch`, of degree j - m'; one
+    recurrence by falling degree steps every entry and angle at once, so a
+    call costs O(j) array operations.  An element that overflows raises,
+    naming the first angle where one does and the first such entry there.
+    """
+    order = np.argsort(two_mp, kind="stable")  # ascending m', so falling degree
+    mp, m = two_mp[order], two_m[order]
+    a = ((mp - m) // 2).astype(float)[:, None]
+    b = ((mp + m) // 2).astype(float)[:, None]
+    live = np.cumsum(np.bincount((two_j - mp) // 2)[::-1])[::-1]  # entries of degree >= k
+    value = np.empty((two_mp.size, theta.size))
+    with np.errstate(all="ignore"):
+        poly = _jacobi_by_degree(a, b, live, np.cos(theta))
+        norm = np.exp(_log_norms(two_j, mp, m))[:, None]
+        value[order] = norm * np.cos(theta / 2.0) ** b * np.sin(theta / 2.0) ** a * poly
+    finite = np.isfinite(value)
+    if not finite.all():
+        angle = int(np.argmin(finite.all(axis=0)))
+        bad = int(np.argmin(finite[:, angle]))
+        raise _overflow_error(two_j, int(two_mp[bad]), int(two_m[bad]), float(theta[angle]))
+    return value
+
+
 def _wigner_column(two_j: int, two_m: int, theta: np.ndarray) -> np.ndarray:
     """d^j_{m'm} at every angle of a 1-D finite `theta`, one row per m' = -j..j.
 
-    Row m' is the canonical-sector element of `_wigner_dispatch`, whose
-    Jacobi degree is j - max(|m'|, |m|).  One recurrence by falling degree
-    steps every row and angle at once, so a column costs O(j) array
-    operations.  An element that overflows raises, naming the first angle
-    where one does.
+    Each row is the signed canonical image of its element, all evaluated by
+    one `_canonical_d` call.
     """
     mp, m, flip = np.array([_canonical_image(w, two_m) for w in range(-two_j, two_j + 1, 2)]).T
-    a = ((mp - m) // 2).astype(float)[:, None]
-    b = ((mp + m) // 2).astype(float)[:, None]
-    # rows top..2j-top (|m'| <= |m|) have the top degree, then come pairs +-m'
-    top = (two_j - abs(two_m)) // 2
-    pair = np.arange(1, top + 1)
-    order = np.concatenate(
-        [np.arange(top, two_j - top + 1), np.stack([top - pair, two_j - top + pair], 1).ravel()]
-    )
-    live = two_j + 1 - 2 * np.arange(top + 1)  # live[k]: rows of degree >= k
-    poly = np.empty((two_j + 1, theta.size))
-    with np.errstate(all="ignore"):
-        poly[order] = _jacobi_by_degree(a[order], b[order], live, np.cos(theta))
-        norm = np.where(flip, -1.0, 1.0) * np.exp(_log_norms(two_j, mp, m))
-        column = norm[:, None] * np.cos(theta / 2.0) ** b * np.sin(theta / 2.0) ** a * poly
-    finite = np.isfinite(column)
-    if not finite.all():
-        angle = int(np.argmin(finite.all(axis=0)))
-        row = int(np.argmin(finite[:, angle]))
-        raise _overflow_error(two_j, 2 * row - two_j, two_m, float(theta[angle]))
-    return column
+    return np.where(flip, -1.0, 1.0)[:, None] * _canonical_d(two_j, mp, m, theta)
 
 
 def wigner_d(j: HalfIntLike, m_prime: HalfIntLike, m: HalfIntLike, theta: float) -> float:
@@ -445,32 +459,15 @@ def dmatrix(j: HalfIntLike, theta: float) -> np.ndarray:
     quarter of the entries, and the index symmetries of `wigner_d` fill
     the rest.  Errors are those of `wigner_d`.
     """
-    two_j = HalfInt.coerce(j).doubled
-    if two_j < 0:
-        raise DomainError("j must be nonnegative")
+    two_j = _doubled_spin(j)
     theta = _finite_angle(theta)
-    # canonical entries by ascending m', so by falling degree n = j - m'
     group_mp = np.arange(two_j % 2, two_j + 1, 2)
     two_mp = np.repeat(group_mp, group_mp + 1)
     two_m = np.concatenate([np.arange(-w, w + 1, 2) for w in group_mp])
-    a = ((two_mp - two_m) // 2).astype(float)
-    b = ((two_mp + two_m) // 2).astype(float)
-    live = np.cumsum(group_mp + 1)[::-1]  # live[k]: entries of degree >= k
-    with np.errstate(all="ignore"):
-        poly = _jacobi_by_degree(a, b, live, math.cos(theta))
-        value = (
-            np.exp(_log_norms(two_j, two_mp, two_m))
-            * math.cos(theta / 2.0) ** b
-            * math.sin(theta / 2.0) ** a
-            * poly
-        )
-        finite = np.isfinite(value)
-        if not finite.all():
-            bad = int(np.argmin(finite))
-            raise _overflow_error(two_j, int(two_mp[bad]), int(two_m[bad]), theta)
+    value = _canonical_d(two_j, two_mp, two_m, np.array([theta]))[:, 0]
     row = (two_j + two_mp) // 2
     col = (two_j + two_m) // 2
-    signed = np.where(a % 2 == 1.0, -value, value)  # (-1)^(m'-m)
+    signed = np.where((two_mp - two_m) // 2 % 2 == 1, -value, value)  # (-1)^(m'-m)
     out = np.empty((two_j + 1, two_j + 1))
     out[row, col] = value
     out[two_j - col, two_j - row] = value
@@ -487,9 +484,7 @@ def wigner_oracle(j: HalfIntLike, theta: float) -> np.ndarray:
     no recurrence or factorial with `dmatrix`.  Any spin is accepted; a
     non-finite theta raises DomainError.
     """
-    two_j = HalfInt.coerce(j).doubled
-    if two_j < 0:
-        raise DomainError("j must be nonnegative")
+    two_j = _doubled_spin(j)
     theta = _finite_angle(theta)
     two_m = np.arange(-two_j, two_j, 2)
     coupling = 0.25j * np.sqrt((two_j - two_m) * (two_j + two_m + 2))
@@ -529,6 +524,8 @@ class Su11Args:
         if t < 0.0:
             raise DomainError("rapidity t must be nonnegative")
         object.__setattr__(self, "t", t)
+        if isinstance(self.m, float) and not math.isfinite(self.m):
+            raise DomainError(f"the continuous label m must be finite, got m={self.m}")
         if self.sigma not in (0, 1):
             raise DomainError("sigma must be 0 or 1")
         if self.is_discrete:
@@ -536,8 +533,8 @@ class Su11Args:
                 raise DomainError("discrete series need an integer k >= 1")
             object.__setattr__(self, "k", int(self.k))
         else:
-            if self.s is None or not float(self.s) > 0.0:
-                raise DomainError("continuous series need s > 0")
+            if self.s is None or not 0.0 < float(self.s) < math.inf:
+                raise DomainError("continuous series need a finite s > 0")
             object.__setattr__(self, "s", float(self.s))
 
     @property
@@ -566,19 +563,22 @@ def _require_rapidity(t: float, cosh_limit: float) -> None:
         )
 
 
-def _positive_weights(args: Su11Args, name: str) -> tuple[int, int]:
-    """Doubled (m', m) of a discrete-series element on the positive series.
+def _positive_weights(
+    args: Su11Args, name: str, weights: Sequence[HalfIntLike]
+) -> tuple[int, list[int]]:
+    """Doubled m and m' of discrete-series elements, on the positive series.
 
-    Checks the family, the rapidity and the weight lattice; weights of the
-    negative series are mirrored, (m', m) -> (-m', -m).
+    Checks the family, the rapidity and the lattice of m once and of each
+    m' in `weights`; weights of the negative series are mirrored,
+    (m', m) -> (-m', -m).
     """
     if not args.is_discrete:
         raise DomainError(f"{name} is defined for the discrete series")
     _require_rapidity(args.t, DISCRETE_COSH_LIMIT)
     positive = args.series is SeriesKind.DISCRETE_POSITIVE
-    two_mp = _check_discrete_weight(args.k, args.m_prime, positive, "m'")
+    sign = 1 if positive else -1
     two_m = _check_discrete_weight(args.k, args.m, positive, "m")
-    return (two_mp, two_m) if positive else (-two_mp, -two_m)
+    return sign * two_m, [sign * _check_discrete_weight(args.k, w, positive, "m'") for w in weights]
 
 
 def _bargmann_positive(k: int, two_mp: int, two_m: int, t: float) -> complex:
@@ -597,27 +597,40 @@ def _bargmann_positive(k: int, two_mp: int, two_m: int, t: float) -> complex:
         - math.lgamma((two_m + k) // 2)
     )
     z = (1.0 - math.cosh(t)) / 2.0
-    # Pfaff-transformed series: terminates at degree m+j and avoids the
-    # catastrophic cancellation of the raw alternating series at large m'.
-    w = 0.0 if z == 0.0 else z / (z - 1.0)
-    series = hyp2f1((two_mp + k) // 2, -((two_m - k) // 2), mp_m + 1, w)
+    # z <= 0, where hyp2f1 sums the Pfaff-transformed series: it terminates
+    # at degree m+j and avoids the cancellation of the raw alternating
+    # series at large m'
+    series = hyp2f1((two_mp + k) // 2, (two_mp - k) // 2 + 1, mp_m + 1, z)
     prefactor = math.exp(log_norm - math.lgamma(mp_m + 1))
-    envelope = (1.0 - z) ** (-(mp_m + k) / 2.0) * complex(z) ** (mp_m / 2.0)
+    envelope = (1.0 - z) ** ((two_mp + two_m) / 4.0) * complex(z) ** (mp_m / 2.0)
     return sign * prefactor * envelope * series
 
 
-def bargmann_b(args: Su11Args) -> complex:
+def bargmann_b(args: Su11Args, weights: Optional[Sequence[HalfIntLike]] = None):
     """Discrete-series boost matrix element b^j_{m'm}(t).
 
     Hypergeometric route: b = N z^((m'-m)/2) (1-z)^((m'+m)/2)
     2F1(m'-j, m'+j+1; m'-m+1; z) / (m'-m)! with z = (1 - cosh t)/2.
+    Given `weights`, returns the elements at those m' as a tuple, with the
+    family, the rapidity and m checked once; without, the element at
+    `args.m_prime`, the one-weight case of the same route.
     """
-    two_mp, two_m = _positive_weights(args, "bargmann_b")
-    value = _bargmann_positive(args.k, two_mp, two_m, args.t)
-    # the negative series mirrors onto the positive one with (-1)^(m'-m)
-    if args.series is SeriesKind.DISCRETE_NEGATIVE and ((two_mp - two_m) // 2) % 2:
-        return -value
-    return value
+    if weights is None:
+        return bargmann_b(args, (args.m_prime,))[0]
+    two_m, two_mps = _positive_weights(args, "bargmann_b", weights)
+    negative = args.series is SeriesKind.DISCRETE_NEGATIVE
+    values = []
+    for weight, two_mp in zip(weights, two_mps):
+        try:
+            value = _bargmann_positive(args.k, two_mp, two_m, args.t)
+        except OverflowError:
+            raise EntroineqError(
+                f"the boost element overflows the float range at k={args.k}, "
+                f"m'={HalfInt.coerce(weight)}, m={HalfInt.coerce(args.m)}, t={args.t!r}"
+            ) from None
+        # the negative series mirrors onto the positive one with (-1)^(m'-m)
+        values.append(-value if negative and ((two_mp - two_m) // 2) % 2 else value)
+    return tuple(values)
 
 
 def bargmann_b_continued(args: Su11Args) -> float:
@@ -628,7 +641,7 @@ def bargmann_b_continued(args: Su11Args) -> float:
     algebraically independent route from `bargmann_b`.
     """
     k = args.k
-    two_mp, two_m = _positive_weights(args, "bargmann_b_continued")
+    two_m, (two_mp,) = _positive_weights(args, "bargmann_b_continued", (args.m_prime,))
     if two_mp < two_m:
         two_mp, two_m = two_m, two_mp  # modulus is swap-invariant
     degree = (two_m - k) // 2

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
@@ -68,52 +69,47 @@ def discrete_series_distribution(
     non-increasing, and at least 1 - eps of the mass is captured.
     `TAIL_RUN` exact zeros after some mass with less than 1 - eps of it
     captured raise NormalizationError, since no later term can add to it.
-    Pass `truncation` to force a fixed number of terms instead.
+    Pass `truncation` to force a fixed number of terms instead.  The
+    adaptive ladder is evaluated in blocks of `TAIL_RUN` weights, one
+    `bargmann_b` call each; a fixed truncation is one call.
     """
     k = int(k)
     if k < 1:
         raise DomainError("k must be a positive integer")
     if not 0.0 < eps <= 1e-6:
         raise DomainError("eps must lie in (0, 1e-6]")
-    m = HalfInt.coerce(m)
+    if truncation is not None and truncation < 1:
+        raise DomainError("truncation must be at least 1")
+    args = Su11Args(
+        series=SeriesKind.DISCRETE_POSITIVE, m_prime=HalfInt(k), m=HalfInt.coerce(m), t=t, k=k
+    )
+
+    def block(start: int, count: int) -> list[float]:
+        weights = [HalfInt(k + 2 * i) for i in range(start, start + count)]
+        return [abs(value) ** 2 for value in bargmann_b(args, weights)]
+
+    if truncation is not None:
+        return TruncatedDistribution(tuple(block(0, truncation)))
     values: list[float] = []
     streak = 0
     previous = math.inf
-
-    def term(index: int) -> float:
-        args = Su11Args(
-            series=SeriesKind.DISCRETE_POSITIVE,
-            m_prime=HalfInt(k + 2 * index),
-            m=m,
-            t=float(t),
-            k=k,
-        )
-        return abs(bargmann_b(args)) ** 2
-
-    if truncation is not None:
-        if truncation < 1:
-            raise DomainError("truncation must be at least 1")
-        values = [term(i) for i in range(truncation)]
+    terms = (value for start in itertools.count(0, TAIL_RUN) for value in block(start, TAIL_RUN))
+    for value in itertools.islice(terms, MAX_TERMS):
+        values.append(value)
+        streak = streak + 1 if value <= previous else 1
+        previous = value
+        if value < TERM_FLOOR and streak >= TAIL_RUN:
+            mass = math.fsum(values)
+            if mass >= 1.0 - eps:
+                break
+            # past the bulk, exact zeros can no longer change the mass
+            if mass > 0.0 and not any(values[-TAIL_RUN:]):
+                raise NormalizationError(
+                    f"captured mass {mass!r} stays below 1 - eps: "
+                    f"the last {TAIL_RUN} terms are exactly 0"
+                )
     else:
-        for i in range(MAX_TERMS):
-            value = term(i)
-            values.append(value)
-            streak = streak + 1 if value <= previous else 1
-            previous = value
-            if value < TERM_FLOOR and streak >= TAIL_RUN:
-                mass = math.fsum(values)
-                if mass >= 1.0 - eps:
-                    break
-                # past the bulk, exact zeros can no longer change the mass
-                if mass > 0.0 and not any(values[-TAIL_RUN:]):
-                    raise NormalizationError(
-                        f"captured mass {mass!r} stays below 1 - eps: "
-                        f"the last {TAIL_RUN} terms are exactly 0"
-                    )
-        else:
-            raise ConvergenceError(
-                f"distribution did not stabilize within {MAX_TERMS} terms"
-            )
+        raise ConvergenceError(f"distribution did not stabilize within {MAX_TERMS} terms")
     return TruncatedDistribution(tuple(values))
 
 

@@ -69,6 +69,27 @@ class TestBargmannB:
             bargmann_b(discrete_args(2, 1, 2, 0.5))  # off-lattice m'
         with pytest.raises(DomainError):
             bargmann_b(discrete_args(2, 0, 2, 0.5))  # below the edge weight
+        with pytest.raises(DomainError, match="m' must sit on the k = 2 weight lattice"):
+            bargmann_b(discrete_args(2, 2, 2, 0.5), [HalfInt(2), HalfInt(5), HalfInt(6)])
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_ladder_is_the_per_weight_calls(self, sign):
+        series = SeriesKind.DISCRETE_POSITIVE if sign > 0 else SeriesKind.DISCRETE_NEGATIVE
+        for k, two_m in ((1, 7), (2, 2), (3, 11)):
+            args = discrete_args(k, sign * k, sign * two_m, 0.9, series=series)
+            weights = [HalfInt(sign * (k + 2 * i)) for i in range(40)]
+            singles = tuple(bargmann_b(replace(args, m_prime=w)) for w in weights)
+            assert bargmann_b(args, weights) == singles
+            assert bargmann_b(args, weights[7:8]) == singles[7:8]
+
+    def test_empty_ladder(self):
+        assert bargmann_b(discrete_args(2, 2, 2, 0.5), []) == ()
+
+    def test_overflow_is_an_entroineq_error(self):
+        # exp of the normalization left the float range as a bare
+        # OverflowError, although the element itself is tiny
+        with pytest.raises(EntroineqError, match=r"k=2, m'=90, m=100000, t=0\.1$"):
+            bargmann_b(discrete_args(2, 180, 200000, 0.1))
 
 
 class TestRouteEquivalence:
@@ -426,6 +447,19 @@ class TestSu11Args:
                 s=0.5,
                 sigma=2,
             )
+
+    @pytest.mark.parametrize(
+        "series, fields",
+        [
+            (SeriesKind.CONTINUOUS_INTEGER, {"m": math.nan, "s": 0.5}),
+            (SeriesKind.CONTINUOUS_INTEGER, {"m": math.inf, "s": 0.5}),
+            (SeriesKind.CONTINUOUS_INTEGER, {"m": 0.5, "s": math.inf}),
+            (SeriesKind.DISCRETE_POSITIVE, {"m": -math.inf, "k": 2}),
+        ],
+    )
+    def test_non_finite_labels_rejected(self, series, fields):
+        with pytest.raises(DomainError, match="finite"):
+            Su11Args(series=series, m_prime=HalfInt(2), t=0.1, **fields)
 
     def test_negative_rapidity_rejected(self):
         with pytest.raises(DomainError):

@@ -10,7 +10,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from entroineq import HalfInt, cli, su11, wigner_oracle
+from entroineq import HalfInt, cli, specfun, su11, wigner_oracle
 from entroineq.cli import main
 
 
@@ -83,6 +83,11 @@ class TestSu2Check:
         # used to raise an uncaught ValueError
         assert main(["su2-check", "--j", "1", "--m", "1", "--grid", "inf:inf:1"]) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_infinite_spin_is_domain_error(self, capsys):
+        # used to exit 1 with an OverflowError traceback
+        assert main(["su2-check", "--j", "1e400", "--m", "0", "--grid", "0:1:2"]) == 2
+        assert "float range" in capsys.readouterr().err
 
     def test_empty_grid_is_usage_error(self, capsys):
         assert main(["su2-check", "--j", "1", "--m", "1", "--grid", "0:1:0"]) == 2
@@ -259,6 +264,23 @@ class TestSu11Check:
             assert main(argv) == 2
             assert "rapidity must be finite" in capsys.readouterr().err
         assert not evaluated  # rejected before any element is evaluated
+
+    def test_overflowing_element_is_domain_error(self, capsys):
+        # used to exit 1 with a traceback from exp of the normalization
+        assert main(["su11-check", "--k", "2", "--m", "1e5", "--grid", "0.1:0.1:1"]) == 2
+        err = capsys.readouterr().err
+        assert "float range" in err and "m=100000, t=0.1" in err
+
+    @pytest.mark.parametrize("fields", [["--s", "0.5", "--m", "nan"], ["--s", "inf", "--m", "0.5"]])
+    def test_non_finite_continuous_parameters(self, fields, capsys, monkeypatch):
+        # a NaN label used to run 1e6 hypergeometric terms per seed first
+        evaluated = []
+        original = specfun.hyp2f1
+        monkeypatch.setattr(specfun, "hyp2f1", lambda *a: evaluated.append(a) or original(*a))
+        argv = ["su11-check", "--series", "continuous", *fields, "--grid", "0.1:0.1:1"]
+        assert main(argv + ["--truncation", "4"]) == 2
+        assert "finite" in capsys.readouterr().err
+        assert not evaluated
 
     def test_zero_tail_exits_promptly(self, capsys):
         # used to run past 20 s towards the 1e5-term budget

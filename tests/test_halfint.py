@@ -1,5 +1,6 @@
 """Half-integer parsing and arithmetic."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -27,6 +28,13 @@ def test_coerce_rejects_non_half_integers():
         HalfInt.coerce("abc")
     with pytest.raises(TypeError):
         HalfInt.coerce(None)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 1e308, "1e400"])
+def test_coerce_rejects_non_finite_values(value):
+    # used to raise a bare ValueError (NaN) or OverflowError (infinities)
+    with pytest.raises(DomainError, match="float range"):
+        HalfInt.coerce(value)
 
 
 def test_arithmetic_and_order():

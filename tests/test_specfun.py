@@ -272,6 +272,15 @@ class TestHyp2f1:
         with pytest.raises(EntroineqError, match="overflows the float range"):
             hyp2f1(-400.0, 1.0, 1.0, -1e3)
 
+    @pytest.mark.parametrize("slot", range(4))
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_parameter_rejected_at_entry(self, slot, bad):
+        # a NaN used to run all 1e6 terms before a ConvergenceError
+        params = [0.5, 0.5, 1.5, 0.3]
+        params[slot] = bad
+        with pytest.raises(DomainError, match="must be finite"):
+            hyp2f1(*params)
+
     def test_nonconvergence_budget(self, monkeypatch):
         monkeypatch.setattr(specfun, "HYP2F1_MAX_TERMS", 5)
         with pytest.raises(ConvergenceError, match="after 5 terms"):
@@ -417,7 +426,7 @@ class TestDmatrix:
     def test_overflow_raises_without_warnings(self, monkeypatch):
         # a real overflow needs 2j >= 1440; plant one in the recurrence output
         def overflowing(a, b, live, x):
-            out = np.ones(a.size)
+            out = np.ones((a.size, 1))
             out[3] = np.inf
             out[4] = np.nan
             return out

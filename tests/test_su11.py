@@ -103,6 +103,22 @@ class TestDiscreteSeriesDistribution:
             discrete_series_distribution(2, HalfInt(2), 0.5, eps=1e-3)
         with pytest.raises(DomainError):
             discrete_series_distribution(2, HalfInt(2), 1.9)
+        with pytest.raises(DomainError, match="float range"):
+            discrete_series_distribution(2, math.inf, 0.5)
+
+    def test_one_element_call_per_block_of_terms(self, monkeypatch):
+        # one Su11Args per ladder; a fixed truncation is one bargmann_b call
+        # and the adaptive ladder one per TAIL_RUN terms
+        built = []
+        monkeypatch.setattr(su11, "Su11Args", lambda **fields: built.append(1) or Su11Args(**fields))
+        calls = count_calls(monkeypatch, (su11, "bargmann_b"))
+        discrete_series_distribution(2, HalfInt(2), 0.5, truncation=57)
+        assert (len(built), calls["bargmann_b"]) == (1, 1)
+        built.clear()
+        calls["bargmann_b"] = 0
+        d = discrete_series_distribution(3, HalfInt(7), 0.8)
+        assert (len(built), calls["bargmann_b"]) == (1, math.ceil(d.truncation / su11.TAIL_RUN))
+        assert calls["bargmann_b"] > 1
 
     @pytest.mark.parametrize("t", [float("nan"), float("inf"), -float("inf")])
     def test_rejects_non_finite_rapidity(self, t):
