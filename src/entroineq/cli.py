@@ -7,9 +7,10 @@ Exit codes: 0 all checks pass, 1 an asserted inequality was violated,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
-from typing import Any, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -30,12 +31,18 @@ _LATTICES = {
 }
 
 
-def _fmt(value: Any) -> str:
-    if isinstance(value, float):
-        if value == 0.0:
-            value = 0.0  # fold -0.0
-        return format(value, ".17g")
-    return str(value)
+def _csv_line(row: tuple, formats: dict) -> str:
+    """One CSV line: floats as %.17g with -0.0 folded to 0.0, the rest as str.
+
+    `formats` caches one %-format string per row layout (the field types).
+    """
+    layout = tuple(map(type, row))
+    fmt = formats.get(layout)
+    if fmt is None:
+        fmt = formats[layout] = ",".join("%.17g" if issubclass(t, float) else "%s" for t in layout)
+    if 0.0 in row:
+        row = tuple(v + 0.0 if isinstance(v, float) else v for v in row)  # -0.0 + 0.0 is 0.0
+    return fmt % row
 
 
 def _parse_grid(text: str) -> list[float]:
@@ -65,8 +72,9 @@ def _parse_complex(text: str) -> complex:
 
 def _emit(ns: argparse.Namespace, header: Sequence[str], rows: list[tuple], config: dict) -> None:
     if ns.format == "csv":
+        formats: dict = {}
         lines = [",".join(header)]
-        lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+        lines.extend(_csv_line(row, formats) for row in rows)
         text = "\n".join(lines) + "\n"
     else:
         payload = {
@@ -270,10 +278,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; parsing does not change it."""
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:

@@ -202,16 +202,40 @@ def rgamma(z: Union[complex, float]) -> complex:
         raise EntroineqError(f"1/Gamma(z) overflows the float range at z = {z}") from None
 
 
+#: math.lgamma(n) for n = 1 .. 1024, looked up by `_lgamma_at`.
+_LGAMMA_TABLE = np.array([math.lgamma(n) for n in range(1, 1025)])
+
+
+def _lgamma_at(n: np.ndarray) -> np.ndarray:
+    """math.lgamma at an array of positive integers (ints or integral floats)."""
+    if n.size and n.max() <= _LGAMMA_TABLE.size:
+        return _LGAMMA_TABLE[n.astype(int) - 1]
+    return np.array([math.lgamma(v) for v in n.ravel().tolist()]).reshape(n.shape)
+
+
 # ----------------------------------------------------------------------
 # Gauss hypergeometric series
 
 
+def _pfaff_scale(a: complex, z: complex) -> complex:
+    """(1-z)^(-a) of the Pfaff transformation; overflow raises EntroineqError."""
+    try:
+        return (1.0 - z) ** (-a)
+    except OverflowError:
+        raise EntroineqError(f"(1-z)^(-a) overflows the float range at a = {a}, z = {z}") from None
+
+
+def _nonpos_degrees(x: np.ndarray) -> np.ndarray:
+    """-x where x is a nonpositive integer, inf elsewhere (`_nonpos_int` over an array)."""
+    return np.where((x <= 0.0) & (x == np.floor(x)), -x, np.inf)
+
+
 def hyp2f1(
-    a: Union[complex, float],
-    b: Union[complex, float],
-    c: Union[complex, float],
+    a: Union[complex, float, np.ndarray],
+    b: Union[complex, float, np.ndarray],
+    c: Union[complex, float, np.ndarray],
     z: Union[complex, float],
-) -> complex:
+) -> Union[complex, np.ndarray]:
     """2F1(a, b; c; z) by direct power series.
 
     For Re z < 0 the Pfaff transformation (DLMF 15.8.1)
@@ -226,7 +250,13 @@ def hyp2f1(
     accepted.  The sum stops once three consecutive terms fall below
     `HYP2F1_TOL` relative to the partial sum, and raises ConvergenceError
     after `HYP2F1_MAX_TERMS`.
+
+    Real arrays a, b, c with a real z give a complex array of their
+    broadcast shape, each element bit for bit the scalar call (see
+    `_hyp2f1_array`).
     """
+    if np.ndim(a) or np.ndim(b) or np.ndim(c):
+        return _hyp2f1_array(a, b, c, z)
     a, b, c, z = complex(a), complex(b), complex(c), complex(z)
     if not (cmath.isfinite(a) and cmath.isfinite(b) and cmath.isfinite(c) and cmath.isfinite(z)):
         raise DomainError(f"2F1 parameters must be finite, got a={a}, b={b}, c={c}, z={z}")
@@ -235,12 +265,7 @@ def hyp2f1(
         degree_a, degree_b = _nonpos_int(a), _nonpos_int(b)
         if degree_b is not None and (degree_a is None or degree_b < degree_a):
             a, b = b, a
-        try:
-            scale = (1.0 - z) ** (-a)
-        except OverflowError:
-            raise EntroineqError(
-                f"(1-z)^(-a) overflows the float range at a = {a}, z = {z}"
-            ) from None
+        scale = _pfaff_scale(a, z)
         b, z = c - b, z / (z - 1.0)
     degrees = [d for d in (_nonpos_int(a), _nonpos_int(b)) if d is not None]
     n_term = min(degrees) if degrees else None
@@ -275,6 +300,76 @@ def hyp2f1(
             if k >= max_terms:
                 raise ConvergenceError(f"no convergence after {max_terms} terms")
     return total if scale is None else scale * total
+
+
+def _hyp2f1_array(a, b, c, z) -> np.ndarray:
+    """`hyp2f1` over real parameter arrays a, b, c at one real z.
+
+    The transformation, termination degrees, stop rule and checks are the
+    scalar path's, element by element.  With real parameters the scalar
+    path's complex values keep zero imaginary parts, and the real parts of
+    Python's complex products and quotients then round exactly as float64
+    ones, so the term recurrence runs on float64 arrays in the scalar
+    operation order and each element is bit for bit the scalar call
+    (numpy complex arrays are not: their division multiplies by a
+    reciprocal).  The Pfaff factor and its product with the sum stay
+    Python complex scalars.
+    """
+    arrays = [np.asarray(x) for x in (a, b, c)]
+    if isinstance(z, complex) or any(x.dtype.kind == "c" for x in arrays):
+        raise DomainError("2F1 over parameter arrays needs real a, b, c and z")
+    arrays = np.broadcast_arrays(*arrays)
+    shape, z = arrays[0].shape, float(z)
+    params = np.array(arrays, dtype=float).reshape(3, -1)
+    if np.count_nonzero(np.isfinite(params)) < params.size or not math.isfinite(z):
+        raise DomainError(f"2F1 parameters must be finite, got z={z} and arrays a, b, c")
+    a, b, c = params
+    degree_a, degree_b, degree_c = _nonpos_degrees(params)
+    scale = None
+    if z < 0.0:
+        swap = degree_b < degree_a
+        a, b = np.where(swap, b, a), np.where(swap, a, b)
+        degree_a = np.minimum(degree_a, degree_b)
+        base = 1.0 - complex(z)
+        try:
+            scale = [base ** -x for x in a.tolist()]
+        except OverflowError:  # the scalar factor raises, naming the first such a
+            scale = [_pfaff_scale(complex(x), complex(z)) for x in a.tolist()]
+        b, z = c - b, z / (z - 1.0)
+        degree_b = _nonpos_degrees(b)
+    n_term = np.minimum(degree_a, degree_b)
+    converging = n_term == np.inf
+    some_converging = np.count_nonzero(converging)
+    if abs(z) > HYP2F1_RADIUS and some_converging:
+        raise DomainError(
+            f"|z| = {abs(z):.4f} outside the series domain and no terminating parameter"
+        )
+    pole = degree_c < n_term
+    if np.count_nonzero(pole):
+        raise PoleError(f"c = {c[pole][0]} hits a pole before the series terminates")
+
+    # an entry is summed while `running`: up to its degree, or until three
+    # small terms (a tolerance of 0 never counts one).  Stopped entries keep
+    # stepping, and may overflow, but their totals no longer change.
+    tol = np.where(converging, HYP2F1_TOL, 0.0) if some_converging else None
+    running = n_term > 0
+    term = total = np.ones(a.size)
+    small_streak = 0
+    k = 0
+    with np.errstate(all="ignore"):
+        while np.count_nonzero(running):
+            if k >= HYP2F1_MAX_TERMS and np.count_nonzero(running & converging):
+                raise ConvergenceError(f"no convergence after {HYP2F1_MAX_TERMS} terms")
+            term = term * ((a + k) * (b + k)) * z / ((c + k) * (k + 1))
+            total = np.where(running, total + term, total)
+            k += 1
+            running &= n_term > k
+            if tol is not None:
+                small_streak = np.where(np.abs(term) < tol * np.abs(total), small_streak + 1, 0)
+                running &= small_streak < 3
+    if scale is None:
+        return total.astype(complex).reshape(shape)
+    return np.array([s * value for s, value in zip(scale, total.tolist())], dtype=complex).reshape(shape)
 
 
 # ----------------------------------------------------------------------
@@ -324,8 +419,8 @@ def _finite_angles(theta) -> np.ndarray:
 def _log_factorial_ratio(two_j, two_mp, two_m, lgamma=math.lgamma):
     """log[(j+m')!(j-m')! / ((j+m)!(j-m)!)] from doubled weights.
 
-    `lgamma` is only called at positive integers; `_log_norms` passes a
-    table lookup so that the same expression runs over weight arrays.
+    `lgamma` is only called at positive integers; `_canonical_d` passes
+    `_lgamma_at` so that the same expression runs over weight arrays.
     """
     return (
         lgamma((two_j + two_mp) // 2 + 1)
@@ -333,12 +428,6 @@ def _log_factorial_ratio(two_j, two_mp, two_m, lgamma=math.lgamma):
         - lgamma((two_j + two_m) // 2 + 1)
         - lgamma((two_j - two_m) // 2 + 1)
     )
-
-
-def _log_norms(two_j: int, two_mp: np.ndarray, two_m: np.ndarray) -> np.ndarray:
-    """Half the log factorial ratio over arrays of canonical weights."""
-    log_gamma_table = np.array([math.lgamma(n) for n in range(1, two_j + 2)])
-    return 0.5 * _log_factorial_ratio(two_j, two_mp, two_m, lambda n: log_gamma_table[n - 1])
 
 
 def _overflow_error(two_j: int, two_mp: int, two_m: int, theta: float) -> EntroineqError:
@@ -418,7 +507,7 @@ def _canonical_d(two_j: int, two_mp: np.ndarray, two_m: np.ndarray, theta: np.nd
     value = np.empty((two_mp.size, theta.size))
     with np.errstate(all="ignore"):
         poly = _jacobi_by_degree(a, b, live, np.cos(theta))
-        norm = np.exp(_log_norms(two_j, mp, m))[:, None]
+        norm = np.exp(0.5 * _log_factorial_ratio(two_j, mp, m, _lgamma_at))[:, None]
         value[order] = norm * np.cos(theta / 2.0) ** b * np.sin(theta / 2.0) ** a * poly
     finite = np.isfinite(value)
     if not finite.all():
@@ -578,32 +667,11 @@ def _positive_weights(
     positive = args.series is SeriesKind.DISCRETE_POSITIVE
     sign = 1 if positive else -1
     two_m = _check_discrete_weight(args.k, args.m, positive, "m")
-    return sign * two_m, [sign * _check_discrete_weight(args.k, w, positive, "m'") for w in weights]
-
-
-def _bargmann_positive(k: int, two_mp: int, two_m: int, t: float) -> complex:
-    """Canonical positive-series element; caller ensures lattice bounds."""
-    sign = 1.0
-    if two_mp < two_m:
-        # index swap picks up (-1)^(m'-m)
-        if ((two_mp - two_m) // 2) % 2:
-            sign = -1.0
-        two_mp, two_m = two_m, two_mp
-    mp_m = (two_mp - two_m) // 2
-    log_norm = 0.5 * (
-        math.lgamma((two_mp - k) // 2 + 1)
-        + math.lgamma((two_mp + k) // 2)
-        - math.lgamma((two_m - k) // 2 + 1)
-        - math.lgamma((two_m + k) // 2)
-    )
-    z = (1.0 - math.cosh(t)) / 2.0
-    # z <= 0, where hyp2f1 sums the Pfaff-transformed series: it terminates
-    # at degree m+j and avoids the cancellation of the raw alternating
-    # series at large m'
-    series = hyp2f1((two_mp + k) // 2, (two_mp - k) // 2 + 1, mp_m + 1, z)
-    prefactor = math.exp(log_norm - math.lgamma(mp_m + 1))
-    envelope = (1.0 - z) ** ((two_mp + two_m) / 4.0) * complex(z) ** (mp_m / 2.0)
-    return sign * prefactor * envelope * series
+    two_mps = [sign * HalfInt.coerce(w).doubled for w in weights]
+    for weight, two_mp in zip(weights, two_mps):
+        if (two_mp - args.k) % 2 or two_mp < args.k:
+            _check_discrete_weight(args.k, weight, positive, "m'")  # raises
+    return sign * two_m, two_mps
 
 
 def bargmann_b(args: Su11Args, weights: Optional[Sequence[HalfIntLike]] = None):
@@ -614,22 +682,53 @@ def bargmann_b(args: Su11Args, weights: Optional[Sequence[HalfIntLike]] = None):
     Given `weights`, returns the elements at those m' as a tuple, with the
     family, the rapidity and m checked once; without, the element at
     `args.m_prime`, the one-weight case of the same route.
+
+    A ladder is one array evaluation: the canonical swap to m' >= m, the
+    log-factorial norms from `_lgamma_at`, and one `hyp2f1` call.  For
+    z < 0 `hyp2f1` sums the Pfaff-transformed series, which terminates at
+    degree m+j and avoids the cancellation of the raw alternating series
+    at large m'.  `math.exp`, the powers of z and 1-z and the final product
+    stay Python scalars per weight, so each element is bit for bit its
+    one-weight evaluation.
     """
     if weights is None:
         return bargmann_b(args, (args.m_prime,))[0]
     two_m, two_mps = _positive_weights(args, "bargmann_b", weights)
-    negative = args.series is SeriesKind.DISCRETE_NEGATIVE
-    values = []
-    for weight, two_mp in zip(weights, two_mps):
-        try:
-            value = _bargmann_positive(args.k, two_mp, two_m, args.t)
-        except OverflowError:
-            raise EntroineqError(
-                f"the boost element overflows the float range at k={args.k}, "
-                f"m'={HalfInt.coerce(weight)}, m={HalfInt.coerce(args.m)}, t={args.t!r}"
-            ) from None
-        # the negative series mirrors onto the positive one with (-1)^(m'-m)
-        values.append(-value if negative and ((two_mp - two_m) // 2) % 2 else value)
+    if not two_mps:
+        return ()
+    k = args.k
+    at = 0  # the weight an overflow is reported at
+    try:
+        # numpy keeps ints beyond int64 as Python ints, so every weight is exact
+        doubled = np.array([two_m, *two_mps])
+        m, mp = doubled[0], doubled[1:]
+        # the canonical pair (hi, lo) = (m', m) with m' >= m, doubled; the
+        # swap picks up (-1)^(m'-m), as does the mirror of the negative series
+        hi, lo = np.maximum(mp, m), np.minimum(mp, m)
+        odd = (mp - m) % 4 == 2
+        sign = np.where(odd & (mp < m), -1.0, 1.0)
+        flip = odd & (args.series is SeriesKind.DISCRETE_NEGATIVE)
+        # 2F1(m'-j, m'+j+1; m'-m+1; z), j = -k/2, and the same first two at m
+        a, lower_a = (hi + k) // 2, (lo + k) // 2
+        b, lower_b, c = a - k + 1, lower_a - k + 1, (hi - lo) // 2 + 1
+        lgamma = _lgamma_at(np.array([b, a, lower_b, lower_a, c]))
+        log_prefactor = 0.5 * (lgamma[0] + lgamma[1] - lgamma[2] - lgamma[3]) - lgamma[4]
+        z = (1.0 - math.cosh(args.t)) / 2.0
+        series = hyp2f1(a, b, c, z)
+        one_minus_z, z = 1.0 - z, complex(z)
+        values = []
+        for at, row in enumerate(zip(
+            sign.tolist(), log_prefactor.tolist(), ((hi + lo) / 4.0).tolist(),
+            ((c - 1) / 2.0).tolist(), series.tolist(), flip.tolist(),
+        )):
+            sign_at, log_p, power, z_power, value, flip_at = row
+            value = sign_at * math.exp(log_p) * (one_minus_z**power * z**z_power) * value
+            values.append(-value if flip_at else value)
+    except OverflowError:
+        raise EntroineqError(
+            f"the boost element overflows the float range at k={k}, "
+            f"m'={HalfInt.coerce(weights[at])}, m={HalfInt.coerce(args.m)}, t={args.t!r}"
+        ) from None
     return tuple(values)
 
 
@@ -819,8 +918,8 @@ def l_function(args: Su11Args, weights: Optional[Sequence[HalfIntLike]] = None):
     for w in weights:
         mp = float(w)
         log_upper = log_gamma(mp - j)
-        log_lower = log_gamma(mp + j + 1.0)
-        log_norm = 0.5 * (log_upper - log_lower)
+        # m' + j + 1 is the conjugate of m' - j, since j = -1/2 + is
+        log_norm = 0.5 * (log_upper - log_upper.conjugate())
         plus = _branch(
             log_norm - log_gamma(-mp - j), mp, im, z_plus, family_plus[int(top - mp)], w
         )

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
@@ -69,9 +68,11 @@ def discrete_series_distribution(
     non-increasing, and at least 1 - eps of the mass is captured.
     `TAIL_RUN` exact zeros after some mass with less than 1 - eps of it
     captured raise NormalizationError, since no later term can add to it.
-    Pass `truncation` to force a fixed number of terms instead.  The
-    adaptive ladder is evaluated in blocks of `TAIL_RUN` weights, one
-    `bargmann_b` call each; a fixed truncation is one call.
+    Pass `truncation` to force a fixed number of terms instead.  A fixed
+    truncation is one `bargmann_b` call; the adaptive ladder is read in
+    blocks, one call each, each block twice the size of the one before.
+    The first block holds `_first_block` weights, which usually reach the
+    stop.
     """
     k = int(k)
     if k < 1:
@@ -93,8 +94,14 @@ def discrete_series_distribution(
     values: list[float] = []
     streak = 0
     previous = math.inf
-    terms = (value for start in itertools.count(0, TAIL_RUN) for value in block(start, TAIL_RUN))
-    for value in itertools.islice(terms, MAX_TERMS):
+
+    def terms():
+        start, count = 0, _first_block(k, args.m.doubled, args.t)
+        while start < MAX_TERMS:
+            yield from block(start, min(count, MAX_TERMS - start))
+            start, count = start + count, 2 * count
+
+    for value in terms():
         values.append(value)
         streak = streak + 1 if value <= previous else 1
         previous = value
@@ -111,6 +118,19 @@ def discrete_series_distribution(
     else:
         raise ConvergenceError(f"distribution did not stabilize within {MAX_TERMS} terms")
     return TruncatedDistribution(tuple(values))
+
+
+def _first_block(k: int, two_m: int, t: float) -> int:
+    """Length of the first block of an adaptive ladder.
+
+    Past the bulk near m' = m the squared elements fall like
+    tanh(t/2)^(2m') (times a polynomial in m'), so they pass `TERM_FLOOR`
+    about log(TERM_FLOOR) / log(tanh^2(t/2)) weights later; the block holds
+    twice that reach, at least `TAIL_RUN` + 1 and at most 1024 weights.
+    """
+    ratio = math.tanh(t / 2.0) ** 2
+    tail = math.log(TERM_FLOOR) / math.log(ratio) if 0.0 < ratio < 1.0 else 0.0
+    return min(max(TAIL_RUN + 1, math.ceil(2.0 * ((two_m - k) // 2 + tail))), 1024)
 
 
 def su11_subadditivity(d: TruncatedDistribution) -> SubadditivityReport:

@@ -2,6 +2,7 @@
 
 import functools
 import math
+import struct
 from dataclasses import replace
 
 import mpmath
@@ -29,6 +30,32 @@ def discrete_args(k, two_mp, two_m, t, series=SeriesKind.DISCRETE_POSITIVE):
     return Su11Args(
         series=series, m_prime=HalfInt(two_mp), m=HalfInt(two_m), t=t, k=k
     )
+
+
+def per_weight_reference(k, two_mp, two_m, t):
+    """One positive-series element in scalar arithmetic, as evaluated one
+    weight at a time before ladders became one array sum."""
+    sign = 1.0
+    if two_mp < two_m:
+        if ((two_mp - two_m) // 2) % 2:
+            sign = -1.0
+        two_mp, two_m = two_m, two_mp
+    mp_m = (two_mp - two_m) // 2
+    log_norm = 0.5 * (
+        math.lgamma((two_mp - k) // 2 + 1)
+        + math.lgamma((two_mp + k) // 2)
+        - math.lgamma((two_m - k) // 2 + 1)
+        - math.lgamma((two_m + k) // 2)
+    )
+    z = (1.0 - math.cosh(t)) / 2.0
+    series = specfun.hyp2f1((two_mp + k) // 2, (two_mp - k) // 2 + 1, mp_m + 1, z)
+    prefactor = math.exp(log_norm - math.lgamma(mp_m + 1))
+    envelope = (1.0 - z) ** ((two_mp + two_m) / 4.0) * complex(z) ** (mp_m / 2.0)
+    return sign * prefactor * envelope * series
+
+
+def bits(value):
+    return struct.pack("<2d", value.real, value.imag)
 
 
 class TestBargmannB:
@@ -82,8 +109,38 @@ class TestBargmannB:
             assert bargmann_b(args, weights) == singles
             assert bargmann_b(args, weights[7:8]) == singles[7:8]
 
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_ladder_is_the_scalar_arithmetic(self, k):
+        # 400 weights at m = k/2 + n (1/2, 7/2, 31/2, 61/2 for k = 1),
+        # both series, bit for bit including the signs of zeros
+        weights = range(k, k + 800, 2)
+        for n in (0, 3, 15, 30):
+            two_m = k + 2 * n
+            for t in (0.0, 0.5, 1.5, 1.7):
+                reference = [per_weight_reference(k, w, two_m, t) for w in weights]
+                ladder = bargmann_b(discrete_args(k, k, two_m, t), [HalfInt(w) for w in weights])
+                assert [bits(v) for v in ladder] == [bits(v) for v in reference]
+                mirror = bargmann_b(
+                    discrete_args(k, -k, -two_m, t, series=SeriesKind.DISCRETE_NEGATIVE),
+                    [HalfInt(-w) for w in weights],
+                )
+                odd = [((w - two_m) // 2) % 2 for w in weights]
+                assert [bits(v) for v in mirror] == [
+                    bits(-v if flip else v) for v, flip in zip(reference, odd)
+                ]
+
     def test_empty_ladder(self):
         assert bargmann_b(discrete_args(2, 2, 2, 0.5), []) == ()
+
+    def test_one_hyp2f1_call_per_ladder(self, monkeypatch):
+        calls = []
+        original = specfun.hyp2f1
+        monkeypatch.setattr(specfun, "hyp2f1", lambda *a: calls.append(a) or original(*a))
+        for length in (1, 57, 400):
+            calls.clear()
+            weights = [HalfInt(3 + 2 * i) for i in range(length)]
+            bargmann_b(discrete_args(3, 3, 31, 1.5), weights)
+            assert len(calls) == 1 and len(calls[0][0]) == length
 
     def test_overflow_is_an_entroineq_error(self):
         # exp of the normalization left the float range as a bare

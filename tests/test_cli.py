@@ -426,3 +426,41 @@ class TestOutputContracts:
         )
         assert proc.returncode == 0
         assert out.exists()
+
+    def test_one_parser_per_process_writes_what_a_fresh_parser_writes(self, capsys):
+        # main builds its parser once; a continuous sweep must leave no
+        # trace on the discrete default that follows it, and so on
+        sequence = (
+            [
+                "su11-check", "--series", "continuous", "--s", "0.5", "--sigma", "1",
+                "--m", "0.5", "--truncation", "16", "--grid", "0.1:0.3:2",
+            ],
+            ["su11-check", "--k", "2", "--m", "1", "--grid", "0.1:0.5:3"],
+            ["dmat", "--j", "3/2", "--theta", "0.7"],
+            ["su2-tsallis", "--j", "1", "--m", "0", "--q", "0.5", "--grid", "0:3:4"],
+            ["su11-check", "--m", "1", "--grid", "0.1:0.5:3"],  # no --k: exit 2
+            ["su2-check", "--j", "1", "--m", "0"],  # no --grid: usage error, exit 2
+            ["su2-check", "--j", "1", "--m", "0", "--grid", "0:3:3", "--format", "json"],
+        )
+
+        def run(fresh):
+            written = []
+            for argv in sequence:
+                if fresh:
+                    cli._parser.cache_clear()
+                code = main(list(argv))
+                captured = capsys.readouterr()
+                written.append((code, captured.out, captured.err))
+            return written
+
+        cli._parser.cache_clear()
+        once = run(fresh=False)
+        assert [code for code, _, _ in once] == [0, 0, 0, 0, 2, 2, 0]
+        assert once == run(fresh=True)
+
+    def test_negative_zero_is_written_as_zero(self, tmp_path):
+        assert np.signbit(cli.dmatrix(1, 0.0)).any()  # -0.0 off the diagonal
+        code, data = run_to_file(tmp_path, "z.csv", ["dmat", "--j", "1", "--theta", "0"])
+        assert code == 0
+        _, rows = parse_csv(data)
+        assert [row[1:] for row in rows] == [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]

@@ -108,17 +108,20 @@ class TestDiscreteSeriesDistribution:
 
     def test_one_element_call_per_block_of_terms(self, monkeypatch):
         # one Su11Args per ladder; a fixed truncation is one bargmann_b call
-        # and the adaptive ladder one per TAIL_RUN terms
+        # and the adaptive ladder one per block: _first_block weights, then
+        # twice as many each time, until the blocks cover the truncation
         built = []
         monkeypatch.setattr(su11, "Su11Args", lambda **fields: built.append(1) or Su11Args(**fields))
         calls = count_calls(monkeypatch, (su11, "bargmann_b"))
         discrete_series_distribution(2, HalfInt(2), 0.5, truncation=57)
         assert (len(built), calls["bargmann_b"]) == (1, 1)
-        built.clear()
-        calls["bargmann_b"] = 0
-        d = discrete_series_distribution(3, HalfInt(7), 0.8)
-        assert (len(built), calls["bargmann_b"]) == (1, math.ceil(d.truncation / su11.TAIL_RUN))
-        assert calls["bargmann_b"] > 1
+        for k, two_m, t, blocks in ((3, 7, 0.8, 1), (2, 32, 1.675, 2)):
+            built.clear()
+            calls["bargmann_b"] = 0
+            d = discrete_series_distribution(k, HalfInt(two_m), t)
+            covered = [su11._first_block(k, two_m, t) * (2**n - 1) for n in range(1, 6)]
+            assert (len(built), calls["bargmann_b"]) == (1, blocks)
+            assert blocks == 1 + sum(1 for c in covered if c < d.truncation)
 
     @pytest.mark.parametrize("t", [float("nan"), float("inf"), -float("inf")])
     def test_rejects_non_finite_rapidity(self, t):
