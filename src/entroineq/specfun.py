@@ -36,6 +36,10 @@ HYP2F1_MAX_TERMS = 10**6
 #: Discrete-series rapidity domain: |z(it)| = (cosh t - 1)/2 < 0.95.
 DISCRETE_COSH_LIMIT = 2.9
 
+#: A discrete boost column is evaluated over fewer than this many weights;
+#: a longer one raises EntroineqError before its recurrence runs.
+BOOST_MAX_TERMS = 10**6
+
 #: Mixed/continuous rapidity domain: |z(t)| = cosh(t)/2 < 0.95.
 CONTINUOUS_COSH_LIMIT = 1.9
 
@@ -202,40 +206,16 @@ def rgamma(z: Union[complex, float]) -> complex:
         raise EntroineqError(f"1/Gamma(z) overflows the float range at z = {z}") from None
 
 
-#: math.lgamma(n) for n = 1 .. 1024, looked up by `_lgamma_at`.
-_LGAMMA_TABLE = np.array([math.lgamma(n) for n in range(1, 1025)])
-
-
-def _lgamma_at(n: np.ndarray) -> np.ndarray:
-    """math.lgamma at an array of positive integers (ints or integral floats)."""
-    if n.size and n.max() <= _LGAMMA_TABLE.size:
-        return _LGAMMA_TABLE[n.astype(int) - 1]
-    return np.array([math.lgamma(v) for v in n.ravel().tolist()]).reshape(n.shape)
-
-
 # ----------------------------------------------------------------------
 # Gauss hypergeometric series
 
 
-def _pfaff_scale(a: complex, z: complex) -> complex:
-    """(1-z)^(-a) of the Pfaff transformation; overflow raises EntroineqError."""
-    try:
-        return (1.0 - z) ** (-a)
-    except OverflowError:
-        raise EntroineqError(f"(1-z)^(-a) overflows the float range at a = {a}, z = {z}") from None
-
-
-def _nonpos_degrees(x: np.ndarray) -> np.ndarray:
-    """-x where x is a nonpositive integer, inf elsewhere (`_nonpos_int` over an array)."""
-    return np.where((x <= 0.0) & (x == np.floor(x)), -x, np.inf)
-
-
 def hyp2f1(
-    a: Union[complex, float, np.ndarray],
-    b: Union[complex, float, np.ndarray],
-    c: Union[complex, float, np.ndarray],
+    a: Union[complex, float],
+    b: Union[complex, float],
+    c: Union[complex, float],
     z: Union[complex, float],
-) -> Union[complex, np.ndarray]:
+) -> complex:
     """2F1(a, b; c; z) by direct power series.
 
     For Re z < 0 the Pfaff transformation (DLMF 15.8.1)
@@ -250,13 +230,7 @@ def hyp2f1(
     accepted.  The sum stops once three consecutive terms fall below
     `HYP2F1_TOL` relative to the partial sum, and raises ConvergenceError
     after `HYP2F1_MAX_TERMS`.
-
-    Real arrays a, b, c with a real z give a complex array of their
-    broadcast shape, each element bit for bit the scalar call (see
-    `_hyp2f1_array`).
     """
-    if np.ndim(a) or np.ndim(b) or np.ndim(c):
-        return _hyp2f1_array(a, b, c, z)
     a, b, c, z = complex(a), complex(b), complex(c), complex(z)
     if not (cmath.isfinite(a) and cmath.isfinite(b) and cmath.isfinite(c) and cmath.isfinite(z)):
         raise DomainError(f"2F1 parameters must be finite, got a={a}, b={b}, c={c}, z={z}")
@@ -265,7 +239,10 @@ def hyp2f1(
         degree_a, degree_b = _nonpos_int(a), _nonpos_int(b)
         if degree_b is not None and (degree_a is None or degree_b < degree_a):
             a, b = b, a
-        scale = _pfaff_scale(a, z)
+        try:
+            scale = (1.0 - z) ** (-a)
+        except OverflowError:
+            raise EntroineqError(f"(1-z)^(-a) overflows the float range at a = {a}, z = {z}") from None
         b, z = c - b, z / (z - 1.0)
     degrees = [d for d in (_nonpos_int(a), _nonpos_int(b)) if d is not None]
     n_term = min(degrees) if degrees else None
@@ -300,76 +277,6 @@ def hyp2f1(
             if k >= max_terms:
                 raise ConvergenceError(f"no convergence after {max_terms} terms")
     return total if scale is None else scale * total
-
-
-def _hyp2f1_array(a, b, c, z) -> np.ndarray:
-    """`hyp2f1` over real parameter arrays a, b, c at one real z.
-
-    The transformation, termination degrees, stop rule and checks are the
-    scalar path's, element by element.  With real parameters the scalar
-    path's complex values keep zero imaginary parts, and the real parts of
-    Python's complex products and quotients then round exactly as float64
-    ones, so the term recurrence runs on float64 arrays in the scalar
-    operation order and each element is bit for bit the scalar call
-    (numpy complex arrays are not: their division multiplies by a
-    reciprocal).  The Pfaff factor and its product with the sum stay
-    Python complex scalars.
-    """
-    arrays = [np.asarray(x) for x in (a, b, c)]
-    if isinstance(z, complex) or any(x.dtype.kind == "c" for x in arrays):
-        raise DomainError("2F1 over parameter arrays needs real a, b, c and z")
-    arrays = np.broadcast_arrays(*arrays)
-    shape, z = arrays[0].shape, float(z)
-    params = np.array(arrays, dtype=float).reshape(3, -1)
-    if np.count_nonzero(np.isfinite(params)) < params.size or not math.isfinite(z):
-        raise DomainError(f"2F1 parameters must be finite, got z={z} and arrays a, b, c")
-    a, b, c = params
-    degree_a, degree_b, degree_c = _nonpos_degrees(params)
-    scale = None
-    if z < 0.0:
-        swap = degree_b < degree_a
-        a, b = np.where(swap, b, a), np.where(swap, a, b)
-        degree_a = np.minimum(degree_a, degree_b)
-        base = 1.0 - complex(z)
-        try:
-            scale = [base ** -x for x in a.tolist()]
-        except OverflowError:  # the scalar factor raises, naming the first such a
-            scale = [_pfaff_scale(complex(x), complex(z)) for x in a.tolist()]
-        b, z = c - b, z / (z - 1.0)
-        degree_b = _nonpos_degrees(b)
-    n_term = np.minimum(degree_a, degree_b)
-    converging = n_term == np.inf
-    some_converging = np.count_nonzero(converging)
-    if abs(z) > HYP2F1_RADIUS and some_converging:
-        raise DomainError(
-            f"|z| = {abs(z):.4f} outside the series domain and no terminating parameter"
-        )
-    pole = degree_c < n_term
-    if np.count_nonzero(pole):
-        raise PoleError(f"c = {c[pole][0]} hits a pole before the series terminates")
-
-    # an entry is summed while `running`: up to its degree, or until three
-    # small terms (a tolerance of 0 never counts one).  Stopped entries keep
-    # stepping, and may overflow, but their totals no longer change.
-    tol = np.where(converging, HYP2F1_TOL, 0.0) if some_converging else None
-    running = n_term > 0
-    term = total = np.ones(a.size)
-    small_streak = 0
-    k = 0
-    with np.errstate(all="ignore"):
-        while np.count_nonzero(running):
-            if k >= HYP2F1_MAX_TERMS and np.count_nonzero(running & converging):
-                raise ConvergenceError(f"no convergence after {HYP2F1_MAX_TERMS} terms")
-            term = term * ((a + k) * (b + k)) * z / ((c + k) * (k + 1))
-            total = np.where(running, total + term, total)
-            k += 1
-            running &= n_term > k
-            if tol is not None:
-                small_streak = np.where(np.abs(term) < tol * np.abs(total), small_streak + 1, 0)
-                running &= small_streak < 3
-    if scale is None:
-        return total.astype(complex).reshape(shape)
-    return np.array([s * value for s, value in zip(scale, total.tolist())], dtype=complex).reshape(shape)
 
 
 # ----------------------------------------------------------------------
@@ -419,8 +326,8 @@ def _finite_angles(theta) -> np.ndarray:
 def _log_factorial_ratio(two_j, two_mp, two_m, lgamma=math.lgamma):
     """log[(j+m')!(j-m')! / ((j+m)!(j-m)!)] from doubled weights.
 
-    `lgamma` is only called at positive integers; `_canonical_d` passes
-    `_lgamma_at` so that the same expression runs over weight arrays.
+    `lgamma` is only called at positive integers; `_canonical_d` passes a
+    table lookup so that the same expression runs over weight arrays.
     """
     return (
         lgamma((two_j + two_mp) // 2 + 1)
@@ -507,7 +414,8 @@ def _canonical_d(two_j: int, two_mp: np.ndarray, two_m: np.ndarray, theta: np.nd
     value = np.empty((two_mp.size, theta.size))
     with np.errstate(all="ignore"):
         poly = _jacobi_by_degree(a, b, live, np.cos(theta))
-        norm = np.exp(0.5 * _log_factorial_ratio(two_j, mp, m, _lgamma_at))[:, None]
+        log_gamma = np.array([math.lgamma(v) for v in range(1, two_j + 2)])
+        norm = np.exp(0.5 * _log_factorial_ratio(two_j, mp, m, lambda v: log_gamma[v - 1]))[:, None]
         value[order] = norm * np.cos(theta / 2.0) ** b * np.sin(theta / 2.0) ** a * poly
     finite = np.isfinite(value)
     if not finite.all():
@@ -675,61 +583,104 @@ def _positive_weights(
 
 
 def bargmann_b(args: Su11Args, weights: Optional[Sequence[HalfIntLike]] = None):
-    """Discrete-series boost matrix element b^j_{m'm}(t).
+    """Discrete-series boost matrix element b^j_{m'm}(t), j = -k/2.
 
-    Hypergeometric route: b = N z^((m'-m)/2) (1-z)^((m'+m)/2)
-    2F1(m'-j, m'+j+1; m'-m+1; z) / (m'-m)! with z = (1 - cosh t)/2.
     Given `weights`, returns the elements at those m' as a tuple, with the
     family, the rapidity and m checked once; without, the element at
     `args.m_prime`, the one-weight case of the same route.
 
-    A ladder is one array evaluation: the canonical swap to m' >= m, the
-    log-factorial norms from `_lgamma_at`, and one `hyp2f1` call.  For
-    z < 0 `hyp2f1` sums the Pfaff-transformed series, which terminates at
-    degree m+j and avoids the cancellation of the raw alternating series
-    at large m'.  `math.exp`, the powers of z and 1-z and the final product
-    stay Python scalars per weight, so each element is bit for bit its
-    one-weight evaluation.
+    Each call evaluates the whole column of m by `_boost_column`, so a
+    ladder holds exactly the values of its one-weight calls.  On the
+    positive series b = i^(m'-m) psi(m'); the negative series mirrors
+    (m', m) -> (-m', -m) and conjugates the phase.  Weights past the
+    column's reach are exactly 0.
     """
     if weights is None:
         return bargmann_b(args, (args.m_prime,))[0]
     two_m, two_mps = _positive_weights(args, "bargmann_b", weights)
     if not two_mps:
         return ()
-    k = args.k
-    at = 0  # the weight an overflow is reported at
+    n = (two_m - args.k) // 2
+    column = np.append(_boost_column(args.k, n, args.t), 0.0)
+    x = np.minimum((np.array(two_mps) - args.k) // 2, column.size - 1).astype(int)
+    turns = (x - n) % 4 if args.series is SeriesKind.DISCRETE_POSITIVE else (n - x) % 4
+    return tuple((np.array([1.0, 1j, -1.0, -1j])[turns] * column[x]).tolist())
+
+
+def _boost_column(k: int, n: int, t: float) -> np.ndarray:
+    """psi(x) = (-1)^min(x, n) phi(x), x = 0 .. top: the boost column of m.
+
+    x = m' - k/2 and n = m - k/2 on the positive series; phi is an
+    eigenvector of the tridiagonal Meixner-Jacobi matrix (Koekoek, Lesky
+    and Swarttouw, Hypergeometric Orthogonal Polynomials, 2010, 9.10).
+    With c = tanh^2(t/2), d(x) = x + (x+k)c and e(x) = sqrt(c x (x+k-1)),
+    e(x+1) phi(x+1) = (d(x) - (1-c)n) phi(x) - e(x) phi(x-1); phi
+    oscillates between x-+ = (kc + (1+c)n -+ 2 sqrt(c n (n+k))) / (1-c).
+    The recurrence runs forward from the exact
+    phi(0) = sqrt((1-c)^k (k)_n c^n / n!) to max(n, x-), and backward
+    (Miller's algorithm) from `top`, first 300/|ln c| weights past x+,
+    twice as far each time the backward pass has not fallen by 2^170
+    (|phi|^2 by about 1e-100) from its largest value to `top`.  The passes
+    join at the largest of the last nine forward values.  t = 0 gives the
+    identity's column; a column of `BOOST_MAX_TERMS` weights or more raises
+    EntroineqError before its recurrence runs.
+    """
+    c = math.tanh(t / 2.0) ** 2
     try:
-        # numpy keeps ints beyond int64 as Python ints, so every weight is exact
-        doubled = np.array([two_m, *two_mps])
-        m, mp = doubled[0], doubled[1:]
-        # the canonical pair (hi, lo) = (m', m) with m' >= m, doubled; the
-        # swap picks up (-1)^(m'-m), as does the mirror of the negative series
-        hi, lo = np.maximum(mp, m), np.minimum(mp, m)
-        odd = (mp - m) % 4 == 2
-        sign = np.where(odd & (mp < m), -1.0, 1.0)
-        flip = odd & (args.series is SeriesKind.DISCRETE_NEGATIVE)
-        # 2F1(m'-j, m'+j+1; m'-m+1; z), j = -k/2, and the same first two at m
-        a, lower_a = (hi + k) // 2, (lo + k) // 2
-        b, lower_b, c = a - k + 1, lower_a - k + 1, (hi - lo) // 2 + 1
-        lgamma = _lgamma_at(np.array([b, a, lower_b, lower_a, c]))
-        log_prefactor = 0.5 * (lgamma[0] + lgamma[1] - lgamma[2] - lgamma[3]) - lgamma[4]
-        z = (1.0 - math.cosh(args.t)) / 2.0
-        series = hyp2f1(a, b, c, z)
-        one_minus_z, z = 1.0 - z, complex(z)
-        values = []
-        for at, row in enumerate(zip(
-            sign.tolist(), log_prefactor.tolist(), ((hi + lo) / 4.0).tolist(),
-            ((c - 1) / 2.0).tolist(), series.tolist(), flip.tolist(),
-        )):
-            sign_at, log_p, power, z_power, value, flip_at = row
-            value = sign_at * math.exp(log_p) * (one_minus_z**power * z**z_power) * value
-            values.append(-value if flip_at else value)
+        centre = (k * c + (1.0 + c) * n) / (1.0 - c)
+        half_width = 2.0 * math.sqrt(c * n * (n + k)) / (1.0 - c)
+        lower, upper = max(n, math.floor(centre - half_width)), centre + half_width
+        top = math.ceil(upper - 300.0 / math.log(c)) if c else n
     except OverflowError:
+        top = BOOST_MAX_TERMS
+
+    def coefficients(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return x * (1.0 + c) + (k * c - (1.0 - c) * n), np.sqrt(c * x * (x + k - 1.0))
+
+    if top < BOOST_MAX_TERMS:
+        if c == 0.0:
+            return (np.arange(n + 1) == n).astype(float)
+        d, e = coefficients(np.arange(lower + 1.0))  # d(x) - (1-c)n and e(x)
+        forward, f_shift = _three_term(d[:-1] / e[1:], e[:-1] / e[1:])
+        low = max(0, lower - 8)
+        join = low + int(np.argmax(np.abs(np.ldexp(forward[low:], f_shift[low:] - f_shift[-1]))))
+    while top < BOOST_MAX_TERMS:
+        d, e = coefficients(np.arange(top + 1.0, join, -1.0))  # x = top + 1 .. join + 1
+        backward, b_shift = _three_term(d[1:] / e[1:], e[:-1] / e[1:])
+        if np.max(np.frexp(backward)[1] + b_shift) > 170:
+            break
+        top = math.ceil(2 * top - upper)
+    else:
         raise EntroineqError(
-            f"the boost element overflows the float range at k={k}, "
-            f"m'={HalfInt.coerce(weights[at])}, m={HalfInt.coerce(args.m)}, t={args.t!r}"
-        ) from None
-    return tuple(values)
+            f"the boost column at k={k}, m={HalfInt(2 * n + k)}, t={t!r} is longer than "
+            f"the budget of {BOOST_MAX_TERMS} weights"
+        )
+    # the backward values run from x = top down to join
+    mantissa = np.concatenate([forward[: join + 1], backward[-2::-1] * (forward[join] / backward[-1])])
+    shift = np.concatenate([f_shift[: join + 1], b_shift[-2::-1] + (f_shift[join] - b_shift[-1])])
+    log_start = 0.5 * (k * math.log1p(-c) + n * math.log(c))  # log phi(0)
+    log_start += 0.5 * (math.lgamma(k + n) - math.lgamma(k) - math.lgamma(n + 1))
+    whole, fraction = divmod(log_start, math.log(2.0))
+    phi = np.ldexp(mantissa * math.exp(fraction), shift + int(whole))
+    return np.where(np.minimum(np.arange(top + 1), n) % 2, -phi, phi)
+
+
+def _three_term(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """y_0 = 1 and y_(i+1) = p_i y_i - q_i y_(i-1), with y_(-1) = 0.
+
+    Returns y as mantissas and binary exponents, y_i = mantissa_i 2^shift_i:
+    once |y| passes 2^300 the running pair is scaled by an exact power of 2.
+    """
+    previous, current, shift = 0.0, 1.0, 0
+    mantissas, shifts = [1.0], [0]
+    for p_i, q_i in zip(p.tolist(), q.tolist()):
+        previous, current = current, p_i * current - q_i * previous
+        if current > 2.0**300 or current < -(2.0**300):
+            e = math.frexp(current)[1]
+            previous, current, shift = math.ldexp(previous, -e), math.ldexp(current, -e), shift + e
+        mantissas.append(current)
+        shifts.append(shift)
+    return np.array(mantissas), np.array(shifts)
 
 
 def bargmann_b_continued(args: Su11Args) -> float:

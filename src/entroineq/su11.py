@@ -92,8 +92,7 @@ def discrete_series_distribution(
     if truncation is not None:
         return TruncatedDistribution(tuple(block(0, truncation)))
     values: list[float] = []
-    streak = 0
-    previous = math.inf
+    streak, previous, some_mass = 0, math.inf, False
 
     def terms():
         start, count = 0, _first_block(k, args.m.doubled, args.t)
@@ -105,7 +104,8 @@ def discrete_series_distribution(
         values.append(value)
         streak = streak + 1 if value <= previous else 1
         previous = value
-        if value < TERM_FLOOR and streak >= TAIL_RUN:
+        some_mass = some_mass or value > 0.0  # with no mass yet neither stop can fire
+        if value < TERM_FLOOR and streak >= TAIL_RUN and some_mass:
             mass = math.fsum(values)
             if mass >= 1.0 - eps:
                 break
@@ -116,7 +116,9 @@ def discrete_series_distribution(
                     f"the last {TAIL_RUN} terms are exactly 0"
                 )
     else:
-        raise ConvergenceError(f"distribution did not stabilize within {MAX_TERMS} terms")
+        raise ConvergenceError(
+            f"the k={k}, m={args.m}, t={args.t!r} ladder did not stabilize within {MAX_TERMS} terms"
+        )
     return TruncatedDistribution(tuple(values))
 
 

@@ -2,10 +2,11 @@
 
 import functools
 import math
-import struct
+import random
 from dataclasses import replace
 
 import mpmath
+import numpy as np
 import pytest
 
 from entroineq import (
@@ -32,30 +33,50 @@ def discrete_args(k, two_mp, two_m, t, series=SeriesKind.DISCRETE_POSITIVE):
     )
 
 
-def per_weight_reference(k, two_mp, two_m, t):
-    """One positive-series element in scalar arithmetic, as evaluated one
-    weight at a time before ladders became one array sum."""
-    sign = 1.0
+@functools.lru_cache(maxsize=None)
+def mp_boost(k, two_mp, two_m, t):
+    """Positive-series b_{m'm}(t) from the hypergeometric form at 50 digits.
+
+    For m' >= m, b = N z^((m'-m)/2) (1-z)^((m'+m)/2)
+    2F1(m'-j, m'+j+1; m'-m+1; z) / (m'-m)! with j = -k/2,
+    z = (1 - cosh t)/2 and N^2 = Gamma(m'-j) Gamma(m'+j+1) / (Gamma(m-j)
+    Gamma(m+j+1)); below the diagonal b_{m'm} = (-1)^(m-m') b_{mm'}.
+    """
+    sign = 1
     if two_mp < two_m:
-        if ((two_mp - two_m) // 2) % 2:
-            sign = -1.0
+        sign = -1 if ((two_m - two_mp) // 2) % 2 else 1
         two_mp, two_m = two_m, two_mp
-    mp_m = (two_mp - two_m) // 2
-    log_norm = 0.5 * (
-        math.lgamma((two_mp - k) // 2 + 1)
-        + math.lgamma((two_mp + k) // 2)
-        - math.lgamma((two_m - k) // 2 + 1)
-        - math.lgamma((two_m + k) // 2)
+    with mpmath.workdps(50):
+        mp_, m, j = mpmath.mpf(two_mp) / 2, mpmath.mpf(two_m) / 2, -mpmath.mpf(k) / 2
+        degree = (two_mp - two_m) // 2
+        z = (1 - mpmath.cosh(mpmath.mpf(t))) / 2
+        norm = mpmath.sqrt(
+            mpmath.gamma(mp_ - j) * mpmath.gamma(mp_ + j + 1)
+            / (mpmath.gamma(m - j) * mpmath.gamma(m + j + 1))
+        )
+        value = (
+            norm * mpmath.power(mpmath.mpc(z), mpmath.mpf(degree) / 2) * mpmath.power(1 - z, (mp_ + m) / 2)
+            * mpmath.hyp2f1(mp_ - j, mp_ + j + 1, degree + 1, z) / mpmath.factorial(degree)
+        )
+        return sign * complex(value)
+
+
+def check_against_mpmath(k, two_m, t, length, samples):
+    """Sampled signed elements of a `length`-weight ladder of both series,
+    and its diagonal element, within 1e-14 of `mp_boost`; the negative
+    series mirrors (m', m) -> (-m', -m) with the sign (-1)^(m'-m)."""
+    weights = range(k, k + 2 * length, 2)
+    positive = bargmann_b(discrete_args(k, k, two_m, t), [HalfInt(w) for w in weights])
+    negative = bargmann_b(
+        discrete_args(k, -k, -two_m, t, series=SeriesKind.DISCRETE_NEGATIVE),
+        [HalfInt(-w) for w in weights],
     )
-    z = (1.0 - math.cosh(t)) / 2.0
-    series = specfun.hyp2f1((two_mp + k) // 2, (two_mp - k) // 2 + 1, mp_m + 1, z)
-    prefactor = math.exp(log_norm - math.lgamma(mp_m + 1))
-    envelope = (1.0 - z) ** ((two_mp + two_m) / 4.0) * complex(z) ** (mp_m / 2.0)
-    return sign * prefactor * envelope * series
-
-
-def bits(value):
-    return struct.pack("<2d", value.real, value.imag)
+    rng = random.Random(f"{k} {two_m} {t}")
+    for i in sorted({(two_m - k) // 2, *rng.sample(range(length), samples)}):
+        want = mp_boost(k, weights[i], two_m, t)
+        mirror = -want if ((weights[i] - two_m) // 2) % 2 else want
+        assert abs(positive[i] - want) <= 1e-14, (k, two_m, t, weights[i])
+        assert abs(negative[i] - mirror) <= 1e-14, (k, two_m, t, weights[i])
 
 
 class TestBargmannB:
@@ -110,43 +131,53 @@ class TestBargmannB:
             assert bargmann_b(args, weights[7:8]) == singles[7:8]
 
     @pytest.mark.parametrize("k", [1, 2, 3])
-    def test_ladder_is_the_scalar_arithmetic(self, k):
-        # 400 weights at m = k/2 + n (1/2, 7/2, 31/2, 61/2 for k = 1),
-        # both series, bit for bit including the signs of zeros
-        weights = range(k, k + 800, 2)
+    def test_ladder_matches_mpmath(self, k):
+        # 400-weight ladders at m = k/2 + n (1/2, 7/2, 31/2, 61/2 for k = 1)
         for n in (0, 3, 15, 30):
-            two_m = k + 2 * n
             for t in (0.0, 0.5, 1.5, 1.7):
-                reference = [per_weight_reference(k, w, two_m, t) for w in weights]
-                ladder = bargmann_b(discrete_args(k, k, two_m, t), [HalfInt(w) for w in weights])
-                assert [bits(v) for v in ladder] == [bits(v) for v in reference]
-                mirror = bargmann_b(
-                    discrete_args(k, -k, -two_m, t, series=SeriesKind.DISCRETE_NEGATIVE),
-                    [HalfInt(-w) for w in weights],
-                )
-                odd = [((w - two_m) // 2) % 2 for w in weights]
-                assert [bits(v) for v in mirror] == [
-                    bits(-v if flip else v) for v, flip in zip(reference, odd)
-                ]
+                check_against_mpmath(k, k + 2 * n, t, 400, samples=6)
 
     def test_empty_ladder(self):
         assert bargmann_b(discrete_args(2, 2, 2, 0.5), []) == ()
 
-    def test_one_hyp2f1_call_per_ladder(self, monkeypatch):
+    def test_no_hyp2f1_or_lapack_call(self, monkeypatch):
         calls = []
-        original = specfun.hyp2f1
-        monkeypatch.setattr(specfun, "hyp2f1", lambda *a: calls.append(a) or original(*a))
+        for module, name in ((specfun, "hyp2f1"), (np.linalg, "eigh"), (np.linalg, "svd")):
+            monkeypatch.setattr(module, name, lambda *a, name=name: calls.append(name))
         for length in (1, 57, 400):
-            calls.clear()
             weights = [HalfInt(3 + 2 * i) for i in range(length)]
-            bargmann_b(discrete_args(3, 3, 31, 1.5), weights)
-            assert len(calls) == 1 and len(calls[0][0]) == length
+            assert len(bargmann_b(discrete_args(3, 3, 31, 1.5), weights)) == length
+        assert calls == []
 
     def test_overflow_is_an_entroineq_error(self):
-        # exp of the normalization left the float range as a bare
-        # OverflowError, although the element itself is tiny
-        with pytest.raises(EntroineqError, match=r"k=2, m'=90, m=100000, t=0\.1$"):
-            bargmann_b(discrete_args(2, 180, 200000, 0.1))
+        # |b|^2 at m' = 90 is far below the smallest float: exactly 0
+        assert bargmann_b(discrete_args(2, 180, 200000, 0.1)) == 0
+        # a column past the term budget raises before its recurrence runs
+        with pytest.raises(EntroineqError, match=r"k=2, m=1000000000, t=0\.1 .* budget of 1000000"):
+            bargmann_b(discrete_args(2, 180, 2 * 10**9, 0.1))
+
+
+class TestLargeColumnWeights:
+    """Columns where the summed hypergeometric form cancels catastrophically
+    (m = 61/2 at t = 1.5 loses every digit), where the Jacobi route
+    `bargmann_b_continued` is off by up to 5e-7 (m = 601/2 and 1001/2), and
+    a large k, whose column peaks near m' - m = kc/(1-c), c = tanh^2(t/2)."""
+
+    @pytest.mark.parametrize(
+        "k, two_m, t",
+        [
+            (3, 61, 1.5), (2, 60, 1.7), (1, 121, 1.7), (3, 61, 1.0), (1, 601, 1.0), (1, 1001, 0.5),
+            (100, 100, 1.7),
+        ],
+    )
+    def test_matches_mpmath(self, k, two_m, t):
+        n = (two_m - k) // 2
+        check_against_mpmath(k, two_m, t, 3 * n + 400, samples=10)
+
+    def test_ladder_is_a_unit_column(self):
+        for k, two_m, t in ((3, 61, 1.5), (1, 601, 1.0), (1, 1001, 0.5), (100, 100, 1.7)):
+            ladder = bargmann_b(discrete_args(k, k, two_m, t), [HalfInt(k + 2 * i) for i in range(3000)])
+            assert abs(math.fsum(abs(b) ** 2 for b in ladder) - 1.0) <= 1e-12
 
 
 class TestRouteEquivalence:

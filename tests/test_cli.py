@@ -266,10 +266,27 @@ class TestSu11Check:
         assert not evaluated  # rejected before any element is evaluated
 
     def test_overflowing_element_is_domain_error(self, capsys):
-        # used to exit 1 with a traceback from exp of the normalization
+        # the bulk of the column lies past the ladder's 1e5-term budget
+        start = time.perf_counter()
         assert main(["su11-check", "--k", "2", "--m", "1e5", "--grid", "0.1:0.1:1"]) == 2
+        assert time.perf_counter() - start < 5.0
         err = capsys.readouterr().err
-        assert "float range" in err and "m=100000, t=0.1" in err
+        assert "k=2, m=100000, t=0.1 ladder did not stabilize within 100000 terms" in err
+
+    @pytest.mark.parametrize("m", ["1e9", "1e17", "1e30", str(2**62)])
+    def test_column_past_the_budget_exits_promptly(self, m, capsys):
+        start = time.perf_counter()
+        assert main(["su11-check", "--k", "2", "--m", m, "--grid", "0.1:0.1:1"]) == 2
+        assert time.perf_counter() - start < 5.0
+        err = capsys.readouterr().err
+        assert f"k=2, m={HalfInt.coerce(m)}, t=0.1 is longer than the budget of 1000000" in err
+
+    def test_large_column_weight(self, tmp_path):
+        # |b| passed 1e154 on the summed hypergeometric route here
+        argv = ["su11-check", "--k", "2", "--m", "1000", "--grid", "1.0:1.0:1"]
+        code, data = run_to_file(tmp_path, "m1000.csv", argv)
+        assert code == 0
+        assert abs(float(parse_csv(data)[1][0][2]) - 1.0) <= 1e-6
 
     @pytest.mark.parametrize("fields", [["--s", "0.5", "--m", "nan"], ["--s", "inf", "--m", "0.5"]])
     def test_non_finite_continuous_parameters(self, fields, capsys, monkeypatch):
@@ -282,17 +299,19 @@ class TestSu11Check:
         assert "finite" in capsys.readouterr().err
         assert not evaluated
 
-    def test_zero_tail_exits_promptly(self, capsys):
-        # used to run past 20 s towards the 1e5-term budget
+    def test_zero_tail_exits_promptly(self, capsys, plant_ladder):
+        # a column of exact zeros below 1 - eps stops the ladder well before
+        # the 1e5-term budget
+        plant_ladder([0.99999892])
         start = time.perf_counter()
         code = main(["su11-check", "--k", "3", "--m", "61/2", "--grid", "1.0:1.0:1"])
         assert time.perf_counter() - start < 5.0
         assert code == 2
         assert "exactly 0" in capsys.readouterr().err
 
-    def test_excess_captured_mass_is_domain_error(self, capsys):
-        # the large-m discrete ladder captures mass 4460; it used to be
-        # renormalized away and printed with exit 0
+    def test_excess_captured_mass_is_domain_error(self, capsys, plant_ladder):
+        # a ladder capturing mass 4460.83 exits 2 and is not renormalized away
+        plant_ladder([4460.83])
         code = main(["su11-check", "--k", "3", "--m", "61/2", "--grid", "1.5:1.5:1"])
         assert code == 2
         err = capsys.readouterr().err

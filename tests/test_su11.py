@@ -83,13 +83,22 @@ class TestDiscreteSeriesDistribution:
         assert d.values[30] == 1.0
         assert d.captured_mass == 1.0
 
-    def test_zero_tail_below_the_mass_budget_raises(self):
-        # every term from index 657 on is exactly 0, so the mass stays at
-        # 0.99999892 < 1 - eps; the loop used to run on towards 1e5 terms
+    def test_zero_tail_below_the_mass_budget_raises(self, plant_ladder):
+        # every planted term past the first is exactly 0, so the mass stays
+        # at 0.99999892 < 1 - eps; the ladder stops well before 1e5 terms
+        plant_ladder([0.99999892])
         start = time.perf_counter()
         with pytest.raises(NormalizationError, match=r"captured mass 0\.9999989.* exactly 0"):
             discrete_series_distribution(3, HalfInt(61), 1.0)
         assert time.perf_counter() - start < 5.0
+
+    def test_large_column_weight_converges(self):
+        # k = 3, m = 61/2, t = 1: within eps of unit mass in about 120 terms
+        start = time.perf_counter()
+        d = discrete_series_distribution(3, HalfInt(61), 1.0)
+        assert time.perf_counter() - start < 5.0
+        assert abs(d.captured_mass - 1.0) <= 1e-8
+        assert su11_subadditivity(d).slack >= -1e-10
 
     def test_forced_truncation(self):
         d = discrete_series_distribution(2, HalfInt(2), 0.5, truncation=7)
@@ -210,13 +219,27 @@ class TestSu11Subadditivity:
         "k, two_m, t, mass",
         [(3, 61, 1.5, 4460.8), (2, 60, 1.7, 3.2e8)],
     )
-    def test_rejects_blown_up_scan_mass(self, k, two_m, t, mass):
-        # the hypergeometric route cancels catastrophically at large m; the
-        # captured mass overshoots 1 and must not be renormalized away
+    def test_rejects_blown_up_scan_mass(self, k, two_m, t, mass, monkeypatch):
+        # a planted ladder with the captured mass of a cancelling route at
+        # these points overshoots 1 and must not be renormalized away
+        true = su11.bargmann_b
+        scale = math.sqrt(mass)
+        monkeypatch.setattr(su11, "bargmann_b", lambda *a: tuple(scale * b for b in true(*a)))
         d = discrete_series_distribution(k, HalfInt(two_m), t, truncation=400)
         assert d.captured_mass == pytest.approx(mass, rel=1e-2)
         with pytest.raises(NormalizationError, match="captured mass"):
             su11_subadditivity(d)
+
+    def test_scan_ladders_are_normalized(self):
+        # 400-weight ladders up to m = 61/2 and t = 1.7, the large-m points
+        # above among them
+        columns = {1: (1, 21, 31, 41, 51, 61), 2: (2, 20, 30, 40, 50, 60), 3: (3, 21, 31, 41, 51, 61)}
+        for k, two_ms in columns.items():
+            for two_m in two_ms:
+                for t in (0.5, 1.0, 1.5, 1.7):
+                    d = discrete_series_distribution(k, HalfInt(two_m), t, truncation=400)
+                    assert abs(d.captured_mass - 1.0) <= 1e-12, (k, two_m, t)
+                    assert su11_subadditivity(d).slack >= -1e-10
 
     def test_reports_raw_mass(self):
         d = discrete_series_distribution(2, HalfInt(2), 0.8)
