@@ -47,8 +47,6 @@ from .specfun import (
     jacobi,
     l_function,
     log_gamma,
-    rgamma,
-    s_factor,
     wigner_d,
     wigner_oracle,
 )
@@ -103,8 +101,6 @@ __all__ = [
     "mixed_series_report",
     "relabel",
     "renyi",
-    "rgamma",
-    "s_factor",
     "shannon",
     "su11_subadditivity",
     "su2_subadditivity",

@@ -99,11 +99,6 @@ def _cmd_dmat(ns: argparse.Namespace) -> int:
     return 0
 
 
-def _per_point(row):
-    """Rows for a grid from a function of one grid point."""
-    return lambda grid: [row(x) for x in grid]
-
-
 def _su2(ns: argparse.Namespace):
     j = HalfInt.coerce(ns.j)
     m = HalfInt.coerce(ns.m)
@@ -129,18 +124,16 @@ def _su2(ns: argparse.Namespace):
     return config, rows, asserted
 
 
-def _su11_row(t: float, truncation: int, mass: float, report) -> tuple:
-    return (t, truncation, mass, report.h_joint, report.h_first, report.h_second, report.slack)
-
-
 def _su11_discrete(ns: argparse.Namespace):
     if ns.k is None:
         raise EntroineqError("--k is required for the discrete series")
     m = HalfInt.coerce(ns.m)
 
-    def row(t: float) -> tuple:
-        dist = discrete_series_distribution(ns.k, m, t, eps=ns.eps)
-        return _su11_row(t, dist.truncation, dist.captured_mass, su11_subadditivity(dist))
+    def rows(grid: list[float]) -> list[tuple]:
+        dist = discrete_series_distribution(ns.k, m, np.array(grid), eps=ns.eps)
+        report = su11_subadditivity(dist)
+        columns = (dist.truncation, dist.captured_mass, report.h_joint, report.h_first, report.h_second, report.slack)
+        return list(zip(grid, *(c.tolist() for c in columns)))
 
     config = {
         "command": "su11-check",
@@ -149,7 +142,7 @@ def _su11_discrete(ns: argparse.Namespace):
         "m": str(m),
         "grid": ns.grid,
     }
-    return config, _per_point(row), True
+    return config, rows, True
 
 
 def _su11_continuous(ns: argparse.Namespace):
@@ -158,10 +151,10 @@ def _su11_continuous(ns: argparse.Namespace):
     kind = _LATTICES[ns.lattice]
     m_prime = HalfInt(0 if kind is SeriesKind.CONTINUOUS_INTEGER else -1)
 
-    def row(t: float) -> tuple:
-        args = Su11Args(series=kind, m_prime=m_prime, m=float(ns.m), t=t, s=ns.s, sigma=ns.sigma)
-        report = continuous_series_report(args, ns.truncation)
-        return _su11_row(t, ns.truncation, report.raw_mass, report)
+    def rows(grid: list[float]) -> list[tuple]:
+        args = [Su11Args(series=kind, m_prime=m_prime, m=float(ns.m), t=t, s=ns.s, sigma=ns.sigma) for t in grid]
+        reports = [continuous_series_report(a, ns.truncation) for a in args]
+        return [(t, ns.truncation, r.raw_mass, r.h_joint, r.h_first, r.h_second, r.slack) for t, r in zip(grid, reports)]
 
     config = {
         "command": "su11-check",
@@ -173,7 +166,7 @@ def _su11_continuous(ns: argparse.Namespace):
         "truncation": ns.truncation,
         "grid": ns.grid,
     }
-    return config, _per_point(row), False
+    return config, rows, False
 
 
 #: (command, --series or None) -> (CSV header, set-up).  `setup(ns)` checks

@@ -40,6 +40,11 @@ DISCRETE_COSH_LIMIT = 2.9
 #: a longer one raises EntroineqError before its recurrence runs.
 BOOST_MAX_TERMS = 10**6
 
+#: Smallest |b|^2 a discrete boost column keeps to full relative accuracy
+#: (about 3.6e-15, below the adaptive ladder's 1e-14 floor); the column is
+#: exactly 0 where |b|^2 falls below BOOST_FLOOR * u, u = 2^-52.
+BOOST_FLOOR = 2.0**-48
+
 #: Mixed/continuous rapidity domain: |z(t)| = cosh(t)/2 < 0.95.
 CONTINUOUS_COSH_LIMIT = 1.9
 
@@ -192,20 +197,6 @@ def log_gamma(z: Union[complex, float]) -> complex:
     return _HALF_LOG_TWO_PI + (w + 0.5) * cmath.log(t) - t + cmath.log(x)
 
 
-def rgamma(z: Union[complex, float]) -> complex:
-    """1 / Gamma(z), equal to 0 at the poles of Gamma.
-
-    A value beyond the float range raises EntroineqError.
-    """
-    z = complex(z)
-    if _nonpos_int(z) is not None:
-        return 0.0 + 0.0j
-    try:
-        return cmath.exp(-log_gamma(z))
-    except OverflowError:
-        raise EntroineqError(f"1/Gamma(z) overflows the float range at z = {z}") from None
-
-
 # ----------------------------------------------------------------------
 # Gauss hypergeometric series
 
@@ -344,29 +335,6 @@ def _overflow_error(two_j: int, two_mp: int, two_m: int, theta: float) -> Entroi
     )
 
 
-def s_factor(j: HalfIntLike, m_prime: HalfIntLike, m: HalfIntLike, theta: float) -> float:
-    """Envelope factor of a squared d-element in the canonical sector.
-
-    S = [(j+m')!(j-m')! / ((j+m)!(j-m)!)] cos^(2(m'+m))(t/2) sin^(2(m'-m))(t/2),
-    defined for m'+m >= 0 and m'-m >= 0; factorials go through log space.
-    """
-    two_j, two_mp, two_m = _weight_triple(j, m_prime, m)
-    theta = _finite_angle(theta)
-    if two_mp + two_m < 0 or two_mp - two_m < 0:
-        raise DomainError("canonical sector needs m'+m >= 0 and m'-m >= 0")
-    try:
-        ratio = math.exp(_log_factorial_ratio(two_j, two_mp, two_m))
-    except OverflowError:
-        raise _overflow_error(two_j, two_mp, two_m, theta) from None
-    cos_sq = math.cos(theta / 2.0) ** 2
-    sin_sq = math.sin(theta / 2.0) ** 2
-    return (
-        ratio
-        * cos_sq ** ((two_mp + two_m) // 2)
-        * sin_sq ** ((two_mp - two_m) // 2)
-    )
-
-
 def _canonical_image(two_mp: int, two_m: int) -> tuple[int, int, bool]:
     """(m', m) moved into the canonical sector m'+m >= 0, m'-m >= 0.
 
@@ -501,13 +469,14 @@ class Su11Args:
     Discrete series use spin j = -k/2 (k >= 1); continuous series use
     j = -1/2 + i s with parity label sigma.  `m` is a weight on the
     discrete lattice or a real continuous label depending on the
-    operation.
+    operation.  `t` is one rapidity, or for `bargmann_b` a 1-D array of
+    them (a read-only float copy), every one of which is checked.
     """
 
     series: SeriesKind
     m_prime: HalfInt
     m: Union[HalfInt, float]
-    t: float
+    t: Union[float, np.ndarray]
     k: Optional[int] = None
     s: Optional[float] = None
     sigma: int = 0
@@ -515,11 +484,16 @@ class Su11Args:
     def __post_init__(self) -> None:
         object.__setattr__(self, "series", SeriesKind(self.series))
         object.__setattr__(self, "m_prime", HalfInt.coerce(self.m_prime))
-        t = float(self.t)
-        if not math.isfinite(t):
-            raise DomainError(f"rapidity must be finite, got t={t}")
-        if t < 0.0:
-            raise DomainError("rapidity t must be nonnegative")
+        t = np.array(self.t, dtype=float) if np.ndim(self.t) else float(self.t)
+        if np.ndim(t) > 1 or not np.size(t) or np.ndim(t) and not self.is_discrete:
+            raise DomainError("a rapidity grid is a nonempty 1-D array, for a discrete series")
+        for value in np.ravel(t).tolist():
+            if not math.isfinite(value):
+                raise DomainError(f"rapidity must be finite, got t={value}")
+            if value < 0.0:
+                raise DomainError("rapidity t must be nonnegative")
+        if np.ndim(t):
+            t.flags.writeable = False
         object.__setattr__(self, "t", t)
         if isinstance(self.m, float) and not math.isfinite(self.m):
             raise DomainError(f"the continuous label m must be finite, got m={self.m}")
@@ -553,7 +527,8 @@ def _check_discrete_weight(k: int, value: HalfIntLike, positive: bool, label: st
     return doubled
 
 
-def _require_rapidity(t: float, cosh_limit: float) -> None:
+def _require_rapidity(t, cosh_limit: float) -> None:
+    t = float(np.max(t))  # of a grid too; cosh grows with t >= 0
     if math.cosh(t) >= cosh_limit:
         raise DomainError(
             f"cosh(t) = {math.cosh(t):.4f} outside the series domain (< {cosh_limit})"
@@ -562,7 +537,7 @@ def _require_rapidity(t: float, cosh_limit: float) -> None:
 
 def _positive_weights(
     args: Su11Args, name: str, weights: Sequence[HalfIntLike]
-) -> tuple[int, list[int]]:
+) -> tuple[int, np.ndarray]:
     """Doubled m and m' of discrete-series elements, on the positive series.
 
     Checks the family, the rapidity and the lattice of m once and of each
@@ -575,10 +550,10 @@ def _positive_weights(
     positive = args.series is SeriesKind.DISCRETE_POSITIVE
     sign = 1 if positive else -1
     two_m = _check_discrete_weight(args.k, args.m, positive, "m")
-    two_mps = [sign * HalfInt.coerce(w).doubled for w in weights]
-    for weight, two_mp in zip(weights, two_mps):
-        if (two_mp - args.k) % 2 or two_mp < args.k:
-            _check_discrete_weight(args.k, weight, positive, "m'")  # raises
+    two_mps = sign * np.array([HalfInt.coerce(w).doubled for w in weights])
+    off = ((two_mps - args.k) % 2 != 0) | (two_mps < args.k)
+    if off.any():
+        _check_discrete_weight(args.k, weights[int(np.argmax(off))], positive, "m'")  # raises
     return sign * two_m, two_mps
 
 
@@ -587,100 +562,168 @@ def bargmann_b(args: Su11Args, weights: Optional[Sequence[HalfIntLike]] = None):
 
     Given `weights`, returns the elements at those m' as a tuple, with the
     family, the rapidity and m checked once; without, the element at
-    `args.m_prime`, the one-weight case of the same route.
-
+    `args.m_prime`, the one-weight case of the same route.  A grid `args.t`
+    gives an array, one row per rapidity bit for bit its one-rapidity call.
     Each call evaluates the whole column of m by `_boost_column`, so a
     ladder holds exactly the values of its one-weight calls.  On the
     positive series b = i^(m'-m) psi(m'); the negative series mirrors
-    (m', m) -> (-m', -m) and conjugates the phase.  Weights past the
-    column's reach are exactly 0.
+    (m', m) -> (-m', -m) and conjugates the phase.  Weights past
+    `boost_column_length` are exactly 0.
     """
     if weights is None:
-        return bargmann_b(args, (args.m_prime,))[0]
+        values = bargmann_b(args, (args.m_prime,))
+        return values[:, 0] if np.ndim(args.t) else values[0]
     two_m, two_mps = _positive_weights(args, "bargmann_b", weights)
-    if not two_mps:
-        return ()
     n = (two_m - args.k) // 2
-    column = np.append(_boost_column(args.k, n, args.t), 0.0)
-    x = np.minimum((np.array(two_mps) - args.k) // 2, column.size - 1).astype(int)
+    columns = _boost_column(args.k, n, np.atleast_1d(args.t))
+    x = np.minimum((two_mps - args.k) // 2, columns.shape[1] - 1).astype(int)
     turns = (x - n) % 4 if args.series is SeriesKind.DISCRETE_POSITIVE else (n - x) % 4
-    return tuple((np.array([1.0, 1j, -1.0, -1j])[turns] * column[x]).tolist())
+    values = np.array([1.0, 1j, -1.0, -1j])[turns] * columns[:, x]
+    return values if np.ndim(args.t) else tuple(values[0].tolist())
 
 
-def _boost_column(k: int, n: int, t: float) -> np.ndarray:
-    """psi(x) = (-1)^min(x, n) phi(x), x = 0 .. top: the boost column of m.
+def boost_column_length(args: Su11Args):
+    """Weights m' = k/2, k/2+1, ... of the boost column of `args.m`, past
+    which `bargmann_b` is exactly 0: an int, or an array for a grid `args.t`.
+    Checks and errors are those of `bargmann_b`."""
+    two_m, _ = _positive_weights(args, "boost_column_length", ())
+    top = _boost_plan(args.k, (two_m - args.k) // 2, np.atleast_1d(args.t))[-1] + 1
+    return top if np.ndim(args.t) else int(top[0])
 
-    x = m' - k/2 and n = m - k/2 on the positive series; phi is an
-    eigenvector of the tridiagonal Meixner-Jacobi matrix (Koekoek, Lesky
-    and Swarttouw, Hypergeometric Orthogonal Polynomials, 2010, 9.10).
-    With c = tanh^2(t/2), d(x) = x + (x+k)c and e(x) = sqrt(c x (x+k-1)),
-    e(x+1) phi(x+1) = (d(x) - (1-c)n) phi(x) - e(x) phi(x-1); phi
-    oscillates between x-+ = (kc + (1+c)n -+ 2 sqrt(c n (n+k))) / (1-c).
-    The recurrence runs forward from the exact
-    phi(0) = sqrt((1-c)^k (k)_n c^n / n!) to max(n, x-), and backward
-    (Miller's algorithm) from `top`, first 300/|ln c| weights past x+,
-    twice as far each time the backward pass has not fallen by 2^170
-    (|phi|^2 by about 1e-100) from its largest value to `top`.  The passes
-    join at the largest of the last nine forward values.  t = 0 gives the
-    identity's column; a column of `BOOST_MAX_TERMS` weights or more raises
-    EntroineqError before its recurrence runs.
+
+def _boost_plan(k: int, n: int, t: np.ndarray):
+    """(c, lower turning point, backward start) per rapidity, as `_boost_column` says.
+
+    The Liouville-Green sum runs over a first guess, the far decay |ln c|/2
+    per weight plus the Airy zone at x+, four times as long while short.
     """
-    c = math.tanh(t / 2.0) ** 2
-    try:
+    c = np.array([math.tanh(v / 2.0) ** 2 for v in t.tolist()])
+    top = np.full(t.size, BOOST_MAX_TERMS)
+    if n < BOOST_MAX_TERMS and k < 2**52:  # the floats below stay in range
         centre = (k * c + (1.0 + c) * n) / (1.0 - c)
-        half_width = 2.0 * math.sqrt(c * n * (n + k)) / (1.0 - c)
-        lower, upper = max(n, math.floor(centre - half_width)), centre + half_width
-        top = math.ceil(upper - 300.0 / math.log(c)) if c else n
-    except OverflowError:
-        top = BOOST_MAX_TERMS
+        half_width = 2.0 * np.sqrt(c * n * (n + k)) / (1.0 - c)
+        lower, upper = np.maximum(n, np.floor(centre - half_width)).astype(int), centre + half_width
+        top[c == 0.0], live = n, np.flatnonzero((c > 0.0) & (upper < BOOST_MAX_TERMS))
+        goal = -0.5 * math.log(BOOST_FLOOR * 2.0**-60)  # u 2^-8, in log |phi|
+        first, r = np.maximum(np.floor(upper[live]), 1.0)[:, None], c[live, None]
+        airy = np.cbrt(np.sqrt(r) * first / (1.0 - np.sqrt(r)) ** 2)
+        span = int(np.max(2.0 * goal / -np.log(r) + 2.0 * goal ** (2.0 / 3.0) * airy, initial=0.0)) + 16
+        while live.size and span < BOOST_MAX_TERMS:
+            x = first + np.arange(span + 1.0)
+            e = np.sqrt(r * x * (x + k - 1.0))
+            x, e, e_next = x[:, :-1], e[:, :-1], e[:, 1:]
+            d = x * (1.0 + r) + (k * r - (1.0 - r) * n)
+            root = np.maximum(d + np.sqrt(np.maximum(d * d - 4.0 * e * e_next, 0.0)), 2.0 * e)
+            fall = np.cumsum(np.log(root / (2.0 * e)), axis=1)  # -log |phi(x+1)/phi(first)|
+            if fall[:, -1].min() >= goal:
+                top[live] = first[:, 0].astype(int) + np.argmax(fall >= goal, axis=1) + 1
+                break
+            span *= 4
+    if top.max() >= BOOST_MAX_TERMS:
+        raise _boost_error(k, n, t[np.argmax(top >= BOOST_MAX_TERMS)], f"is longer than the budget of {BOOST_MAX_TERMS} weights")
+    return c, lower, top
 
-    def coefficients(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return x * (1.0 + c) + (k * c - (1.0 - c) * n), np.sqrt(c * x * (x + k - 1.0))
 
-    if top < BOOST_MAX_TERMS:
-        if c == 0.0:
-            return (np.arange(n + 1) == n).astype(float)
-        d, e = coefficients(np.arange(lower + 1.0))  # d(x) - (1-c)n and e(x)
-        forward, f_shift = _three_term(d[:-1] / e[1:], e[:-1] / e[1:])
-        low = max(0, lower - 8)
-        join = low + int(np.argmax(np.abs(np.ldexp(forward[low:], f_shift[low:] - f_shift[-1]))))
-    while top < BOOST_MAX_TERMS:
-        d, e = coefficients(np.arange(top + 1.0, join, -1.0))  # x = top + 1 .. join + 1
-        backward, b_shift = _three_term(d[1:] / e[1:], e[:-1] / e[1:])
-        if np.max(np.frexp(backward)[1] + b_shift) > 170:
-            break
-        top = math.ceil(2 * top - upper)
-    else:
-        raise EntroineqError(
-            f"the boost column at k={k}, m={HalfInt(2 * n + k)}, t={t!r} is longer than "
-            f"the budget of {BOOST_MAX_TERMS} weights"
-        )
-    # the backward values run from x = top down to join
-    mantissa = np.concatenate([forward[: join + 1], backward[-2::-1] * (forward[join] / backward[-1])])
-    shift = np.concatenate([f_shift[: join + 1], b_shift[-2::-1] + (f_shift[join] - b_shift[-1])])
-    log_start = 0.5 * (k * math.log1p(-c) + n * math.log(c))  # log phi(0)
-    log_start += 0.5 * (math.lgamma(k + n) - math.lgamma(k) - math.lgamma(n + 1))
-    whole, fraction = divmod(log_start, math.log(2.0))
-    phi = np.ldexp(mantissa * math.exp(fraction), shift + int(whole))
-    return np.where(np.minimum(np.arange(top + 1), n) % 2, -phi, phi)
+def _boost_error(k: int, n: int, t: float, what: str) -> EntroineqError:
+    return EntroineqError(f"the boost column at k={k}, m={HalfInt(2 * n + k)}, t={float(t)!r} {what}")
+
+
+def _boost_column(k: int, n: int, t: np.ndarray) -> np.ndarray:
+    """psi(x) = (-1)^min(x, n) phi(x), x = 0, 1, ...: the boost columns of m.
+
+    One row per rapidity of the 1-D `t`, zero past each start and in one
+    more entry.  x = m' - k/2 and n = m - k/2 on the positive series; phi
+    is an eigenvector of the tridiagonal Meixner-Jacobi matrix (Koekoek,
+    Lesky and Swarttouw, Hypergeometric Orthogonal Polynomials, 2010, 9.10).
+    With c = tanh^2(t/2), d(x) = x + (x+k)c and e(x) = sqrt(c x (x+k-1)),
+    e(x+1) phi(x+1) = (d(x) - (1-c)n) phi(x) - e(x) phi(x-1); phi oscillates
+    between x-+ = (kc + (1+c)n -+ 2 sqrt(c n (n+k))) / (1-c).  Each column
+    runs forward from the exact phi(0) = sqrt((1-c)^k C(n+k-1, n) c^n) to
+    max(n, x-) and backward (Miller's algorithm; Gil, Segura and Temme,
+    Numerical Methods for Special Functions, 2007, ch. 4), one `_three_term`
+    call per direction for the grid; the passes join at the largest of the
+    last nine forward values.  The backward start is the first x past x+
+    where the Liouville-Green estimate of phi, the product of the small
+    roots of e(x+1) L^2 - (d(x) - (1-c)n) L + e(x) = 0 from x+ on, has
+    fallen by `BOOST_FLOOR` * u * 2^-8 in |phi|^2 (2^-8 is headroom for the
+    estimate near x+), and at `BOOST_MAX_TERMS` or beyond raises
+    EntroineqError.  The column must then fall by 2^-50, |phi|^2 by
+    `BOOST_FLOOR` * u, from its largest value to its start, so that every
+    |b|^2 >= `BOOST_FLOOR` keeps full relative accuracy, or EntroineqError
+    is raised.  t = 0 gives the identity's column, which ends at x = n.
+    """
+    c, lower, top = _boost_plan(k, n, t)
+    out = np.zeros((t.size, top.max() + 2))
+    out[c == 0.0, n] = 1.0
+    rows = np.flatnonzero(c)
+    if not rows.size:
+        return out
+    c, lower, top, column = c[rows, None], lower[rows], top[rows], np.arange(rows.size)[:, None]
+    x = np.arange(top.max() + 2.0)
+    d = x * (1.0 + c) + (k * c - (1.0 - c) * n)  # d(x) - (1-c)n
+    e = np.sqrt(c * x * (x + k - 1.0))
+    # a row run past its column's end is junk that nothing reads
+    width = lower.max()
+    forward, f_shift = _three_term(d[:, :width] / e[:, 1 : width + 1], e[:, :width] / e[:, 1 : width + 1])
+    window = np.maximum(lower[:, None] - np.arange(8, -1, -1), 0)  # lower - 8 .. lower
+    size = np.abs(np.ldexp(forward[column, window], f_shift[column, window] - f_shift[column, lower[:, None]]))
+    join = window[column[:, 0], np.argmax(size, axis=1)][:, None]
+    steps = top[:, None] - join  # the backward values run from x = top down to join
+    at = np.maximum(top[:, None] - np.arange(steps.max()), 1) - 1  # x - 1
+    backward, b_shift = _three_term((d[:, 1:-1] / e[:, 1:-1])[column, at], (e[:, 2:] / e[:, 1:-1])[column, at])
+    log_comb = 0.5 * math.log(math.comb(n + k - 1, n))
+    starts = [  # phi(0) = exp(fraction) 2^whole, from its logarithm
+        divmod(0.5 * (k * math.log1p(-v) + n * math.log(v)) + log_comb, math.log(2.0)) for v in c[:, 0].tolist()
+    ]
+    whole = np.array([int(w) for w, _ in starts])[:, None]
+    scale = np.array([math.exp(f) for _, f in starts])[:, None]
+    with np.errstate(over="ignore"):  # in the junk
+        head = np.ldexp(forward * scale, f_shift + whole)
+        ratio = forward[column, join] / backward[column, steps] * scale
+        tail = np.ldexp(backward * ratio, b_shift + (f_shift[column, join] - b_shift[column, steps] + whole))
+    x = np.arange(out.shape[1])
+    phi = np.where(x <= join, head[column, np.minimum(x, lower[:, None])], tail[column, np.minimum(abs(top[:, None] - x), steps)])
+    phi[x > top[:, None]] = 0.0
+    size = np.abs(phi)
+    fallen = size[column[:, 0], top] * 2.0**50 <= size.max(axis=1)
+    if not fallen.all():
+        bad = np.argmin(fallen)
+        raise _boost_error(k, n, t[rows[bad]], f"has not fallen by 2^-50 at its backward start m' - k/2 = {top[bad]}")
+    out[rows] = phi * np.where(np.minimum(x, n) % 2, -1.0, 1.0)
+    return out
 
 
 def _three_term(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """y_0 = 1 and y_(i+1) = p_i y_i - q_i y_(i-1), with y_(-1) = 0.
+    """y_0 = 1 and y_(i+1) = p_i y_i - q_i y_(i-1), with y_(-1) = 0, per row of `p` and `q`.
 
-    Returns y as mantissas and binary exponents, y_i = mantissa_i 2^shift_i:
-    once |y| passes 2^300 the running pair is scaled by an exact power of 2.
+    Returns y as mantissas and binary exponents, y_i = mantissa_i 2^shift_i,
+    one row per recurrence: once |y| passes 2^300 the running pair of that
+    row is scaled by an exact power of 2.  One row runs as a float loop,
+    several as one array loop, with the same arithmetic.
     """
-    previous, current, shift = 0.0, 1.0, 0
-    mantissas, shifts = [1.0], [0]
-    for p_i, q_i in zip(p.tolist(), q.tolist()):
-        previous, current = current, p_i * current - q_i * previous
-        if current > 2.0**300 or current < -(2.0**300):
-            e = math.frexp(current)[1]
-            previous, current, shift = math.ldexp(previous, -e), math.ldexp(current, -e), shift + e
-        mantissas.append(current)
-        shifts.append(shift)
-    return np.array(mantissas), np.array(shifts)
+    if p.shape[0] == 1:
+        previous, current, shift = 0.0, 1.0, 0
+        mantissas, shifts = [1.0], [0]
+        for p_i, q_i in zip(p[0].tolist(), q[0].tolist()):
+            previous, current = current, p_i * current - q_i * previous
+            if current > 2.0**300 or current < -(2.0**300):
+                e = math.frexp(current)[1]
+                previous, current, shift = math.ldexp(previous, -e), math.ldexp(current, -e), shift + e
+            mantissas.append(current)
+            shifts.append(shift)
+        return np.array([mantissas]), np.array([shifts])
+    p, q = p.T.copy(), q.T.copy()
+    mantissas, shifts = np.ones((p.shape[0] + 1, p.shape[1])), np.zeros((p.shape[0] + 1, p.shape[1]), dtype=int)
+    previous, current = np.zeros(p.shape[1]), mantissas[0]
+    with np.errstate(over="ignore"):  # in the test below
+        for i in range(p.shape[0]):
+            previous, current = current, p[i] * current - q[i] * previous
+            if not current @ current <= 2.0**600:  # some |y| may pass 2^300
+                e = np.where(np.abs(current) > 2.0**300, np.frexp(current)[1], 0)
+                previous, current = np.ldexp(previous, -e), np.ldexp(current, -e)
+                shifts[i + 1 :] += e
+            mantissas[i + 1] = current
+    return mantissas.T, shifts.T
 
 
 def bargmann_b_continued(args: Su11Args) -> float:
@@ -692,6 +735,7 @@ def bargmann_b_continued(args: Su11Args) -> float:
     """
     k = args.k
     two_m, (two_mp,) = _positive_weights(args, "bargmann_b_continued", (args.m_prime,))
+    two_mp = int(two_mp)
     if two_mp < two_m:
         two_mp, two_m = two_m, two_mp  # modulus is swap-invariant
     degree = (two_m - k) // 2

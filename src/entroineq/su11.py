@@ -4,13 +4,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Union
+
+import numpy as np
 
 from .entropy import SubadditivityReport, subadditivity_report
 from .errors import ConvergenceError, DomainError, NormalizationError
 from .halfint import HalfInt, HalfIntLike
-from .probability import SeriesKind, enumerate_weights, interleave_split
-from .specfun import Su11Args, bargmann_b, c_function, l_function
+from .probability import Distribution, SeriesKind, enumerate_weights, interleave_split
+from .specfun import Su11Args, bargmann_b, boost_column_length, c_function, l_function
 
 #: Adaptive truncation: stop once terms fall below this ...
 TERM_FLOOR = 1e-14
@@ -22,42 +24,49 @@ MAX_TERMS = 10**5
 
 @dataclass(frozen=True)
 class TruncatedDistribution:
-    """Finite prefix of an infinite probability sequence.
+    """Finite prefix of an infinite probability sequence, or one per grid point.
 
-    `values` follow the series' canonical weight order; `captured_mass`
-    is their sum, computed once, `truncation` their number, and
-    `tail_bound` = max(0, 1 - captured_mass) bounds the discarded mass.
+    `values` follow the series' canonical weight order (a read-only array);
+    `captured_mass` is their exact sum, computed once, and `tail_bound` =
+    max(0, 1 - captured_mass) bounds the discarded mass.  1-D `values` are
+    one prefix of `truncation` terms.  2-D `values` hold one prefix per row
+    (per rapidity of a grid), its first `truncation[i]` terms then zeros,
+    and the three attributes are arrays over the rows.
     """
 
-    values: tuple[float, ...]
-    captured_mass: float = field(init=False)
+    values: np.ndarray
+    truncation: Union[int, np.ndarray, None] = None
+    captured_mass: Union[float, np.ndarray] = field(init=False)
 
     def __post_init__(self) -> None:
-        values = tuple(float(v) for v in self.values)
-        if not values:
+        values = np.array(self.values, dtype=float)
+        rows = () if self.truncation is None else self.truncation
+        truncation = np.array(values.size if values.ndim == 1 else rows, dtype=int)
+        past = np.arange(values.shape[-1]) >= truncation[..., None]
+        if truncation.shape != values.shape[:-1] or values.ndim > 2 or np.any(values[past]):
+            raise DomainError("each row of a grid of prefixes needs its truncation, then zeros")
+        if not values.size:
             raise DomainError("a truncated distribution needs at least one value")
-        if not all(0.0 <= v < math.inf for v in values):
+        if not (np.isfinite(values) & (values >= 0.0)).all():
             raise DomainError("probabilities must be finite and nonnegative")
         try:
-            mass = math.fsum(values)
+            mass = np.array([math.fsum(row) for row in values.reshape(-1, values.shape[-1]).tolist()])
         except OverflowError:
             raise DomainError("probability mass overflows the float range") from None
+        values.flags.writeable = False
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "captured_mass", mass)
+        object.__setattr__(self, "truncation", truncation if values.ndim > 1 else values.size)
+        object.__setattr__(self, "captured_mass", mass if values.ndim > 1 else float(mass[0]))
 
     @property
-    def truncation(self) -> int:
-        return len(self.values)
-
-    @property
-    def tail_bound(self) -> float:
-        return max(0.0, 1.0 - self.captured_mass)
+    def tail_bound(self) -> Union[float, np.ndarray]:
+        return np.maximum(0.0, 1.0 - self.captured_mass)
 
 
 def discrete_series_distribution(
     k: int,
     m: HalfIntLike,
-    t: float,
+    t,
     eps: float = 1e-8,
     truncation: Optional[int] = None,
 ) -> TruncatedDistribution:
@@ -68,11 +77,12 @@ def discrete_series_distribution(
     non-increasing, and at least 1 - eps of the mass is captured.
     `TAIL_RUN` exact zeros after some mass with less than 1 - eps of it
     captured raise NormalizationError, since no later term can add to it.
-    Pass `truncation` to force a fixed number of terms instead.  A fixed
-    truncation is one `bargmann_b` call; the adaptive ladder is read in
-    blocks, one call each, each block twice the size of the one before.
-    The first block holds `_first_block` weights, which usually reach the
-    stop.
+    Pass `truncation` to force a fixed number of terms instead.  Either
+    way a ladder is one `bargmann_b` call: the adaptive one reads the whole
+    column (`boost_column_length` weights, then zeros) and applies the
+    stop rule to that array.  `t` is one rapidity, or a 1-D array of them
+    for a 2-D `TruncatedDistribution` from one call, each row bit for bit
+    its one-rapidity ladder; the first failing point raises.
     """
     k = int(k)
     if k < 1:
@@ -81,85 +91,72 @@ def discrete_series_distribution(
         raise DomainError("eps must lie in (0, 1e-6]")
     if truncation is not None and truncation < 1:
         raise DomainError("truncation must be at least 1")
-    args = Su11Args(
-        series=SeriesKind.DISCRETE_POSITIVE, m_prime=HalfInt(k), m=HalfInt.coerce(m), t=t, k=k
+    args = Su11Args(  # a scalar t is the one-point grid
+        series=SeriesKind.DISCRETE_POSITIVE, m_prime=HalfInt(k), m=HalfInt.coerce(m), t=np.atleast_1d(t), k=k
     )
+    count = truncation or min(MAX_TERMS, int(np.max(boost_column_length(args))) + TAIL_RUN)
+    squares = np.abs(np.asarray(bargmann_b(args, [HalfInt(k + 2 * i) for i in range(count)]))) ** 2
+    stops = [truncation] * len(squares) if truncation else _stops(squares, eps, args)
+    if not np.ndim(t):
+        return TruncatedDistribution(squares[0, : stops[0]])
+    width = max(stops)
+    return TruncatedDistribution(np.where(np.arange(width) < np.array(stops)[:, None], squares[:, :width], 0.0), stops)
 
-    def block(start: int, count: int) -> list[float]:
-        weights = [HalfInt(k + 2 * i) for i in range(start, start + count)]
-        return [abs(value) ** 2 for value in bargmann_b(args, weights)]
 
-    if truncation is not None:
-        return TruncatedDistribution(tuple(block(0, truncation)))
-    values: list[float] = []
-    streak, previous, some_mass = 0, math.inf, False
-
-    def terms():
-        start, count = 0, _first_block(k, args.m.doubled, args.t)
-        while start < MAX_TERMS:
-            yield from block(start, min(count, MAX_TERMS - start))
-            start, count = start + count, 2 * count
-
-    for value in terms():
-        values.append(value)
-        streak = streak + 1 if value <= previous else 1
-        previous = value
-        some_mass = some_mass or value > 0.0  # with no mass yet neither stop can fire
-        if value < TERM_FLOOR and streak >= TAIL_RUN and some_mass:
-            mass = math.fsum(values)
+def _stops(squares: np.ndarray, eps: float, args: Su11Args) -> list[int]:
+    """The adaptive truncation of each row of `squares`, the first failing
+    row raising: the stop rule's candidates come from array operations, and
+    the exact mass is summed only at them."""
+    index = np.arange(squares.shape[1])
+    rises = np.ones(squares.shape, dtype=bool)
+    rises[:, 1:] = squares[:, 1:] > squares[:, :-1]
+    streak = index - np.maximum.accumulate(np.where(rises, index, 0), axis=1) + 1
+    some_mass = np.logical_or.accumulate(squares > 0.0, axis=1)  # with no mass yet neither stop can fire
+    rows, at = np.nonzero((squares < TERM_FLOOR) & (streak >= TAIL_RUN) & some_mass)
+    stops = []
+    for values, t, candidates in zip(squares, args.t.tolist(), np.split(at, np.searchsorted(rows, range(1, len(squares))))):
+        for i in candidates.tolist():
+            mass = math.fsum(values[: i + 1].tolist())
             if mass >= 1.0 - eps:
+                stops.append(i + 1)
                 break
             # past the bulk, exact zeros can no longer change the mass
-            if mass > 0.0 and not any(values[-TAIL_RUN:]):
+            if mass > 0.0 and not values[i + 1 - TAIL_RUN : i + 1].any():
                 raise NormalizationError(
                     f"captured mass {mass!r} stays below 1 - eps: "
                     f"the last {TAIL_RUN} terms are exactly 0"
                 )
-    else:
-        raise ConvergenceError(
-            f"the k={k}, m={args.m}, t={args.t!r} ladder did not stabilize within {MAX_TERMS} terms"
-        )
-    return TruncatedDistribution(tuple(values))
-
-
-def _first_block(k: int, two_m: int, t: float) -> int:
-    """Length of the first block of an adaptive ladder.
-
-    Past the bulk near m' = m the squared elements fall like
-    tanh(t/2)^(2m') (times a polynomial in m'), so they pass `TERM_FLOOR`
-    about log(TERM_FLOOR) / log(tanh^2(t/2)) weights later; the block holds
-    twice that reach, at least `TAIL_RUN` + 1 and at most 1024 weights.
-    """
-    ratio = math.tanh(t / 2.0) ** 2
-    tail = math.log(TERM_FLOOR) / math.log(ratio) if 0.0 < ratio < 1.0 else 0.0
-    return min(max(TAIL_RUN + 1, math.ceil(2.0 * ((two_m - k) // 2 + tail))), 1024)
+        else:
+            raise ConvergenceError(
+                f"the k={args.k}, m={args.m}, t={t!r} ladder did not stabilize within {values.size} terms"
+            )
+    return stops
 
 
 def su11_subadditivity(d: TruncatedDistribution) -> SubadditivityReport:
     """Shannon subadditivity of the pair/parity split of a weight ladder.
 
     The stored prefix is renormalized, split into consecutive pairs, and
-    reported; requires captured mass within 1e-6 of 1 on either side.
+    reported; requires captured mass within 1e-6 of 1 on either side.  A
+    grid is one report of arrays, unchanged by its zero padding.
     """
-    if abs(d.captured_mass - 1.0) > 1e-6:
+    mass = np.ravel(d.captured_mass)
+    far = np.abs(mass - 1.0) > 1e-6
+    if far.any():
         raise NormalizationError(
-            f"captured mass {d.captured_mass!r} is not within 1e-6 of 1"
+            f"captured mass {float(mass[far][0])!r} is not within 1e-6 of 1"
         )
-    return _renormalized_report(d.values, d.captured_mass)
+    return _renormalized_report(d)
 
 
-def _renormalized_report(
-    values: Sequence[float], mass: float, report_only: bool = False
-) -> SubadditivityReport:
-    """Report the pair/parity split of `values` scaled to unit total.
-
-    `mass` is the sum of `values`; it is attached as `raw_mass`.
-    """
-    if mass <= 0.0:
+def _renormalized_report(d: TruncatedDistribution, report_only: bool = False) -> SubadditivityReport:
+    """Report the pair/parity split of each prefix of `d` scaled to unit
+    total, with its captured mass attached as `raw_mass`."""
+    if np.any(d.captured_mass <= 0.0):
         raise NormalizationError("no probability mass captured")
-    scale = 1.0 / mass
-    report = subadditivity_report(interleave_split([v * scale for v in values]))
-    return replace(report, report_only=report_only, raw_mass=mass)
+    table = Distribution(d.values * (1.0 / np.asarray(d.captured_mass))[..., None], d.values.ndim - 1)
+    report = subadditivity_report(interleave_split(table))
+    return replace(report, report_only=report_only, raw_mass=d.captured_mass)
 
 
 def _ladder_report(
@@ -177,7 +174,7 @@ def _ladder_report(
         raise DomainError("truncation must be at least 1")
     weights = enumerate_weights(kind, edge, truncation)
     values = [abs(value) ** 2 for value in element(args, weights)]
-    return _renormalized_report(values, math.fsum(values), report_only=True)
+    return _renormalized_report(TruncatedDistribution(values), report_only=True)
 
 
 def mixed_series_report(args: Su11Args, truncation: int) -> SubadditivityReport:

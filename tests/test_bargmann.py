@@ -180,6 +180,78 @@ class TestLargeColumnWeights:
             assert abs(math.fsum(abs(b) ** 2 for b in ladder) - 1.0) <= 1e-12
 
 
+class TestRapidityGrid:
+    """A grid `args.t` is one call with one row per rapidity."""
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_rows_are_the_one_rapidity_calls(self, sign):
+        series = SeriesKind.DISCRETE_POSITIVE if sign > 0 else SeriesKind.DISCRETE_NEGATIVE
+        grid = np.concatenate([[0.0, 1e-6], np.linspace(0.05, 1.7, 30)])
+        for k, two_m in ((1, 1), (2, 6), (3, 61), (100, 100)):
+            args = discrete_args(k, sign * k, sign * two_m, grid, series=series)
+            weights = [HalfInt(sign * (k + 2 * i)) for i in range(300)]
+            rows = bargmann_b(args, weights)
+            assert rows.shape == (grid.size, 300)
+            for row, t in zip(rows, grid.tolist()):
+                assert row.tolist() == list(bargmann_b(replace(args, t=t), weights))
+            assert bargmann_b(args).tolist() == [bargmann_b(replace(args, t=t)) for t in grid.tolist()]
+
+    def test_column_lengths(self):
+        grid = np.array([0.0, 0.3, 1.7])
+        args = discrete_args(2, 2, 6, grid)
+        lengths = specfun.boost_column_length(args)
+        assert lengths.tolist() == [specfun.boost_column_length(replace(args, t=t)) for t in grid.tolist()]
+        assert lengths[0] == 3  # the identity's column ends at m' = m
+        rows = bargmann_b(args, [HalfInt(2 + 2 * i) for i in range(lengths.max() + 5)])
+        for row, length in zip(rows, lengths.tolist()):
+            assert row[length - 1] != 0.0 and not row[length:].any()
+
+    def test_the_grid_is_checked_before_any_column(self, monkeypatch):
+        calls = []
+        for name in ("_boost_column", "_three_term"):
+            original = getattr(specfun, name)
+            monkeypatch.setattr(specfun, name, lambda *a, f=original, name=name: calls.append(name) or f(*a))
+        for grid, message in (
+            ([0.1, math.nan, 0.3], "finite"), ([0.1, -0.2], "nonnegative"),
+            ([0.1, 0.3, 1.8], "outside the series domain"), ([[0.1, 0.2]], "1-D"), ([], "nonempty"),
+        ):
+            with pytest.raises(DomainError, match=message):
+                bargmann_b(discrete_args(2, 2, 2, np.array(grid)), [HalfInt(2)])
+        assert not calls
+        # the column past the budget is the second one; no recurrence runs
+        args = discrete_args(2, 2, 6 * 10**5 + 2, np.array([0.1, 1.7]))
+        with pytest.raises(EntroineqError, match="t=1.7 is longer than the budget"):
+            bargmann_b(args, [HalfInt(2)])
+        assert "_three_term" not in calls
+
+    def test_only_the_discrete_series_takes_a_grid(self):
+        with pytest.raises(DomainError, match="discrete series"):
+            Su11Args(series=SeriesKind.CONTINUOUS_INTEGER, m_prime=0, m=0.5, t=[0.1, 0.2], s=0.5)
+
+
+class TestColumnNormalization:
+    """log phi(0) takes its binomial from exact integers, so the column's
+    relative error no longer grows like m ln m (it was 3.3e-10 at m = 1e5
+    and 6e-12 at m = 5000)."""
+
+    @pytest.mark.parametrize("m, t, tolerance", [(10**5, 0.1, 1e-10), (10**5, 1.0, 1e-10), (5000, 1.0, 1e-12)])
+    def test_large_m_column_is_a_unit_vector(self, m, t, tolerance):
+        column = specfun._boost_column(2, m - 1, np.array([t]))[0]
+        assert abs(math.fsum((column * column).tolist()) - 1.0) <= tolerance
+
+    def test_backward_start_falls_far_enough(self):
+        # the start is an estimate and the fall check (2^-50) raises; the
+        # columns fall by 2^-52 or more across k, m and t, small t included
+        # (the mass carries the rounding of log phi(0), which grows with k and m)
+        grid = np.concatenate([[1e-6, 1e-3], np.linspace(0.02, 1.71, 10)])
+        for k in (1, 3, 100, 1000):
+            for n in (0, 2, 30, 1000):
+                columns, top = specfun._boost_column(k, n, grid), specfun._boost_plan(k, n, grid)[2]
+                for column, start in zip(np.abs(columns), top.tolist()):
+                    assert column.max() >= 2.0**52 * column[start]
+                    assert abs(math.fsum((column * column).tolist()) - 1.0) <= 1e-10
+
+
 class TestRouteEquivalence:
     def test_squared_elements_agree(self):
         for k in (1, 2, 3, 4):

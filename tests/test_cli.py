@@ -288,6 +288,50 @@ class TestSu11Check:
         assert code == 0
         assert abs(float(parse_csv(data)[1][0][2]) - 1.0) <= 1e-6
 
+    def test_grid_rows_are_the_one_point_rows(self, tmp_path):
+        grid = "0.12:1.66:64"
+        code, data = run_to_file(tmp_path, "grid.csv", ["su11-check", "--k", "3", "--m", "7/2", "--grid", grid])
+        assert code == 0
+        lines = data.decode("utf-8").split("\n")
+        assert len(lines) == 66
+        for t, line in zip(cli._parse_grid(grid), lines[1:]):
+            argv = ["su11-check", "--k", "3", "--m", "7/2", "--grid", f"{t!r}:{t!r}:1"]
+            _, one = run_to_file(tmp_path, "one.csv", argv)
+            assert one.decode("utf-8").split("\n")[1] == line
+
+    def test_one_pipeline_call_per_grid(self, tmp_path, monkeypatch):
+        calls = []
+        original = cli.discrete_series_distribution
+        monkeypatch.setattr(
+            cli, "discrete_series_distribution", lambda *a, **kw: calls.append(a) or original(*a, **kw)
+        )
+        code, data = run_to_file(tmp_path, "u.csv", ["su11-check", "--k", "2", "--m", "2", "--grid", "0.1:1.6:64"])
+        assert code == 0
+        assert len(calls) == 1
+        t = calls[0][2]
+        assert isinstance(t, np.ndarray) and t.shape == (64,)
+        _, rows = parse_csv(data)
+        assert [float(row[0]) for row in rows] == cli._parse_grid("0.1:1.6:64")
+
+    def test_one_column_evaluation_for_a_long_ladder(self, capsys, monkeypatch):
+        # used to evaluate the 111,333-weight column once per block, 7 times
+        calls = []
+        for module, name in ((su11, "bargmann_b"), (specfun, "_boost_column")):
+            original = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *a, f=original, name=name: calls.append(name) or f(*a))
+        assert main(["su11-check", "--k", "2", "--m", "1e5", "--grid", "0.1:0.1:1"]) == 2
+        err = capsys.readouterr().err
+        assert "k=2, m=100000, t=0.1 ladder did not stabilize within 100000 terms" in err
+        assert calls == ["bargmann_b", "_boost_column"]
+
+    def test_rapidity_outside_the_domain_anywhere_in_the_grid(self, capsys, monkeypatch):
+        calls = []
+        original = specfun._boost_column
+        monkeypatch.setattr(specfun, "_boost_column", lambda *a: calls.append(a) or original(*a))
+        assert main(["su11-check", "--k", "2", "--m", "1", "--grid", "0.1:1.8:5"]) == 2
+        assert "outside the series domain" in capsys.readouterr().err
+        assert not calls
+
     @pytest.mark.parametrize("fields", [["--s", "0.5", "--m", "nan"], ["--s", "inf", "--m", "0.5"]])
     def test_non_finite_continuous_parameters(self, fields, capsys, monkeypatch):
         # a NaN label used to run 1e6 hypergeometric terms per seed first

@@ -19,8 +19,6 @@ from entroineq import (
     hyp2f1,
     jacobi,
     log_gamma,
-    rgamma,
-    s_factor,
     wigner_d,
     wigner_oracle,
 )
@@ -182,16 +180,6 @@ class TestLogGamma:
             with pytest.raises(PoleError):
                 log_gamma(z)
 
-    def test_reciprocal_gamma_vanishes_at_poles(self):
-        assert rgamma(0.0) == 0.0
-        assert rgamma(-3.0) == 0.0
-        assert rgamma(2.0) == pytest.approx(1.0, abs=1e-14)
-
-    def test_reciprocal_gamma_overflow_names_z(self):
-        # used to raise a bare OverflowError("math range error")
-        with pytest.raises(EntroineqError, match=re.escape("z = (-171+0.5j)")):
-            rgamma(complex(-171.0, 0.5))
-
 
 class TestHyp2f1:
     def test_at_origin(self):
@@ -300,41 +288,6 @@ class TestHyp2f1Arrays:
             hyp2f1(math.nan, 0.5, 1.5, 0.3)
         with pytest.raises(EntroineqError, match="overflows the float range"):
             hyp2f1(-400.0, 1.0, 1.0, -1e3)
-
-
-class TestSFactor:
-    def test_top_corner_is_cosine_power(self):
-        for theta in (0.3, 1.2, 2.9):
-            expected = math.cos(theta / 2.0) ** 6
-            assert s_factor("3/2", "3/2", "3/2", theta) == pytest.approx(
-                expected, abs=1e-14
-            )
-
-    def test_zero_rotation_rules(self):
-        assert s_factor(1, 1, 1, 0.0) == 1.0
-        assert s_factor(1, 1, 0, 0.0) == 0.0
-
-    def test_hand_value(self):
-        assert s_factor(1, 1, 0, math.pi / 2) == pytest.approx(0.5, abs=1e-14)
-
-    def test_requires_canonical_sector(self):
-        with pytest.raises(DomainError):
-            s_factor(1, 0, 1, 0.4)
-        with pytest.raises(DomainError):
-            s_factor(1, -1, 0, 0.4)
-
-    @pytest.mark.parametrize("theta", NON_FINITE)
-    def test_rejects_non_finite_angle(self, theta):
-        with pytest.raises(DomainError, match="finite"):
-            s_factor(1, 1, 0, theta)
-
-    def test_overflow_raises_with_parameters(self):
-        # used to raise a bare OverflowError from the factorial ratio
-        with pytest.raises(EntroineqError) as info:
-            s_factor(600, 600, 0, 1.0)
-        message = str(info.value)
-        for part in ("j=600,", "m'=600,", "m=0,", "theta=1.0"):
-            assert part in message
 
 
 class TestWignerD:

@@ -5,6 +5,7 @@ import re
 import time
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from entroineq import specfun, su11
@@ -115,22 +116,22 @@ class TestDiscreteSeriesDistribution:
         with pytest.raises(DomainError, match="float range"):
             discrete_series_distribution(2, math.inf, 0.5)
 
-    def test_one_element_call_per_block_of_terms(self, monkeypatch):
-        # one Su11Args per ladder; a fixed truncation is one bargmann_b call
-        # and the adaptive ladder one per block: _first_block weights, then
-        # twice as many each time, until the blocks cover the truncation
+    def test_one_column_per_ladder_and_per_grid(self, monkeypatch):
+        # one Su11Args, one bargmann_b call and one column evaluation per
+        # ladder, fixed or adaptive (the (2, 32, 1.675) ladder used to take
+        # two blocks), and per grid of ladders
         built = []
         monkeypatch.setattr(su11, "Su11Args", lambda **fields: built.append(1) or Su11Args(**fields))
-        calls = count_calls(monkeypatch, (su11, "bargmann_b"))
-        discrete_series_distribution(2, HalfInt(2), 0.5, truncation=57)
-        assert (len(built), calls["bargmann_b"]) == (1, 1)
-        for k, two_m, t, blocks in ((3, 7, 0.8, 1), (2, 32, 1.675, 2)):
+        calls = count_calls(monkeypatch, (su11, "bargmann_b"), (specfun, "_boost_column"))
+        cases = [
+            (2, 2, 0.5, 57), (3, 7, 0.8, None), (2, 32, 1.675, None),
+            (2, 32, np.linspace(0.1, 1.675, 64), None), (3, 7, np.linspace(0.1, 1.6, 64), 400),
+        ]
+        for k, two_m, t, truncation in cases:
             built.clear()
-            calls["bargmann_b"] = 0
-            d = discrete_series_distribution(k, HalfInt(two_m), t)
-            covered = [su11._first_block(k, two_m, t) * (2**n - 1) for n in range(1, 6)]
-            assert (len(built), calls["bargmann_b"]) == (1, blocks)
-            assert blocks == 1 + sum(1 for c in covered if c < d.truncation)
+            calls.update(bargmann_b=0, _boost_column=0)
+            discrete_series_distribution(k, HalfInt(two_m), t, truncation=truncation)
+            assert (len(built), calls["bargmann_b"], calls["_boost_column"]) == (1, 1, 1)
 
     @pytest.mark.parametrize("t", [float("nan"), float("inf"), -float("inf")])
     def test_rejects_non_finite_rapidity(self, t):
@@ -146,6 +147,70 @@ class TestDiscreteSeriesDistribution:
             )
         with pytest.raises(DomainError, match="finite"):
             Su11Args(series=SeriesKind.CONTINUOUS_INTEGER, m_prime=HalfInt(0), m=0.5, t=t, s=0.5)
+
+
+REPORT_FIELDS = ("h_joint", "h_first", "h_second", "slack", "raw_mass")
+
+
+class TestRapidityGrid:
+    """A rapidity array is one ladder per grid point in one pipeline call."""
+
+    @pytest.mark.parametrize(
+        "k, two_m, grid",
+        [(k, k, (0.1, 0.5, 1.0, 1.5)) for k in (1, 2, 3, 4)]  # criterion 8
+        + [(3, 7, tuple(np.linspace(0.12, 1.66, 64))), (2, 4, (0.0, 0.3, 1.7, 0.0))],
+    )
+    def test_rows_are_the_one_rapidity_calls(self, k, two_m, grid):
+        d = discrete_series_distribution(k, HalfInt(two_m), np.array(grid))
+        report = su11_subadditivity(d)
+        assert d.values.shape == (len(grid), max(d.truncation))
+        for i, t in enumerate(grid):
+            one = discrete_series_distribution(k, HalfInt(two_m), t)
+            assert d.truncation[i] == one.truncation
+            assert d.values[i, : one.truncation].tolist() == one.values.tolist()
+            assert not d.values[i, one.truncation :].any()
+            assert d.captured_mass[i] == one.captured_mass
+            single = su11_subadditivity(one)
+            assert [getattr(report, f)[i] for f in REPORT_FIELDS] == [getattr(single, f) for f in REPORT_FIELDS]
+
+    def test_one_point_grid_is_the_scalar_call(self):
+        for truncation in (None, 400):
+            one = discrete_series_distribution(3, HalfInt(61), 1.5, truncation=truncation)
+            grid = discrete_series_distribution(3, HalfInt(61), np.array([1.5]), truncation=truncation)
+            assert grid.values.tolist() == [one.values.tolist()]
+            assert (grid.truncation.tolist(), grid.captured_mass.tolist()) == ([one.truncation], [one.captured_mass])
+            single, report = su11_subadditivity(one), su11_subadditivity(grid)
+            assert [getattr(report, f).tolist() for f in REPORT_FIELDS] == [[getattr(single, f)] for f in REPORT_FIELDS]
+
+    def test_zero_padding_is_exactly_invariant(self):
+        one = discrete_series_distribution(2, HalfInt(4), 0.9)
+        for pad in (1, 2, 37):
+            padded = TruncatedDistribution(np.pad(one.values, (0, pad))[None, :], [one.truncation])
+            assert padded.captured_mass.tolist() == [one.captured_mass]
+            single, report = su11_subadditivity(one), su11_subadditivity(padded)
+            assert [getattr(report, f).tolist() for f in REPORT_FIELDS] == [[getattr(single, f)] for f in REPORT_FIELDS]
+
+    def test_bad_rapidity_anywhere_raises_before_any_element(self, monkeypatch):
+        calls = count_calls(monkeypatch, (su11, "bargmann_b"), (specfun, "_boost_column"))
+        for grid, message in (
+            ([0.1, math.nan, 0.3], "finite"), ([0.1, 0.3, math.inf], "finite"),
+            ([0.1, -0.2, 0.3], "nonnegative"), ([0.1, 0.3, 1.8], "outside the series domain"),
+        ):
+            for truncation in (None, 5):
+                with pytest.raises(DomainError, match=message):
+                    discrete_series_distribution(2, HalfInt(2), np.array(grid), truncation=truncation)
+        assert calls["_boost_column"] == 0  # bargmann_b checks a fixed ladder's grid first
+
+    def test_first_failing_point_raises(self, plant_ladder):
+        # every grid point sees the same planted column; the error names the
+        # mass of the first
+        plant_ladder([0.99999892])
+        with pytest.raises(NormalizationError, match=r"captured mass 0\.9999989"):
+            discrete_series_distribution(3, HalfInt(61), np.array([1.0, 1.2]))
+        plant_ladder([0.5, 0.5 + 2e-6])
+        d = discrete_series_distribution(3, HalfInt(61), np.array([1.0, 1.2]))
+        with pytest.raises(NormalizationError, match=re.escape(repr(float(d.captured_mass[0])))):
+            su11_subadditivity(d)
 
 
 class TestTruncatedDistribution:
@@ -168,6 +233,16 @@ class TestTruncatedDistribution:
         assert report.h_first == pytest.approx(shannon(scaled), abs=1e-12)
         assert report.h_second == 0.0
         assert report.raw_mass == d.captured_mass
+
+    def test_grid_of_prefixes(self):
+        d = TruncatedDistribution(np.array([[0.5, 0.5, 0.0], [0.25, 0.25, 0.5]]), [2, 3])
+        assert d.truncation.tolist() == [2, 3]
+        assert d.captured_mass.tolist() == [1.0, 1.0]
+        assert d.tail_bound.tolist() == [0.0, 0.0]
+        with pytest.raises(DomainError, match="needs its truncation"):
+            TruncatedDistribution(np.array([[0.5, 0.5]]))
+        with pytest.raises(DomainError, match="then zeros"):
+            TruncatedDistribution(np.array([[0.5, 0.5]]), [1])
 
     def test_rejects_non_finite_values(self):
         for bad in (float("nan"), float("inf")):
