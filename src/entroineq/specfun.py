@@ -40,6 +40,10 @@ DISCRETE_COSH_LIMIT = 2.9
 #: a longer one raises EntroineqError before its recurrence runs.
 BOOST_MAX_TERMS = 10**6
 
+#: A rapidity grid runs in parts whose columns hold about this many
+#: weights in all, so its work arrays take a few MB whatever its size.
+BOOST_PART_TERMS = 2**16
+
 #: Smallest |b|^2 a discrete boost column keeps to full relative accuracy
 #: (about 3.6e-15, below the adaptive ladder's 1e-14 floor); the column is
 #: exactly 0 where |b|^2 falls below BOOST_FLOOR * u, u = 2^-52.
@@ -550,7 +554,7 @@ def _positive_weights(
     positive = args.series is SeriesKind.DISCRETE_POSITIVE
     sign = 1 if positive else -1
     two_m = _check_discrete_weight(args.k, args.m, positive, "m")
-    two_mps = sign * np.array([HalfInt.coerce(w).doubled for w in weights])
+    two_mps = sign * np.array([HalfInt.coerce(w).doubled for w in weights], dtype=int)
     off = ((two_mps - args.k) % 2 != 0) | (two_mps < args.k)
     if off.any():
         _check_discrete_weight(args.k, weights[int(np.argmax(off))], positive, "m'")  # raises
@@ -574,11 +578,9 @@ def bargmann_b(args: Su11Args, weights: Optional[Sequence[HalfIntLike]] = None):
         values = bargmann_b(args, (args.m_prime,))
         return values[:, 0] if np.ndim(args.t) else values[0]
     two_m, two_mps = _positive_weights(args, "bargmann_b", weights)
-    n = (two_m - args.k) // 2
-    columns = _boost_column(args.k, n, np.atleast_1d(args.t))
-    x = np.minimum((two_mps - args.k) // 2, columns.shape[1] - 1).astype(int)
+    n, x = (two_m - args.k) // 2, (two_mps - args.k) // 2
     turns = (x - n) % 4 if args.series is SeriesKind.DISCRETE_POSITIVE else (n - x) % 4
-    values = np.array([1.0, 1j, -1.0, -1j])[turns] * columns[:, x]
+    values = np.array([1.0, 1j, -1.0, -1j])[turns] * _boost_column(args.k, n, np.atleast_1d(args.t), x)
     return values if np.ndim(args.t) else tuple(values[0].tolist())
 
 
@@ -595,7 +597,9 @@ def _boost_plan(k: int, n: int, t: np.ndarray):
     """(c, lower turning point, backward start) per rapidity, as `_boost_column` says.
 
     The Liouville-Green sum runs over a first guess, the far decay |ln c|/2
-    per weight plus the Airy zone at x+, four times as long while short.
+    per weight plus the Airy zone at x+, and four times as far for the rows
+    it leaves short, over parts of the rows of about `BOOST_PART_TERMS`
+    entries.
     """
     c = np.array([math.tanh(v / 2.0) ** 2 for v in t.tolist()])
     top = np.full(t.size, BOOST_MAX_TERMS)
@@ -605,20 +609,22 @@ def _boost_plan(k: int, n: int, t: np.ndarray):
         lower, upper = np.maximum(n, np.floor(centre - half_width)).astype(int), centre + half_width
         top[c == 0.0], live = n, np.flatnonzero((c > 0.0) & (upper < BOOST_MAX_TERMS))
         goal = -0.5 * math.log(BOOST_FLOOR * 2.0**-60)  # u 2^-8, in log |phi|
-        first, r = np.maximum(np.floor(upper[live]), 1.0)[:, None], c[live, None]
-        airy = np.cbrt(np.sqrt(r) * first / (1.0 - np.sqrt(r)) ** 2)
-        span = int(np.max(2.0 * goal / -np.log(r) + 2.0 * goal ** (2.0 / 3.0) * airy, initial=0.0)) + 16
+        first = np.maximum(np.floor(upper), 1.0)
+        airy = np.cbrt(np.sqrt(c[live]) * first[live] / (1.0 - np.sqrt(c[live])) ** 2)
+        span = int(np.max(2.0 * goal / -np.log(c[live]) + 2.0 * goal ** (2.0 / 3.0) * airy, initial=0.0)) + 16
         while live.size and span < BOOST_MAX_TERMS:
-            x = first + np.arange(span + 1.0)
-            e = np.sqrt(r * x * (x + k - 1.0))
-            x, e, e_next = x[:, :-1], e[:, :-1], e[:, 1:]
-            d = x * (1.0 + r) + (k * r - (1.0 - r) * n)
-            root = np.maximum(d + np.sqrt(np.maximum(d * d - 4.0 * e * e_next, 0.0)), 2.0 * e)
-            fall = np.cumsum(np.log(root / (2.0 * e)), axis=1)  # -log |phi(x+1)/phi(first)|
-            if fall[:, -1].min() >= goal:
-                top[live] = first[:, 0].astype(int) + np.argmax(fall >= goal, axis=1) + 1
-                break
-            span *= 4
+            short, size = [], max(1, BOOST_PART_TERMS // span)
+            for part in (live[i : i + size] for i in range(0, live.size, size)):
+                x, r = first[part, None] + np.arange(span + 1.0), c[part, None]
+                e = np.sqrt(r * x * (x + k - 1.0))
+                x, e, e_next = x[:, :-1], e[:, :-1], e[:, 1:]
+                d = x * (1.0 + r) + (k * r - (1.0 - r) * n)
+                root = np.maximum(d + np.sqrt(np.maximum(d * d - 4.0 * e * e_next, 0.0)), 2.0 * e)
+                fall = np.cumsum(np.log(root / (2.0 * e)), axis=1) >= goal  # -log |phi(x+1)/phi(first)| >= goal
+                top[part] = first[part].astype(int) + np.argmax(fall, axis=1) + 1
+                short.append(part[~fall[:, -1]])
+            live, span = np.concatenate(short), span * 4
+        top[live] = BOOST_MAX_TERMS
     if top.max() >= BOOST_MAX_TERMS:
         raise _boost_error(k, n, t[np.argmax(top >= BOOST_MAX_TERMS)], f"is longer than the budget of {BOOST_MAX_TERMS} weights")
     return c, lower, top
@@ -628,11 +634,12 @@ def _boost_error(k: int, n: int, t: float, what: str) -> EntroineqError:
     return EntroineqError(f"the boost column at k={k}, m={HalfInt(2 * n + k)}, t={float(t)!r} {what}")
 
 
-def _boost_column(k: int, n: int, t: np.ndarray) -> np.ndarray:
-    """psi(x) = (-1)^min(x, n) phi(x), x = 0, 1, ...: the boost columns of m.
+def _boost_column(k: int, n: int, t: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """psi(x) = (-1)^min(x, n) phi(x) at the integers `x`: the boost columns of m.
 
-    One row per rapidity of the 1-D `t`, zero past each start and in one
-    more entry.  x = m' - k/2 and n = m - k/2 on the positive series; phi
+    One row per rapidity of the 1-D `t`, zero past each start, run in
+    parts of `BOOST_PART_TERMS` weights or one row.
+    x = m' - k/2 and n = m - k/2 on the positive series; phi
     is an eigenvector of the tridiagonal Meixner-Jacobi matrix (Koekoek,
     Lesky and Swarttouw, Hypergeometric Orthogonal Polynomials, 2010, 9.10).
     With c = tanh^2(t/2), d(x) = x + (x+k)c and e(x) = sqrt(c x (x+k-1)),
@@ -653,6 +660,14 @@ def _boost_column(k: int, n: int, t: np.ndarray) -> np.ndarray:
     is raised.  t = 0 gives the identity's column, which ends at x = n.
     """
     c, lower, top = _boost_plan(k, n, t)
+    size = max(1, BOOST_PART_TERMS // (int(top.max()) + 2))  # rows per part
+    parts = (slice(i, i + size) for i in range(0, t.size, size))
+    columns = (_boost_rows(k, n, t[s], c[s], lower[s], top[s]) for s in parts)  # one part at a time
+    return np.concatenate([column[:, np.minimum(x, column.shape[1] - 1)] for column in columns])
+
+
+def _boost_rows(k: int, n: int, t: np.ndarray, c: np.ndarray, lower: np.ndarray, top: np.ndarray) -> np.ndarray:
+    """The `_boost_column` rows of `t` at x = 0 .. max(top) + 1, from their plan."""
     out = np.zeros((t.size, top.max() + 2))
     out[c == 0.0, n] = 1.0
     rows = np.flatnonzero(c)
@@ -671,7 +686,8 @@ def _boost_column(k: int, n: int, t: np.ndarray) -> np.ndarray:
     steps = top[:, None] - join  # the backward values run from x = top down to join
     at = np.maximum(top[:, None] - np.arange(steps.max()), 1) - 1  # x - 1
     backward, b_shift = _three_term((d[:, 1:-1] / e[:, 1:-1])[column, at], (e[:, 2:] / e[:, 1:-1])[column, at])
-    log_comb = 0.5 * math.log(math.comb(n + k - 1, n))
+    ratios = max(n, k - 1) / np.arange(1.0, min(n, k - 1) + 1)  # C(n+k-1, n) is the product of 1 + ratio
+    log_comb = 0.5 * math.fsum(np.log1p(ratios).tolist())
     starts = [  # phi(0) = exp(fraction) 2^whole, from its logarithm
         divmod(0.5 * (k * math.log1p(-v) + n * math.log(v)) + log_comb, math.log(2.0)) for v in c[:, 0].tolist()
     ]
@@ -698,8 +714,10 @@ def _three_term(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Returns y as mantissas and binary exponents, y_i = mantissa_i 2^shift_i,
     one row per recurrence: once |y| passes 2^300 the running pair of that
-    row is scaled by an exact power of 2.  One row runs as a float loop,
-    several as one array loop, with the same arithmetic.
+    row is scaled by an exact power of 2.  Several rows run as one array
+    loop; one row runs as a float loop with the same arithmetic, since the
+    array loop's per-step overhead makes it about 15 times slower there
+    (400 steps).
     """
     if p.shape[0] == 1:
         previous, current, shift = 0.0, 1.0, 0
@@ -713,17 +731,16 @@ def _three_term(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             shifts.append(shift)
         return np.array([mantissas]), np.array([shifts])
     p, q = p.T.copy(), q.T.copy()
-    mantissas, shifts = np.ones((p.shape[0] + 1, p.shape[1])), np.zeros((p.shape[0] + 1, p.shape[1]), dtype=int)
+    mantissas, bumps = np.ones((p.shape[0] + 1, p.shape[1])), np.zeros((p.shape[0] + 1, p.shape[1]), dtype=int)
     previous, current = np.zeros(p.shape[1]), mantissas[0]
     with np.errstate(over="ignore"):  # in the test below
         for i in range(p.shape[0]):
             previous, current = current, p[i] * current - q[i] * previous
             if not current @ current <= 2.0**600:  # some |y| may pass 2^300
-                e = np.where(np.abs(current) > 2.0**300, np.frexp(current)[1], 0)
-                previous, current = np.ldexp(previous, -e), np.ldexp(current, -e)
-                shifts[i + 1 :] += e
+                bumps[i + 1] = np.where(np.abs(current) > 2.0**300, np.frexp(current)[1], 0)
+                previous, current = np.ldexp(previous, -bumps[i + 1]), np.ldexp(current, -bumps[i + 1])
             mantissas[i + 1] = current
-    return mantissas.T, shifts.T
+    return mantissas.T, np.cumsum(bumps, axis=0).T
 
 
 def bargmann_b_continued(args: Su11Args) -> float:

@@ -12,7 +12,7 @@ from .entropy import SubadditivityReport, subadditivity_report
 from .errors import ConvergenceError, DomainError, NormalizationError
 from .halfint import HalfInt, HalfIntLike
 from .probability import Distribution, SeriesKind, enumerate_weights, interleave_split
-from .specfun import Su11Args, bargmann_b, boost_column_length, c_function, l_function
+from .specfun import BOOST_PART_TERMS, Su11Args, bargmann_b, boost_column_length, c_function, l_function
 
 #: Adaptive truncation: stop once terms fall below this ...
 TERM_FLOOR = 1e-14
@@ -22,7 +22,7 @@ TAIL_RUN = 10
 MAX_TERMS = 10**5
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TruncatedDistribution:
     """Finite prefix of an infinite probability sequence, or one per grid point.
 
@@ -31,7 +31,8 @@ class TruncatedDistribution:
     max(0, 1 - captured_mass) bounds the discarded mass.  1-D `values` are
     one prefix of `truncation` terms.  2-D `values` hold one prefix per row
     (per rapidity of a grid), its first `truncation[i]` terms then zeros,
-    and the three attributes are arrays over the rows.
+    and the three attributes are arrays over the rows.  Instances compare
+    and hash by identity, as numpy arrays have no truth value.
     """
 
     values: np.ndarray
@@ -50,7 +51,7 @@ class TruncatedDistribution:
         if not (np.isfinite(values) & (values >= 0.0)).all():
             raise DomainError("probabilities must be finite and nonnegative")
         try:
-            mass = np.array([math.fsum(row) for row in values.reshape(-1, values.shape[-1]).tolist()])
+            mass = np.array([math.fsum(row.tolist()) for row in values.reshape(-1, values.shape[-1])])
         except OverflowError:
             raise DomainError("probability mass overflows the float range") from None
         values.flags.writeable = False
@@ -60,7 +61,8 @@ class TruncatedDistribution:
 
     @property
     def tail_bound(self) -> Union[float, np.ndarray]:
-        return np.maximum(0.0, 1.0 - self.captured_mass)
+        mass = self.captured_mass
+        return np.maximum(0.0, 1.0 - mass) if self.values.ndim > 1 else max(0.0, 1.0 - mass)
 
 
 def discrete_series_distribution(
@@ -82,7 +84,9 @@ def discrete_series_distribution(
     column (`boost_column_length` weights, then zeros) and applies the
     stop rule to that array.  `t` is one rapidity, or a 1-D array of them
     for a 2-D `TruncatedDistribution` from one call, each row bit for bit
-    its one-rapidity ladder; the first failing point raises.
+    its one-rapidity ladder; the first failing point raises.  A grid whose
+    ladders hold more than `BOOST_PART_TERMS` terms runs in parts of about
+    that many or of one row, each one `bargmann_b` call.
     """
     k = int(k)
     if k < 1:
@@ -95,12 +99,17 @@ def discrete_series_distribution(
         series=SeriesKind.DISCRETE_POSITIVE, m_prime=HalfInt(k), m=HalfInt.coerce(m), t=np.atleast_1d(t), k=k
     )
     count = truncation or min(MAX_TERMS, int(np.max(boost_column_length(args))) + TAIL_RUN)
-    squares = np.abs(np.asarray(bargmann_b(args, [HalfInt(k + 2 * i) for i in range(count)]))) ** 2
-    stops = [truncation] * len(squares) if truncation else _stops(squares, eps, args)
+    weights, size = [HalfInt(k + 2 * i) for i in range(count)], max(1, BOOST_PART_TERMS // count)
+    squares, stops = [], []
+    for start in range(0, args.t.size, size):
+        part = args if size >= args.t.size else replace(args, t=args.t[start : start + size])
+        squares.append(np.abs(np.asarray(bargmann_b(part, weights))) ** 2)
+        stops += [truncation] * len(squares[-1]) if truncation else _stops(squares[-1], eps, part)
+    squares = np.concatenate(squares)[:, : max(stops)]
     if not np.ndim(t):
-        return TruncatedDistribution(squares[0, : stops[0]])
-    width = max(stops)
-    return TruncatedDistribution(np.where(np.arange(width) < np.array(stops)[:, None], squares[:, :width], 0.0), stops)
+        return TruncatedDistribution(squares[0])
+    squares[np.arange(squares.shape[1]) >= np.array(stops)[:, None]] = 0.0
+    return TruncatedDistribution(squares, stops)
 
 
 def _stops(squares: np.ndarray, eps: float, args: Su11Args) -> list[int]:

@@ -3,6 +3,7 @@
 import functools
 import math
 import random
+import time
 from dataclasses import replace
 
 import mpmath
@@ -224,20 +225,52 @@ class TestRapidityGrid:
             bargmann_b(args, [HalfInt(2)])
         assert "_three_term" not in calls
 
+    def test_columns_in_parts(self, monkeypatch):
+        # parts of 400 weights hold a few columns each
+        grid = np.linspace(0.05, 1.7, 30)
+        args, weights = discrete_args(3, 3, 61, grid), [HalfInt(3 + 2 * i) for i in range(300)]
+        whole = bargmann_b(args, weights)
+        monkeypatch.setattr(specfun, "BOOST_PART_TERMS", 400)
+        calls = []
+        original = specfun._boost_rows
+        monkeypatch.setattr(specfun, "_boost_rows", lambda *a: calls.append(a[2].size) or original(*a))
+        assert bargmann_b(args, weights).tolist() == whole.tolist()
+        assert sum(calls) == 30 and max(calls) < 30
+
+    def test_array_recurrence_is_the_float_recurrence(self):
+        # the rows grow like 2.62^i and 2.13^i, so each rescales at its own steps
+        p, q = np.array([np.full(3000, 3.0), np.full(3000, 2.6)]), np.ones((2, 3000))
+        mantissas, shifts = specfun._three_term(p, q)
+        assert shifts[:, -1].min() > 2000
+        for row in range(2):
+            one = specfun._three_term(p[row : row + 1], q[row : row + 1])
+            assert (mantissas[row].tolist(), shifts[row].tolist()) == (one[0][0].tolist(), one[1][0].tolist())
+
     def test_only_the_discrete_series_takes_a_grid(self):
         with pytest.raises(DomainError, match="discrete series"):
             Su11Args(series=SeriesKind.CONTINUOUS_INTEGER, m_prime=0, m=0.5, t=[0.1, 0.2], s=0.5)
 
 
 class TestColumnNormalization:
-    """log phi(0) takes its binomial from exact integers, so the column's
-    relative error no longer grows like m ln m (it was 3.3e-10 at m = 1e5
-    and 6e-12 at m = 5000)."""
+    """log phi(0) takes its binomial as a sum of min(n, k-1) logarithms, so
+    the column's relative error no longer grows like m ln m (it was 3.3e-10
+    at m = 1e5 and 6e-12 at m = 5000)."""
 
     @pytest.mark.parametrize("m, t, tolerance", [(10**5, 0.1, 1e-10), (10**5, 1.0, 1e-10), (5000, 1.0, 1e-12)])
     def test_large_m_column_is_a_unit_vector(self, m, t, tolerance):
-        column = specfun._boost_column(2, m - 1, np.array([t]))[0]
+        top = specfun._boost_plan(2, m - 1, np.array([t]))[2]
+        column = specfun._boost_column(2, m - 1, np.array([t]), np.arange(top[0] + 1))[0]
         assert abs(math.fsum((column * column).tolist()) - 1.0) <= tolerance
+
+    def test_huge_k_is_prompt(self):
+        # the exact integer C(n+k-1, n) takes 16 s at this k and n; its log is a
+        # sum of min(n, k-1) terms
+        k, n, t = 10**12, 3 * 10**5, np.array([1e-7])
+        start = time.perf_counter()
+        top = specfun._boost_plan(k, n, t)[2]
+        column = specfun._boost_column(k, n, t, np.arange(top[0] + 1))[0]
+        assert time.perf_counter() - start < 5.0
+        assert abs(math.fsum((column * column).tolist()) - 1.0) <= 1e-8
 
     def test_backward_start_falls_far_enough(self):
         # the start is an estimate and the fall check (2^-50) raises; the
@@ -246,7 +279,8 @@ class TestColumnNormalization:
         grid = np.concatenate([[1e-6, 1e-3], np.linspace(0.02, 1.71, 10)])
         for k in (1, 3, 100, 1000):
             for n in (0, 2, 30, 1000):
-                columns, top = specfun._boost_column(k, n, grid), specfun._boost_plan(k, n, grid)[2]
+                top = specfun._boost_plan(k, n, grid)[2]
+                columns = specfun._boost_column(k, n, grid, np.arange(top.max() + 1))
                 for column, start in zip(np.abs(columns), top.tolist()):
                     assert column.max() >= 2.0**52 * column[start]
                     assert abs(math.fsum((column * column).tolist()) - 1.0) <= 1e-10

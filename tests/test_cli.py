@@ -273,6 +273,15 @@ class TestSu11Check:
         err = capsys.readouterr().err
         assert "k=2, m=100000, t=0.1 ladder did not stabilize within 100000 terms" in err
 
+    def test_long_ladders_in_a_grid_exit_promptly(self, capsys):
+        # a grid of such ladders runs one row at a time and stops at the
+        # first; one array of every row's column would take several GB
+        start = time.perf_counter()
+        assert main(["su11-check", "--k", "2", "--m", "1e5", "--grid", "0.1:1.6:256"]) == 2
+        assert time.perf_counter() - start < 5.0
+        err = capsys.readouterr().err
+        assert "k=2, m=100000, t=0.1 ladder did not stabilize within 100000 terms" in err
+
     @pytest.mark.parametrize("m", ["1e9", "1e17", "1e30", str(2**62)])
     def test_column_past_the_budget_exits_promptly(self, m, capsys):
         start = time.perf_counter()

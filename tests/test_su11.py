@@ -133,6 +133,20 @@ class TestDiscreteSeriesDistribution:
             discrete_series_distribution(k, HalfInt(two_m), t, truncation=truncation)
             assert (len(built), calls["bargmann_b"], calls["_boost_column"]) == (1, 1, 1)
 
+    def test_a_grid_in_parts_is_the_grid_in_one(self, monkeypatch):
+        # with parts of 400 weights the 64 ladders and their columns run a
+        # few rows at a time; each row stays bit for bit the same
+        grid = np.linspace(0.12, 1.66, 64)
+        whole = discrete_series_distribution(3, HalfInt(7), grid)
+        for module in (specfun, su11):
+            monkeypatch.setattr(module, "BOOST_PART_TERMS", 400)
+        calls = count_calls(monkeypatch, (su11, "bargmann_b"), (specfun, "_boost_rows"))
+        parts = discrete_series_distribution(3, HalfInt(7), grid)
+        assert parts.values.tolist() == whole.values.tolist()
+        assert parts.truncation.tolist() == whole.truncation.tolist()
+        assert parts.captured_mass.tolist() == whole.captured_mass.tolist()
+        assert calls["bargmann_b"] > 10 and calls["_boost_rows"] >= calls["bargmann_b"]
+
     @pytest.mark.parametrize("t", [float("nan"), float("inf"), -float("inf")])
     def test_rejects_non_finite_rapidity(self, t):
         with pytest.raises(DomainError, match="finite"):
@@ -223,6 +237,15 @@ class TestTruncatedDistribution:
         assert d.truncation == 3
         assert d.tail_bound == 0.125
         assert TruncatedDistribution(values=(0.5, 0.5 + 1e-9)).tail_bound == 0.0
+        assert type(d.captured_mass) is float and type(d.tail_bound) is float
+
+    def test_compares_and_hashes_by_identity(self):
+        # array values have no truth value, so equal contents are not equal
+        one = TruncatedDistribution(values=(0.5, 0.5))
+        grid = TruncatedDistribution(np.array([[0.5, 0.5], [1.0, 0.0]]), [2, 1])
+        for d in (one, grid):
+            assert d == d and d != TruncatedDistribution(d.values, d.truncation if d.values.ndim > 1 else None)
+            assert {d: 1}[d] == 1
 
     def test_renormalization(self):
         d = TruncatedDistribution(values=(0.5, 0.4999999))
