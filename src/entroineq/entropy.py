@@ -14,7 +14,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .errors import DomainError
-from .probability import Distribution, DistributionLike, marginals
+from .probability import Distribution, DistributionLike, marginals, row_fsums
 
 #: An entropy of one distribution, or an array of them over batch axes.
 Entropy = Union[float, np.ndarray]
@@ -35,7 +35,7 @@ def _sums(p: DistributionLike, term: Callable[..., np.ndarray]) -> Entropy:
         return math.fsum(term(array[array > 0.0]).tolist())
     rows = array.reshape(math.prod(batch_shape), -1)
     terms = term(rows, out=np.zeros(rows.shape), where=rows > 0.0)
-    return np.array([math.fsum(row) for row in terms.tolist()]).reshape(batch_shape)
+    return np.array(row_fsums(terms)).reshape(batch_shape)
 
 
 def check_q(q: float) -> float:
@@ -48,7 +48,7 @@ def check_q(q: float) -> float:
 
 def shannon(p: DistributionLike) -> Entropy:
     """H = -sum p_k ln p_k over every entry of `p`, whatever its rank."""
-    return -_sums(p, lambda v, **mask: v * np.log(v, **mask))
+    return -_sums(p, lambda v, **mask: np.multiply(v, np.log(v, **mask), **mask))
 
 
 def tsallis(p: DistributionLike, q: float) -> Entropy:

@@ -9,7 +9,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Sequence, Union
+
+import numpy as np
 
 from .errors import DomainError
 
@@ -93,3 +95,18 @@ class HalfInt:
         if self.doubled % 2 == 0:
             return str(self.doubled // 2)
         return f"{self.doubled}/2"
+
+
+def doubled(weights: Sequence[HalfIntLike]) -> np.ndarray:
+    """The doubled values of a weight sequence, as an int array.  A numeric
+    numpy array goes in one step under the float rule of `HalfInt.coerce`,
+    whose error its first bad entry raises; anything else entry by entry."""
+    if not (isinstance(weights, np.ndarray) and weights.dtype.kind in "iuf"):
+        return np.array([HalfInt.coerce(w).doubled for w in weights], dtype=int)
+    with np.errstate(all="ignore"):  # NaN and +-inf are bad entries
+        twice = 2.0 * weights
+        nearest = np.round(twice)
+        bad = ~(np.abs(twice - nearest) <= 1e-9)
+    if bad.any():
+        HalfInt.coerce(float(weights[np.argmax(bad)]))  # raises
+    return nearest.astype(int)

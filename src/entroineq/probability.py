@@ -24,7 +24,16 @@ NEGATIVE_CLAMP = 1e-12
 #: Allowed deviation of a total probability mass from 1.
 SUM_TOLERANCE = 1e-9
 
+#: Exact row sums take this many entries at a time as Python floats.
+FSUM_CHUNK = 2**16
+
 DistributionLike = Union["Distribution", Sequence[float], np.ndarray]
+
+
+def row_fsums(rows: np.ndarray) -> list[float]:
+    """`math.fsum` of each row of a 2-D array, a chunk of rows at a time."""
+    step = max(1, FSUM_CHUNK // max(1, rows.shape[1]))
+    return [math.fsum(row) for start in range(0, len(rows), step) for row in rows[start : start + step].tolist()]
 
 
 def _clean(values) -> np.ndarray:
@@ -58,9 +67,8 @@ class Distribution:
             raise DimensionError("a distribution needs an axis and an entry beyond its batch axes")
         if not (array > 0.0).all():  # zeros, negatives and NaN need the checks
             array = _clean(array)
-        rows = array.reshape(math.prod(array.shape[:batch_ndim]), -1).tolist()
         try:
-            totals = [math.fsum(row) for row in rows]
+            totals = row_fsums(array.reshape(math.prod(array.shape[:batch_ndim]), -1))
         except OverflowError:
             raise DomainError("probability mass overflows the float range") from None
         for total in totals:
@@ -196,30 +204,23 @@ def enumerate_weights(
     Discrete series enumerate from the edge weight (-j upward, or j
     downward); continuous series alternate around 0 or +-1/2.
     """
+    return tuple(HalfInt(d) for d in doubled_weights(kind, j_or_s, count).tolist())
+
+
+def doubled_weights(kind: SeriesKind, j_or_s: HalfIntLike | None = None, count: int = 1) -> np.ndarray:
+    """The doubled labels of `enumerate_weights`, as an int array."""
     kind = SeriesKind(kind)
     if count < 1:
         raise DimensionError("count must be at least 1")
+    i = np.arange(count)
     if kind is SeriesKind.DISCRETE_POSITIVE:
-        start = -HalfInt.coerce(j_or_s).doubled
-        return tuple(HalfInt(start + 2 * i) for i in range(count))
+        return -HalfInt.coerce(j_or_s).doubled + 2 * i
     if kind is SeriesKind.DISCRETE_NEGATIVE:
-        start = HalfInt.coerce(j_or_s).doubled
-        return tuple(HalfInt(start - 2 * i) for i in range(count))
+        return HalfInt.coerce(j_or_s).doubled - 2 * i
+    sign = np.where(i % 2, 1, -1)
     if kind is SeriesKind.CONTINUOUS_INTEGER:
-        # 0, 1, -1, 2, -2, ...
-        out = []
-        for i in range(1, count + 1):
-            magnitude = i // 2
-            sign = 1 if i % 2 == 0 else -1
-            out.append(HalfInt(2 * sign * magnitude))
-        return tuple(out)
-    # -1/2, 1/2, -3/2, 3/2, ...
-    out = []
-    for i in range(1, count + 1):
-        magnitude = 2 * ((i + 1) // 2) - 1
-        sign = 1 if i % 2 == 0 else -1
-        out.append(HalfInt(sign * magnitude))
-    return tuple(out)
+        return sign * ((i + 1) // 2) * 2  # 0, 1, -1, 2, -2, ...
+    return sign * (2 * ((i + 2) // 2) - 1)  # -1/2, 1/2, -3/2, 3/2, ...
 
 
 def marginals(t: Distribution) -> tuple[Distribution, Distribution]:

@@ -21,7 +21,7 @@ from .errors import (
     PoleError,
     UnsupportedBranchError,
 )
-from .halfint import HalfInt, HalfIntLike
+from .halfint import HalfInt, HalfIntLike, doubled
 from .probability import SeriesKind
 
 #: Series evaluation of the hypergeometric function needs |z| <= this.
@@ -174,31 +174,34 @@ def _nonpos_int(z: complex) -> Optional[int]:
     return None
 
 
-def _sin_pi(z: complex) -> complex:
-    """sin(pi z) with range reduction on the real part."""
-    n = math.floor(z.real)
-    s = cmath.sin(cmath.pi * (z - n))
-    return -s if n % 2 else s
+def _product(a, b):
+    """a * b over complex arrays with Python's complex rounding: numpy may
+    fuse the multiply-add, which moves the large log-space terms by an ulp."""
+    return a.real * b.real - a.imag * b.imag + 1j * (a.real * b.imag + a.imag * b.real)
 
 
-def log_gamma(z: Union[complex, float]) -> complex:
-    """Principal-branch log Gamma via the Lanczos approximation.
+def log_gamma(z: Union[complex, float, np.ndarray]) -> Union[complex, np.ndarray]:
+    """Principal-branch log Gamma via the Lanczos approximation, elementwise.
 
-    Reflection handles Re z < 0.5; nonpositive integers raise PoleError.
+    Reflection handles Re z < 0.5; a nonpositive integer anywhere raises
+    PoleError.  A scalar gives a complex, an array a complex array.
     """
-    z = complex(z)
-    if _nonpos_int(z) is not None:
-        raise PoleError(f"log_gamma pole at {z}")
-    if z.real < 0.5:
-        return (
-            math.log(math.pi) - cmath.log(_sin_pi(z)) - log_gamma(1.0 - z)
-        )
-    w = z - 1.0
-    x = complex(_LANCZOS_C[0])
-    for i, coeff in enumerate(_LANCZOS_C[1:], start=1):
-        x += coeff / (w + i)
+    scalar, z = not np.ndim(z), np.atleast_1d(np.asarray(z, dtype=complex))
+    pole = (z.imag == 0.0) & (z.real <= 0.0) & (z.real == np.round(z.real))
+    if pole.any():
+        raise PoleError(f"log_gamma pole at {complex(z[pole][0])}")
+    reflect = z.real < 0.5  # log Gamma(1 - z), then the reflection formula
+    w = np.where(reflect, 1.0 - z, z) - 1.0
+    x = sum((coeff / (w + i) for i, coeff in enumerate(_LANCZOS_C[1:], start=1)), complex(_LANCZOS_C[0]))
     t = w + _LANCZOS_G + 0.5
-    return _HALF_LOG_TWO_PI + (w + 0.5) * cmath.log(t) - t + cmath.log(x)
+    value = _HALF_LOG_TWO_PI + _product(w + 0.5, np.log(t)) - t + np.log(x)
+    if reflect.any():
+        z = z[reflect]
+        n = np.floor(z.real)  # sin(pi z) with range reduction on the real part
+        sin_pi = np.sin(np.pi * (z - n))
+        sin_pi = np.where(n % 2, -sin_pi, sin_pi)
+        value[reflect] = math.log(math.pi) - np.log(sin_pi) - value[reflect]
+    return complex(value[0]) if scalar else value
 
 
 # ----------------------------------------------------------------------
@@ -554,11 +557,16 @@ def _positive_weights(
     positive = args.series is SeriesKind.DISCRETE_POSITIVE
     sign = 1 if positive else -1
     two_m = _check_discrete_weight(args.k, args.m, positive, "m")
-    two_mps = sign * np.array([HalfInt.coerce(w).doubled for w in weights], dtype=int)
-    off = ((two_mps - args.k) % 2 != 0) | (two_mps < args.k)
+    return sign * two_m, sign * _lattice_weights(args.k, weights, positive)
+
+
+def _lattice_weights(k: int, weights: Sequence[HalfIntLike], positive: bool) -> np.ndarray:
+    """Doubled m' of `weights`, all checked on the k weight lattice of the series."""
+    two_mps = doubled(weights)
+    off = ((two_mps - k) % 2 != 0) | ((two_mps if positive else -two_mps) < k)
     if off.any():
-        _check_discrete_weight(args.k, weights[int(np.argmax(off))], positive, "m'")  # raises
-    return sign * two_m, two_mps
+        _check_discrete_weight(k, HalfInt(int(two_mps[np.argmax(off)])), positive, "m'")  # raises
+    return two_mps
 
 
 def bargmann_b(args: Su11Args, weights: Optional[Sequence[HalfIntLike]] = None):
@@ -814,21 +822,21 @@ def _regularized_family(j: complex, m: float, z: complex, top: float, count: int
     return family
 
 
-def _branch(
-    log_norm: complex, a: float, im: complex, z: complex, p: complex, m_prime: HalfInt
-) -> complex:
-    """exp(log_norm) (1-z)^((a-im)/2) z^((a+im)/2) p, the factors in log space.
-
-    A value outside the float range raises EntroineqError naming m'.
+def _branch(log_norm: np.ndarray, a: np.ndarray, im: complex, z: complex, p: np.ndarray, two_mps: np.ndarray) -> np.ndarray:
+    """exp(log_norm) (1-z)^((a-im)/2) z^((a+im)/2) p over a ladder, the factors
+    in log space.  A value outside the float range raises EntroineqError
+    naming the first such m' (doubled in `two_mps`).
     """
-    log_factor = log_norm + ((a - im) / 2.0 * cmath.log(1.0 - z) + (a + im) / 2.0 * cmath.log(z))
-    if abs(log_factor.real) <= LOG_FLOAT_RANGE:
-        value = cmath.exp(log_factor) * p
-        if cmath.isfinite(value):
-            return value
-    raise EntroineqError(
-        f"the matrix element overflows the float range at z = {z}, m' = {m_prime}"
-    )
+    log_factor = log_norm + (_product((a - im) / 2.0, cmath.log(1.0 - z)) + _product((a + im) / 2.0, cmath.log(z)))
+    inside = np.abs(log_factor.real) <= LOG_FLOAT_RANGE
+    with np.errstate(all="ignore"):  # raised below
+        value = np.exp(np.where(inside, log_factor, 0.0)) * p
+    bad = ~(inside & np.isfinite(value))
+    if bad.any():
+        raise EntroineqError(
+            f"the matrix element overflows the float range at z = {z}, m' = {HalfInt(int(two_mps[np.argmax(bad)]))}"
+        )
+    return value
 
 
 def c_function(args: Su11Args, weights: Optional[Sequence[HalfIntLike]] = None):
@@ -856,8 +864,8 @@ def c_function(args: Su11Args, weights: Optional[Sequence[HalfIntLike]] = None):
         return c_function(args, (args.m_prime,))[0]
     _require_rapidity(args.t, CONTINUOUS_COSH_LIMIT)
     k = args.k
-    weights = [HalfInt(_check_discrete_weight(k, w, True, "m'")) for w in weights]
-    if not weights:
+    two_mps = _lattice_weights(k, weights, True)
+    if not two_mps.size:
         return ()
     j = -k / 2.0
     m = float(args.m)
@@ -875,14 +883,10 @@ def c_function(args: Su11Args, weights: Optional[Sequence[HalfIntLike]] = None):
     z = (1.0 + 1j * math.sinh(args.t)) / 2.0
     # a = -m' falls from a seed at a >= 0 on the lattice of k/2
     top = (k % 2) / 2.0
-    family = _regularized_family(j, m, z, top, (max(weights).doubled + k % 2) // 2 + 1)
-    values = []
-    for w in weights:
-        mp = float(w)
-        log_norm = -0.5 * (math.lgamma(mp - j) + math.lgamma(mp + j + 1.0))
-        index = (w.doubled + k % 2) // 2
-        values.append(constant * _branch(log_norm, -mp, im, z, family[index], w))
-    return tuple(values)
+    family = np.array(_regularized_family(j, m, z, top, (int(two_mps.max()) + k % 2) // 2 + 1))
+    mp = two_mps / 2.0
+    log_norm = -0.5 * (log_gamma(mp - j) + log_gamma(mp + j + 1.0)).real
+    return tuple((constant * _branch(log_norm, -mp, im, z, family[(two_mps + k % 2) // 2], two_mps)).tolist())
 
 
 def l_function(args: Su11Args, weights: Optional[Sequence[HalfIntLike]] = None):
@@ -904,12 +908,12 @@ def l_function(args: Su11Args, weights: Optional[Sequence[HalfIntLike]] = None):
         raise DomainError("l_function needs a continuous-series spin")
     if weights is None:
         return l_function(args, (args.m_prime,))[0]
-    weights = [HalfInt.coerce(w) for w in weights]
-    for w in weights:
-        if w.is_integer != (args.series is SeriesKind.CONTINUOUS_INTEGER):
-            raise DomainError(f"m' = {w} is off the {args.series.value} lattice")
+    two_mps = doubled(weights)
+    off = two_mps % 2 != (args.series is SeriesKind.CONTINUOUS_HALF_INTEGER)
+    if off.any():
+        raise DomainError(f"m' = {HalfInt(int(two_mps[np.argmax(off)]))} is off the {args.series.value} lattice")
     _require_rapidity(args.t, CONTINUOUS_COSH_LIMIT)
-    if not weights:
+    if not two_mps.size:
         return ()
     j = complex(-0.5, args.s)
     m = float(args.m)
@@ -922,19 +926,14 @@ def l_function(args: Su11Args, weights: Optional[Sequence[HalfIntLike]] = None):
     parity_sign = -1.0 if sigma % 2 else 1.0
     z_plus = (1.0 - 1j * math.sinh(args.t)) / 2.0
     z_minus = (1.0 + 1j * math.sinh(args.t)) / 2.0
-    top = max(abs(w).doubled for w in weights) / 2.0
+    top = int(np.abs(two_mps).max()) / 2.0
     count = int(2.0 * top) + 1
-    family_plus = _regularized_family(j, m, z_plus, top, count)
-    family_minus = _regularized_family(j, m, z_minus, top, count)
-    values = []
-    for w in weights:
-        mp = float(w)
-        log_upper = log_gamma(mp - j)
-        # m' + j + 1 is the conjugate of m' - j, since j = -1/2 + is
-        log_norm = 0.5 * (log_upper - log_upper.conjugate())
-        plus = _branch(
-            log_norm - log_gamma(-mp - j), mp, im, z_plus, family_plus[int(top - mp)], w
-        )
-        minus = _branch(log_norm - log_upper, -mp, im, z_minus, family_minus[int(top + mp)], w)
-        values.append(constant * (plus - parity_sign * minus))
-    return tuple(values)
+    family_plus = np.array(_regularized_family(j, m, z_plus, top, count))
+    family_minus = np.array(_regularized_family(j, m, z_minus, top, count))
+    mp = two_mps / 2.0
+    log_upper = log_gamma(mp - j)
+    # m' + j + 1 is the conjugate of m' - j, since j = -1/2 + is
+    log_norm = 0.5 * (log_upper - log_upper.conjugate())
+    plus = _branch(log_norm - log_gamma(-mp - j), mp, im, z_plus, family_plus[(top - mp).astype(int)], two_mps)
+    minus = _branch(log_norm - log_upper, -mp, im, z_minus, family_minus[(top + mp).astype(int)], two_mps)
+    return tuple((constant * (plus - parity_sign * minus)).tolist())

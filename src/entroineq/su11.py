@@ -11,7 +11,7 @@ import numpy as np
 from .entropy import SubadditivityReport, subadditivity_report
 from .errors import ConvergenceError, DomainError, NormalizationError
 from .halfint import HalfInt, HalfIntLike
-from .probability import Distribution, SeriesKind, enumerate_weights, interleave_split
+from .probability import Distribution, SeriesKind, doubled_weights, interleave_split, row_fsums
 from .specfun import BOOST_PART_TERMS, Su11Args, bargmann_b, boost_column_length, c_function, l_function
 
 #: Adaptive truncation: stop once terms fall below this ...
@@ -51,7 +51,7 @@ class TruncatedDistribution:
         if not (np.isfinite(values) & (values >= 0.0)).all():
             raise DomainError("probabilities must be finite and nonnegative")
         try:
-            mass = np.array([math.fsum(row.tolist()) for row in values.reshape(-1, values.shape[-1])])
+            mass = np.array(row_fsums(values.reshape(-1, values.shape[-1])))
         except OverflowError:
             raise DomainError("probability mass overflows the float range") from None
         values.flags.writeable = False
@@ -99,7 +99,7 @@ def discrete_series_distribution(
         series=SeriesKind.DISCRETE_POSITIVE, m_prime=HalfInt(k), m=HalfInt.coerce(m), t=np.atleast_1d(t), k=k
     )
     count = truncation or min(MAX_TERMS, int(np.max(boost_column_length(args))) + TAIL_RUN)
-    weights, size = [HalfInt(k + 2 * i) for i in range(count)], max(1, BOOST_PART_TERMS // count)
+    weights, size = k / 2 + np.arange(count), max(1, BOOST_PART_TERMS // count)
     squares, stops = [], []
     for start in range(0, args.t.size, size):
         part = args if size >= args.t.size else replace(args, t=args.t[start : start + size])
@@ -163,13 +163,13 @@ def _renormalized_report(d: TruncatedDistribution, report_only: bool = False) ->
     total, with its captured mass attached as `raw_mass`."""
     if np.any(d.captured_mass <= 0.0):
         raise NormalizationError("no probability mass captured")
-    table = Distribution(d.values * (1.0 / np.asarray(d.captured_mass))[..., None], d.values.ndim - 1)
-    report = subadditivity_report(interleave_split(table))
+    scale = (1.0 / np.asarray(d.captured_mass))[..., None]  # each table is freed once the next is built
+    report = subadditivity_report(interleave_split(Distribution(d.values * scale, d.values.ndim - 1)))
     return replace(report, report_only=report_only, raw_mass=d.captured_mass)
 
 
 def _ladder_report(
-    element: Callable[[Su11Args, Sequence[HalfInt]], Sequence[complex]],
+    element: Callable[[Su11Args, np.ndarray], Sequence[complex]],
     args: Su11Args,
     kind: SeriesKind,
     edge: Optional[HalfInt],
@@ -181,8 +181,8 @@ def _ladder_report(
     """
     if truncation < 1:
         raise DomainError("truncation must be at least 1")
-    weights = enumerate_weights(kind, edge, truncation)
-    values = [abs(value) ** 2 for value in element(args, weights)]
+    weights = doubled_weights(kind, edge, truncation) / 2.0
+    values = np.abs(np.array(element(args, weights))) ** 2
     return _renormalized_report(TruncatedDistribution(values), report_only=True)
 
 

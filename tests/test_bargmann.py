@@ -622,6 +622,53 @@ class TestContinuousLadder:
             c_function(mixed, [HalfInt(400)])
 
 
+def same_bits(a, b):
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+class TestArrayWeights:
+    """A float array of weights is the HalfInt list, bit for bit."""
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_discrete_ladders_and_grids(self, sign):
+        series = SeriesKind.DISCRETE_POSITIVE if sign > 0 else SeriesKind.DISCRETE_NEGATIVE
+        for k, two_m in ((1, 7), (2, 2), (3, 61)):
+            args = discrete_args(k, sign * k, sign * two_m, 0.9, series=series)
+            halfints = [HalfInt(sign * (k + 2 * i)) for i in range(400)]
+            floats = sign * (k / 2 + np.arange(400))
+            assert same_bits(bargmann_b(args, floats), bargmann_b(args, halfints))
+            grid = replace(args, t=np.linspace(0.0, 1.7, 9))
+            assert same_bits(bargmann_b(grid, floats), bargmann_b(grid, halfints))
+            assert same_bits(bargmann_b(grid, floats[::-7]), bargmann_b(grid, halfints[::-7]))
+
+    @pytest.mark.parametrize("kind", list(LADDER_SAMPLES))
+    def test_continuous_and_mixed_ladders(self, kind):
+        args = Su11Args(series=kind, m_prime=HalfInt(0 if kind is SeriesKind.CONTINUOUS_INTEGER else 1),
+                        m=0.5, t=0.75, s=0.5, sigma=1)
+        halfints = enumerate_weights(kind, None, 256)
+        floats = np.array([float(w) for w in halfints])
+        assert same_bits(l_function(args, floats), l_function(args, halfints))
+        mixed = Su11Args(series=SeriesKind.DISCRETE_POSITIVE, m_prime=HalfInt(3), m=0.5, t=0.3, k=3)
+        halfints = enumerate_weights(SeriesKind.DISCRETE_POSITIVE, HalfInt(-3), 128)
+        floats = 1.5 + np.arange(128.0)
+        assert same_bits(c_function(mixed, floats), c_function(mixed, halfints))
+
+    def test_an_off_lattice_entry_raises_as_in_a_list(self):
+        checks = (
+            (bargmann_b, discrete_args(2, 2, 2, 0.5), [1.0, 2.0, 2.5, 3.0], "m' must sit on the k = 2"),
+            (bargmann_b, discrete_args(2, 2, 2, 0.5), [1.0, 2.0, 0.0], "m' >= k/2"),
+            (c_function, Su11Args(series=SeriesKind.DISCRETE_POSITIVE, m_prime=HalfInt(2), m=0.5, t=0.3, k=2),
+             [1.0, 1.5], "m' must sit on the k = 2"),
+            (l_function, TestContinuousLadder().args(), [0.0, 1.0, -3.5], r"m' = -7/2 is off"),
+        )
+        for element, args, weights, message in checks:
+            for form in (weights, np.array(weights), [HalfInt.coerce(w) for w in weights]):
+                with pytest.raises(DomainError, match=message):
+                    element(args, form)
+        with pytest.raises(DomainError, match="not a half-integer"):
+            bargmann_b(discrete_args(2, 2, 2, 0.5), np.array([1.0, 1.3]))
+
+
 class TestSu11Args:
     def test_discrete_requires_k(self):
         with pytest.raises(DomainError):

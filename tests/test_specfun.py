@@ -180,6 +180,34 @@ class TestLogGamma:
             with pytest.raises(PoleError):
                 log_gamma(z)
 
+    def test_array_matches_mpmath(self):
+        # both half-planes, the real axis left of 0.5 and the continuous
+        # family's arguments m' -+ j; equal up to the branch, 2 pi i k
+        rng = np.random.default_rng(11)
+        z = np.concatenate([
+            rng.uniform(-20.0, 20.0, 300) + 1j * rng.uniform(-10.0, 10.0, 300),
+            rng.uniform(-20.0, 0.4, 100),
+            -np.arange(1.0, 60.0) - 0.5 - 0.43j,
+            np.arange(1.0, 200.0) + 0.5 + 0.43j,
+        ])
+        got = log_gamma(z)
+        assert got.shape == z.shape and got.dtype == complex
+        for value, point in zip(got.tolist(), z.tolist()):
+            want = complex(mpmath.loggamma(mpmath.mpc(point.real, point.imag)))
+            turns = round((value - want).imag / (2.0 * math.pi))
+            assert abs(value - want - 2j * math.pi * turns) <= 1e-13 * max(1.0, abs(want)), point
+            assert log_gamma(point) == value  # a scalar is the one-point array
+
+    @pytest.mark.parametrize("pole", [0.0, -1.0, -7.0])
+    def test_a_pole_inside_an_array(self, pole):
+        with pytest.raises(PoleError, match=re.escape(f"log_gamma pole at {complex(pole)}")):
+            log_gamma(np.array([2.5, -0.5 + 1j, pole, 3.0]))
+
+    def test_scalar_gives_a_python_complex(self):
+        assert type(log_gamma(3.5)) is complex
+        assert type(log_gamma(-2.5 + 1j)) is complex
+        assert log_gamma(np.array([])).shape == (0,)
+
 
 class TestHyp2f1:
     def test_at_origin(self):

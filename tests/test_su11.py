@@ -3,12 +3,13 @@
 import math
 import re
 import time
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from entroineq import specfun, su11
+from entroineq import probability, specfun, su11
 from entroineq import (
     DomainError,
     EntroineqError,
@@ -39,6 +40,19 @@ def count_calls(monkeypatch, *targets):
             return original(*args)
 
         monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def count_coerce(monkeypatch):
+    """Count `HalfInt.coerce` calls, as the benchmark's traced run does."""
+    calls = {"coerce": 0}
+    coerce = HalfInt.__dict__["coerce"].__func__
+
+    def counted(value):
+        calls["coerce"] += 1
+        return coerce(value)
+
+    monkeypatch.setattr(HalfInt, "coerce", staticmethod(counted))
     return calls
 
 
@@ -132,6 +146,16 @@ class TestDiscreteSeriesDistribution:
             calls.update(bargmann_b=0, _boost_column=0)
             discrete_series_distribution(k, HalfInt(two_m), t, truncation=truncation)
             assert (len(built), calls["bargmann_b"], calls["_boost_column"]) == (1, 1, 1)
+
+    def test_no_halfint_per_weight(self, monkeypatch):
+        # the ladder's weights go to bargmann_b as one float array
+        calls = count_coerce(monkeypatch)
+        seen = []
+        for truncation in (40, 400, None):
+            calls["coerce"] = 0
+            discrete_series_distribution(2, HalfInt(30), np.linspace(0.5, 1.7, 3), truncation=truncation)
+            seen.append(calls["coerce"])
+        assert seen[0] == seen[1] and max(seen) <= 4
 
     def test_a_grid_in_parts_is_the_grid_in_one(self, monkeypatch):
         # with parts of 400 weights the 64 ladders and their columns run a
@@ -339,6 +363,31 @@ class TestSu11Subadditivity:
                     assert abs(d.captured_mass - 1.0) <= 1e-12, (k, two_m, t)
                     assert su11_subadditivity(d).slack >= -1e-10
 
+    def test_a_long_grid_is_summed_in_chunks(self, monkeypatch):
+        # a 64 x 12,000 zero-padded grid: the exact sums used to turn the
+        # whole table into Python floats (7.5x its bytes at the peak, 3.3x now)
+        rows, columns = 64, 12000
+        ratio = np.linspace(0.9990, 0.9995, rows)[:, None]
+        truncation = np.linspace(columns // 2, columns, rows).astype(int)
+        values = (1.0 - ratio) * ratio ** np.arange(columns)
+        values[np.arange(columns) >= truncation[:, None]] = 0.0
+        d = TruncatedDistribution(values / values.sum(axis=1, keepdims=True), truncation)
+        tracemalloc.start()
+        try:
+            report = su11_subadditivity(d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * d.values.nbytes
+        # chunks of any size give the same exact sums
+        monkeypatch.setattr(probability, "FSUM_CHUNK", 3 * columns - 1)
+        small = su11_subadditivity(d)
+        for name in ("h_joint", "h_first", "h_second", "slack"):
+            assert np.array_equal(getattr(small, name), getattr(report, name))
+        for row in (0, 17, 63):
+            one = su11_subadditivity(TruncatedDistribution(d.values[row, : truncation[row]]))
+            assert (one.h_joint, one.slack) == (report.h_joint[row], report.slack[row])
+
     def test_reports_raw_mass(self):
         d = discrete_series_distribution(2, HalfInt(2), 0.8)
         report = su11_subadditivity(d)
@@ -375,6 +424,15 @@ class TestMixedSeriesReport:
             mixed_series_report(self.args(), truncation)
             seen.append(dict(calls))
         assert seen == [{"c_function": 1, "hyp2f1": 2}] * 2
+
+    def test_no_special_function_call_per_weight(self, monkeypatch):
+        calls = count_calls(monkeypatch, (specfun, "log_gamma"), (specfun, "_branch"))
+        seen = []
+        for truncation in (8, 120):
+            calls.update(dict.fromkeys(calls, 0))
+            mixed_series_report(self.args(), truncation)
+            seen.append(dict(calls))
+        assert seen == [{"log_gamma": 7, "_branch": 1}] * 2
 
     def test_slack_still_nonnegative_after_renormalization(self):
         assert mixed_series_report(self.args(), 32).slack >= -1e-10
@@ -433,6 +491,20 @@ class TestContinuousSeriesReport:
             continuous_series_report(self.args(), truncation)
             seen.append(dict(calls))
         assert seen == [{"l_function": 1, "hyp2f1": 4}] * 3
+
+    @pytest.mark.parametrize("series", [SeriesKind.CONTINUOUS_INTEGER, SeriesKind.CONTINUOUS_HALF_INTEGER])
+    def test_no_special_function_call_per_weight(self, monkeypatch, series):
+        # log_gamma: the parity constant, a seed per family and two ladder arrays
+        calls = count_calls(monkeypatch, (specfun, "log_gamma"), (specfun, "_branch"))
+        coerce = count_coerce(monkeypatch)
+        seen = []
+        for truncation in (16, 256):
+            calls.update(dict.fromkeys(calls, 0))
+            coerce["coerce"] = 0
+            continuous_series_report(self.args(series=series), truncation)
+            seen.append(dict(calls, coerce=coerce["coerce"]))
+        assert seen[0] == seen[1] and seen[0]["coerce"] <= 1
+        assert seen[0] == {"log_gamma": 7, "_branch": 2, "coerce": seen[0]["coerce"]}
 
     def test_long_ladder_at_the_top_of_the_rapidity_domain(self):
         # used to report raw_mass 1.49e257; the pinned mass is that of a
