@@ -31,20 +31,6 @@ _LATTICES = {
 }
 
 
-def _csv_line(row: tuple, formats: dict) -> str:
-    """One CSV line: floats as %.17g with -0.0 folded to 0.0, the rest as str.
-
-    `formats` caches one %-format string per row layout (the field types).
-    """
-    layout = tuple(map(type, row))
-    fmt = formats.get(layout)
-    if fmt is None:
-        fmt = formats[layout] = ",".join("%.17g" if issubclass(t, float) else "%s" for t in layout)
-    if 0.0 in row:
-        row = tuple(v + 0.0 if isinstance(v, float) else v for v in row)  # -0.0 + 0.0 is 0.0
-    return fmt % row
-
-
 def _parse_grid(text: str) -> list[float]:
     """Parse start:stop:count into an inclusive grid."""
     parts = text.split(":")
@@ -70,18 +56,21 @@ def _parse_complex(text: str) -> complex:
         raise EntroineqError(f"cannot parse complex number {text!r}") from exc
 
 
-def _emit(ns: argparse.Namespace, header: Sequence[str], rows: list[tuple], config: dict) -> None:
+def _emit(ns: argparse.Namespace, config: dict, header: Sequence[str], columns: Sequence) -> None:
+    """Write one row per index of the columns (arrays or lists, one per header name).
+
+    CSV writes float columns as %.17g with -0.0 folded to 0, the rest as
+    str; JSON writes the values as computed.
+    """
+    arrays = [np.asarray(column) for column in columns]
     if ns.format == "csv":
-        formats: dict = {}
-        lines = [",".join(header)]
-        lines.extend(_csv_line(row, formats) for row in rows)
-        text = "\n".join(lines) + "\n"
+        arrays = [array + 0.0 if array.dtype.kind == "f" else array for array in arrays]  # -0.0 + 0.0 is 0.0
+        fmt = ",".join("%.17g" if array.dtype.kind == "f" else "%s" for array in arrays)
+        rows = zip(*(array.tolist() for array in arrays))
+        text = "\n".join([",".join(header), *(fmt % row for row in rows)]) + "\n"
     else:
-        payload = {
-            "config": config,
-            "rows": [dict(zip(header, row)) for row in rows],
-        }
-        text = json.dumps(payload, indent=2) + "\n"
+        rows = zip(*(array.tolist() for array in arrays))
+        text = json.dumps({"config": config, "rows": [dict(zip(header, row)) for row in rows]}, indent=2) + "\n"
     if ns.out:
         with open(ns.out, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(text)
@@ -89,14 +78,18 @@ def _emit(ns: argparse.Namespace, header: Sequence[str], rows: list[tuple], conf
         sys.stdout.write(text)
 
 
-def _cmd_dmat(ns: argparse.Namespace) -> int:
+# Each command maps the parsed arguments to (JSON config, header, columns,
+# whether the "slack" column is asserted), checking its arguments before it
+# parses a grid.  The pipelines are looked up in this module when a command
+# runs, so that they can be replaced here.
+
+
+def _dmat(ns: argparse.Namespace):
     j = HalfInt.coerce(ns.j)
     matrix = dmatrix(j, ns.theta)
     labels = [str(HalfInt(d)) for d in range(-j.doubled, j.doubled + 1, 2)]
-    header = ["m_prime"] + [f"m={label}" for label in labels]
-    rows = [(label, *values) for label, values in zip(labels, matrix.tolist())]
-    _emit(ns, header, rows, {"command": "dmat", "j": str(j), "theta": ns.theta})
-    return 0
+    header = ["m_prime", *(f"m={label}" for label in labels)]
+    return {"command": "dmat", "j": str(j), "theta": ns.theta}, header, [labels, *matrix.T], False
 
 
 def _su2(ns: argparse.Namespace):
@@ -104,45 +97,32 @@ def _su2(ns: argparse.Namespace):
     m = HalfInt.coerce(ns.m)
     tsallis = ns.command == "su2-tsallis"
     q = check_q(ns.q) if tsallis else None
+    grid = _parse_grid(ns.grid)
+    theta = np.array(grid)
+    report = su2_tsallis_subadditivity(j, m, theta, q) if tsallis else su2_subadditivity(j, m, theta)
+    config = {"command": ns.command, "j": str(j), "m": str(m), **({"q": q} if tsallis else {}), "grid": ns.grid}
+    header = ["theta", "h_joint", "h1", "h2", "lhs", "slack"]
+    columns = [grid, report.h_joint, report.h_first, report.h_second, report.h_first + report.h_second, report.slack]
     asserted = q is None or q > 1.0
-    mode = ("asserted" if asserted else "report_only",) if tsallis else ()
-
-    def rows(grid: list[float]) -> list[tuple]:
-        theta = np.array(grid)
-        if tsallis:
-            report = su2_tsallis_subadditivity(j, m, theta, q)
-        else:
-            report = su2_subadditivity(j, m, theta)
-        lhs = report.h_first + report.h_second
-        columns = (report.h_joint, report.h_first, report.h_second, lhs, report.slack)
-        return [(*row, *mode) for row in zip(grid, *(c.tolist() for c in columns))]
-
-    config = {"command": ns.command, "j": str(j), "m": str(m)}
     if tsallis:
-        config["q"] = q
-    config["grid"] = ns.grid
-    return config, rows, asserted
+        header.append("mode")
+        columns.append(["asserted" if asserted else "report_only"] * len(grid))
+    return config, header, columns, asserted
 
 
-def _su11_discrete(ns: argparse.Namespace):
+def _su11(ns: argparse.Namespace):
+    if ns.series == "continuous":
+        return _su11_continuous(ns)
     if ns.k is None:
         raise EntroineqError("--k is required for the discrete series")
     m = HalfInt.coerce(ns.m)
-
-    def rows(grid: list[float]) -> list[tuple]:
-        dist = discrete_series_distribution(ns.k, m, np.array(grid), eps=ns.eps)
-        report = su11_subadditivity(dist)
-        columns = (dist.truncation, dist.captured_mass, report.h_joint, report.h_first, report.h_second, report.slack)
-        return list(zip(grid, *(c.tolist() for c in columns)))
-
-    config = {
-        "command": "su11-check",
-        "series": "discrete",
-        "k": ns.k,
-        "m": str(m),
-        "grid": ns.grid,
-    }
-    return config, rows, True
+    grid = _parse_grid(ns.grid)
+    dist = discrete_series_distribution(ns.k, m, np.array(grid), eps=ns.eps)
+    report = su11_subadditivity(dist)
+    config = {"command": "su11-check", "series": "discrete", "k": ns.k, "m": str(m), "grid": ns.grid}
+    header = ["t", "truncation", "captured_mass", "h_joint", "h1", "h2", "slack"]
+    columns = [grid, dist.truncation, dist.captured_mass, report.h_joint, report.h_first, report.h_second, report.slack]
+    return config, header, columns, True
 
 
 def _su11_continuous(ns: argparse.Namespace):
@@ -150,12 +130,9 @@ def _su11_continuous(ns: argparse.Namespace):
         raise EntroineqError("--s is required for the continuous series")
     kind = _LATTICES[ns.lattice]
     m_prime = HalfInt(0 if kind is SeriesKind.CONTINUOUS_INTEGER else -1)
-
-    def rows(grid: list[float]) -> list[tuple]:
-        args = [Su11Args(series=kind, m_prime=m_prime, m=float(ns.m), t=t, s=ns.s, sigma=ns.sigma) for t in grid]
-        reports = [continuous_series_report(a, ns.truncation) for a in args]
-        return [(t, ns.truncation, r.raw_mass, r.h_joint, r.h_first, r.h_second, r.slack) for t, r in zip(grid, reports)]
-
+    grid = _parse_grid(ns.grid)
+    args = [Su11Args(series=kind, m_prime=m_prime, m=float(ns.m), t=t, s=ns.s, sigma=ns.sigma) for t in grid]
+    reports = [continuous_series_report(a, ns.truncation) for a in args]
     config = {
         "command": "su11-check",
         "series": "continuous",
@@ -166,53 +143,19 @@ def _su11_continuous(ns: argparse.Namespace):
         "truncation": ns.truncation,
         "grid": ns.grid,
     }
-    return config, rows, False
+    header = ["t", "truncation", "raw_mass", "h_joint", "h1", "h2", "slack"]
+    fields = ("raw_mass", "h_joint", "h_first", "h_second", "slack")
+    columns = [grid, [ns.truncation] * len(grid), *([getattr(r, name) for r in reports] for name in fields)]
+    return config, header, columns, False
 
 
-#: (command, --series or None) -> (CSV header, set-up).  `setup(ns)` checks
-#: the arguments once and returns the JSON config, the rows function (the
-#: grid -> one row per grid point, laid out as the header) and whether the
-#: "slack" column is asserted.  The rows functions look the pipelines up in
-#: this module when they run, so that they can be replaced there.
-_SWEEPS = {
-    ("su2-check", None): (("theta", "h_joint", "h1", "h2", "lhs", "slack"), _su2),
-    ("su2-tsallis", None): (("theta", "h_joint", "h1", "h2", "lhs", "slack", "mode"), _su2),
-    ("su11-check", "discrete"): (
-        ("t", "truncation", "captured_mass", "h_joint", "h1", "h2", "slack"),
-        _su11_discrete,
-    ),
-    ("su11-check", "continuous"): (
-        ("t", "truncation", "raw_mass", "h_joint", "h1", "h2", "slack"),
-        _su11_continuous,
-    ),
-}
+def _hyp2f1(ns: argparse.Namespace):
+    value = hyp2f1(*(_parse_complex(text) for text in (ns.a, ns.b, ns.c, ns.z)))
+    config = {"command": "hyp2f1", "a": ns.a, "b": ns.b, "c": ns.c, "z": ns.z}
+    return config, ["re", "im"], [[value.real], [value.imag]], False
 
 
-def _cmd_sweep(ns: argparse.Namespace) -> int:
-    """Evaluate one row per grid point; exit 1 if an asserted slack fails."""
-    header, setup = _SWEEPS[ns.command, getattr(ns, "series", None)]
-    config, rows_for, asserted = setup(ns)
-    rows = rows_for(_parse_grid(ns.grid))
-    slack = header.index("slack")
-    violated = asserted and any(r[slack] < SLACK_FLOOR for r in rows)
-    _emit(ns, header, rows, config)
-    return 1 if violated else 0
-
-
-def _cmd_hyp2f1(ns: argparse.Namespace) -> int:
-    value = hyp2f1(
-        _parse_complex(ns.a),
-        _parse_complex(ns.b),
-        _parse_complex(ns.c),
-        _parse_complex(ns.z),
-    )
-    _emit(
-        ns,
-        ["re", "im"],
-        [(value.real, value.imag)],
-        {"command": "hyp2f1", "a": ns.a, "b": ns.b, "c": ns.c, "z": ns.z},
-    )
-    return 0
+_COMMANDS = {"dmat": _dmat, "su2-check": _su2, "su2-tsallis": _su2, "su11-check": _su11, "hyp2f1": _hyp2f1}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -230,14 +173,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--j", required=True, help='spin, e.g. "2" or "3/2"')
     p.add_argument("--theta", type=float, required=True)
     common(p)
-    p.set_defaults(handler=_cmd_dmat)
 
     p = sub.add_parser("su2-check", help="Shannon inequality sweep for a d-column")
     p.add_argument("--j", required=True)
     p.add_argument("--m", required=True)
     p.add_argument("--grid", required=True, help="start:stop:count (inclusive)")
     common(p)
-    p.set_defaults(handler=_cmd_sweep)
 
     p = sub.add_parser("su2-tsallis", help="Tsallis inequality sweep for a d-column")
     p.add_argument("--j", required=True)
@@ -245,7 +186,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=float, required=True)
     p.add_argument("--grid", required=True)
     common(p)
-    p.set_defaults(handler=_cmd_sweep)
 
     p = sub.add_parser("su11-check", help="inequality sweep over the boost rapidity")
     p.add_argument("--series", choices=("discrete", "continuous"), default="discrete")
@@ -258,7 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--truncation", type=int, default=64, help="continuous ladder length")
     p.add_argument("--lattice", choices=tuple(_LATTICES), default="integer")
     common(p)
-    p.set_defaults(handler=_cmd_sweep)
 
     p = sub.add_parser("hyp2f1", help="evaluate the Gauss hypergeometric series")
     p.add_argument("--a", required=True)
@@ -266,7 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c", required=True)
     p.add_argument("--z", required=True)
     common(p)
-    p.set_defaults(handler=_cmd_hyp2f1)
 
     return parser
 
@@ -283,10 +221,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
-        return ns.handler(ns)
+        config, header, columns, asserted = _COMMANDS[ns.command](ns)
+        _emit(ns, config, header, columns)
     except EntroineqError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 1 if asserted and (np.asarray(columns[header.index("slack")]) < SLACK_FLOOR).any() else 0
 
 
 if __name__ == "__main__":

@@ -31,11 +31,9 @@ def _sums(p: DistributionLike, term: Callable[..., np.ndarray]) -> Entropy:
         array, batch_shape = p.as_array(), p.batch_shape
     else:
         array, batch_shape = np.asarray(p, dtype=float), ()
-    if not batch_shape:
-        return math.fsum(term(array[array > 0.0]).tolist())
-    rows = array.reshape(math.prod(batch_shape), -1)
-    terms = term(rows, out=np.zeros(rows.shape), where=rows > 0.0)
-    return np.array(row_fsums(terms)).reshape(batch_shape)
+    rows = array.reshape(math.prod(batch_shape), -1)  # one row without batch axes
+    sums = row_fsums(term(rows, out=np.zeros(rows.shape), where=rows > 0.0))
+    return np.array(sums).reshape(batch_shape) if batch_shape else sums[0]
 
 
 def check_q(q: float) -> float:

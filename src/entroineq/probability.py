@@ -36,9 +36,8 @@ def row_fsums(rows: np.ndarray) -> list[float]:
     return [math.fsum(row) for start in range(0, len(rows), step) for row in rows[start : start + step].tolist()]
 
 
-def _clean(values) -> np.ndarray:
-    """A float copy of `values`; tiny negatives become 0, others raise."""
-    array = np.array(values, dtype=float)
+def _clean(array: np.ndarray) -> np.ndarray:
+    """Clean a float array in place: tiny negatives become 0, others raise."""
     finite = np.isfinite(array)
     if not finite.all():
         raise DomainError(f"non-finite probability {float(array[~finite][0])!r}")
@@ -66,7 +65,7 @@ class Distribution:
         if not 0 <= batch_ndim < array.ndim or array.size == 0:
             raise DimensionError("a distribution needs an axis and an entry beyond its batch axes")
         if not (array > 0.0).all():  # zeros, negatives and NaN need the checks
-            array = _clean(array)
+            _clean(array)
         try:
             totals = row_fsums(array.reshape(math.prod(array.shape[:batch_ndim]), -1))
         except OverflowError:
@@ -109,26 +108,31 @@ def _checked(p: DistributionLike) -> Distribution:
     return p if isinstance(p, Distribution) else Distribution(p)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BistochasticMatrix:
-    """Square nonnegative matrix whose rows and columns all sum to 1."""
+    """Square nonnegative matrix whose rows and columns all sum to 1.
+
+    `entries` (n * n values, row-major) are cleaned once into a read-only
+    n x n float array.  Instances compare and hash by identity, as numpy
+    arrays have no truth value.
+    """
 
     n: int
-    entries: tuple[float, ...]
+    entries: np.ndarray
 
     def __post_init__(self) -> None:
         n = int(self.n)
         if n < 1:
             raise DimensionError(f"invalid size {n}")
-        entries = tuple(_clean(self.entries).tolist())
-        if len(entries) != n * n:
-            raise DimensionError(f"{len(entries)} entries do not fill {n}x{n}")
-        grid = np.asarray(entries).reshape(n, n)
+        entries = _clean(np.array(self.entries, dtype=float))
+        if entries.size != n * n:
+            raise DimensionError(f"{entries.size} entries do not fill {n}x{n}")
+        entries = entries.reshape(n, n)
         for axis, name in ((0, "column"), (1, "row")):
-            sums = grid.sum(axis=axis)
-            worst = float(np.max(np.abs(sums - 1.0)))
+            worst = float(np.max(np.abs(entries.sum(axis=axis) - 1.0)))
             if worst > SUM_TOLERANCE:
                 raise DomainError(f"a {name} sum deviates from 1 by {worst!r}")
+        entries.flags.writeable = False
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "entries", entries)
 
@@ -137,10 +141,10 @@ class BistochasticMatrix:
         a = np.asarray(array, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise DimensionError(f"expected a square matrix, got shape {a.shape}")
-        return BistochasticMatrix(a.shape[0], tuple(a.reshape(-1)))
+        return BistochasticMatrix(a.shape[0], a)
 
     def as_array(self) -> np.ndarray:
-        return np.asarray(self.entries).reshape(self.n, self.n)
+        return self.entries
 
 
 class SeriesKind(str, enum.Enum):

@@ -613,6 +613,14 @@ class TestContinuousLadder:
                 want = complex(mp_c_function(k, mpmath.mpf(float(w)), mpmath.mpf("0.5"), mpmath.mpf("0.3")))
                 assert abs(got - want) <= 1e-12 * abs(want), (k, str(w))
 
+    def test_mixed_element_at_a_large_weight(self):
+        # the normalization's log Gamma terms at integers come from an exact
+        # lgamma table; the complex Lanczos route was 2.5e-13 off here
+        args = Su11Args(series=SeriesKind.DISCRETE_POSITIVE, m_prime=HalfInt(5), m=0.5, t=0.3, k=5)
+        want = complex(mp_c_function(5, mpmath.mpf(305) / 2, mpmath.mpf("0.5"), mpmath.mpf("0.3")))
+        for got in (c_function(args, [HalfInt(305)])[0], c_function(replace(args, m_prime=HalfInt(305)))):
+            assert abs(got - want) <= 5e-14 * abs(want)
+
     def test_beyond_the_float_range_names_the_weight(self):
         args = self.args(t=1.2)
         with pytest.raises(EntroineqError, match="float range at .*m'"):

@@ -536,3 +536,46 @@ class TestOutputContracts:
         assert code == 0
         _, rows = parse_csv(data)
         assert [row[1:] for row in rows] == [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
+
+
+class TestEmission:
+    """Every command writes only to --out, and its JSON rows are its CSV rows."""
+
+    COMMANDS = (
+        ["dmat", "--j", "1", "--theta", "0"],
+        ["dmat", "--j", "7/2", "--theta", "2.1"],
+        ["su2-check", "--j", "3/2", "--m", "1/2", "--grid", "0:3.1416:5"],
+        ["su2-tsallis", "--j", "2", "--m", "1", "--q", "0.5", "--grid", "0:3.1416:5"],
+        ["su11-check", "--k", "2", "--m", "1", "--grid", "0:1.5:4"],
+        [
+            "su11-check", "--series", "continuous", "--s", "0.5", "--sigma", "1", "--m", "0.5",
+            "--truncation", "16", "--lattice", "half-integer", "--grid", "0.1:0.5:3",
+        ],
+        ["hyp2f1", "--a", "1", "--b", "2", "--c", "2", "--z", "0.5"],
+        # the Pfaff route, with signed zeros in the arguments
+        ["hyp2f1", "--a=-0.5-0j", "--b", "1", "--c", "1.5", "--z=-0.5-0j"],
+    )
+
+    @pytest.mark.parametrize("argv", COMMANDS, ids=" ".join)
+    def test_json_rows_are_the_csv_rows(self, argv, tmp_path, capfd):
+        code_csv, csv_data = run_to_file(tmp_path, "o.csv", argv)
+        code_json, json_data = run_to_file(tmp_path, "o.json", [*argv, "--format", "json"])
+        assert code_csv == code_json == 0
+        assert capfd.readouterr() == ("", "")
+        header, lines = parse_csv(csv_data)
+        rows = json.loads(json_data)["rows"]
+        assert len(rows) == len(lines) > 0
+        for cells, row in zip(lines, rows):
+            assert list(row) == header
+            for cell, value in zip(cells, row.values()):
+                if isinstance(value, float):
+                    assert float(cell) == value
+                    assert cell != "-0"  # CSV writes -0.0 as 0
+                else:
+                    assert cell == str(value)
+
+    @pytest.mark.parametrize("argv", [COMMANDS[0], COMMANDS[2], COMMANDS[4]], ids=" ".join)
+    def test_json_keeps_negative_zero(self, argv, tmp_path):
+        _, data = run_to_file(tmp_path, "z.json", [*argv, "--format", "json"])
+        values = [v for row in json.loads(data)["rows"] for v in row.values() if isinstance(v, float)]
+        assert any(v == 0.0 and math.copysign(1.0, v) < 0.0 for v in values)

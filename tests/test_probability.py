@@ -1,6 +1,7 @@
 """Distributions of any rank, `relabel` and its named layouts, marginals."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -105,6 +106,33 @@ class TestBistochastic:
         with pytest.raises(DomainError):
             BistochasticMatrix.from_array(bad)
 
+    def test_holds_one_read_only_array(self):
+        entries = [0.3, 0.7, 0.7 + 5e-13, 0.3 - 5e-13, 0.0, 0.0]
+        m = BistochasticMatrix(2, entries[:4])
+        assert m.as_array() is m.as_array()
+        assert m.as_array().dtype == float and m.as_array().shape == (2, 2)
+        with pytest.raises(ValueError):
+            m.as_array()[0, 0] = 0.5
+        square = np.array([[1.0, -0.0], [-1e-13, 1.0]])
+        cleaned = BistochasticMatrix.from_array(square).as_array()
+        assert cleaned.tolist() == [[1.0, 0.0], [0.0, 1.0]] and not np.signbit(cleaned).any()
+        assert square[1, 0] == -1e-13  # the caller's array is not touched
+        assert m != BistochasticMatrix(2, entries[:4]) and m == m
+
+    def test_errors(self):
+        with pytest.raises(DimensionError, match="invalid size 0"):
+            BistochasticMatrix(0, [])
+        with pytest.raises(DimensionError, match="3 entries do not fill 2x2"):
+            BistochasticMatrix(2, [0.5, 0.5, 0.0])
+        with pytest.raises(DomainError, match="non-finite"):
+            BistochasticMatrix(2, [0.5, 0.5, math.nan, 0.5])
+        with pytest.raises(DomainError, match="negative"):
+            BistochasticMatrix(2, [1.5, -0.5, -0.5, 1.5])
+        with pytest.raises(DomainError, match="a column sum deviates"):
+            BistochasticMatrix(2, [1.0, 0.0, 1.0, 0.0])
+        with pytest.raises(DimensionError, match="square"):
+            BistochasticMatrix.from_array(np.ones((2, 3)) / 3)
+
 
 class TestBatchAxes:
     """Leading batch axes stack one checked distribution per index."""
@@ -125,6 +153,23 @@ class TestBatchAxes:
             Distribution(self.ROWS, 2)
         with pytest.raises(DimensionError):
             Distribution(np.zeros((0, 3)), 1)
+
+    def test_a_zero_padded_table_is_copied_once(self):
+        # the constructor cleans its own float copy in place; it used to
+        # clean into a second copy and peak at 2.25x the table's bytes
+        rows, columns = 64, 12000
+        ratio = np.linspace(0.9990, 0.9995, rows)[:, None]
+        table = (1.0 - ratio) * ratio ** np.arange(columns)
+        table[np.arange(columns) >= np.linspace(columns // 2, columns, rows).astype(int)[:, None]] = 0.0
+        table /= table.sum(axis=1, keepdims=True)
+        tracemalloc.start()
+        try:
+            p = Distribution(table, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.6 * table.nbytes
+        assert np.array_equal(p.as_array(), table) and p.as_array() is not table
 
     def test_rows_are_clamped_like_a_single_distribution(self):
         rows = self.ROWS.copy()

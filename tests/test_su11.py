@@ -432,7 +432,7 @@ class TestMixedSeriesReport:
             calls.update(dict.fromkeys(calls, 0))
             mixed_series_report(self.args(), truncation)
             seen.append(dict(calls))
-        assert seen == [{"log_gamma": 7, "_branch": 1}] * 2
+        assert seen == [{"log_gamma": 5, "_branch": 1}] * 2
 
     def test_slack_still_nonnegative_after_renormalization(self):
         assert mixed_series_report(self.args(), 32).slack >= -1e-10

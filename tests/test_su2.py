@@ -211,6 +211,22 @@ class TestAngleArrays:
                     assert isinstance(value, float)
                     assert getattr(batched, field).tolist() == [value]
 
+    @pytest.mark.parametrize("j, m", [("1/2", "1/2"), ("3/2", "1/2"), ("2", "0"), ("4", "3"), ("15/2", "-5/2")])
+    def test_one_angle_reports_are_rows_of_the_grid_report(self, j, m):
+        # a one-angle report sums one distribution, a grid report one per
+        # row; both take the same exact sums, so every entropy agrees in bits
+        for report_of in (
+            lambda t: su2_subadditivity(j, m, t),
+            lambda t: su2_tsallis_subadditivity(j, m, t, 2.0),
+            lambda t: su2_tsallis_subadditivity(j, m, t, 0.5),
+        ):
+            grid = report_of(GRID)
+            for index in range(0, GRID.size, 5):
+                one = report_of(float(GRID[index]))
+                for field in ("h_joint", "h_first", "h_second", "slack"):
+                    row = getattr(grid, field)[index : index + 1]
+                    assert np.array([getattr(one, field)]).tobytes() == row.tobytes(), (field, GRID[index])
+
     def test_column_distribution_has_one_checked_row_per_angle(self):
         p = column_distribution(2, 1, GRID)
         assert p.batch_ndim == 1
