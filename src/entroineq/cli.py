@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 from typing import Optional, Sequence
 
@@ -206,6 +207,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--z", required=True)
     common(p)
 
+    # argparse reads a word it cannot match to a flag as a value only when it
+    # matches this pattern, so that "--m -1/2" and "--z -1j" parse like "--m=-1/2"
+    for each in (parser, *sub.choices.values()):
+        each._negative_number_matcher = re.compile("")
     return parser
 
 

@@ -31,9 +31,12 @@ DistributionLike = Union["Distribution", Sequence[float], np.ndarray]
 
 
 def row_fsums(rows: np.ndarray) -> list[float]:
-    """`math.fsum` of each row of a 2-D array, a chunk of rows at a time."""
+    """`math.fsum` of each row of a 2-D array, a chunk of rows at a time; a sum past the float range raises DomainError."""
     step = max(1, FSUM_CHUNK // max(1, rows.shape[1]))
-    return [math.fsum(row) for start in range(0, len(rows), step) for row in rows[start : start + step].tolist()]
+    try:
+        return [math.fsum(row) for start in range(0, len(rows), step) for row in rows[start : start + step].tolist()]
+    except OverflowError:
+        raise DomainError("probability mass overflows the float range") from None
 
 
 def _clean(array: np.ndarray) -> np.ndarray:
@@ -60,28 +63,18 @@ class Distribution:
 
     __slots__ = ("_array", "batch_ndim")
 
-    def __init__(self, values: DistributionLike, batch_ndim: int = 0) -> None:
+    def __new__(cls, values: DistributionLike, batch_ndim: int = 0) -> "Distribution":
         array = np.array(values, dtype=float)
         if not 0 <= batch_ndim < array.ndim or array.size == 0:
             raise DimensionError("a distribution needs an axis and an entry beyond its batch axes")
-        if not (array > 0.0).all():  # zeros, negatives and NaN need the checks
-            _clean(array)
-        try:
-            totals = row_fsums(array.reshape(math.prod(array.shape[:batch_ndim]), -1))
-        except OverflowError:
-            raise DomainError("probability mass overflows the float range") from None
-        for total in totals:
-            if not math.isfinite(total):
-                _clean(array)  # raises for the infinite entry
+        for total in row_fsums(_clean(array).reshape(math.prod(array.shape[:batch_ndim]), -1)):
             if abs(total - 1.0) > SUM_TOLERANCE:
                 raise DomainError(f"entries sum to {total!r}, not 1")
-        array.flags.writeable = False
-        object.__setattr__(self, "_array", array)
-        object.__setattr__(self, "batch_ndim", batch_ndim)
+        return cls._trusted(array, batch_ndim)
 
     @classmethod
     def _trusted(cls, array: np.ndarray, batch_ndim: int = 0) -> "Distribution":
-        """Wrap an array derived from a validated distribution, unchecked."""
+        """Wrap an array derived from a validated distribution, unchecked; every instance is frozen here."""
         self = object.__new__(cls)
         array.flags.writeable = False
         object.__setattr__(self, "_array", array)

@@ -51,8 +51,8 @@ BOOST_PART_TERMS = 2**16
 #: exactly 0 where |b|^2 falls below BOOST_FLOOR * u, u = 2^-52.
 BOOST_FLOOR = 2.0**-48
 
-#: Mixed/continuous rapidity domain: |z(t)| = cosh(t)/2 < 0.95.
-CONTINUOUS_COSH_LIMIT = 1.9
+#: Mixed/continuous rapidity domain: |z(t)| = cosh(t)/2 < HYP2F1_RADIUS.
+CONTINUOUS_COSH_LIMIT = 2.0 * HYP2F1_RADIUS
 
 #: A log-space factor of a mixed or continuous element is exponentiated
 #: only while its real part stays within this bound, which keeps it and its
@@ -254,8 +254,6 @@ def hyp2f1(
     if c_pole is not None and (n_term is None or c_pole < n_term):
         raise PoleError(f"c = {c} hits a pole before the series terminates")
 
-    series_tol = HYP2F1_TOL
-    max_terms = HYP2F1_MAX_TERMS
     term = 1.0 + 0.0j
     total = 1.0 + 0.0j
     small_streak = 0
@@ -268,14 +266,14 @@ def hyp2f1(
         total += term
         k += 1
         if n_term is None:
-            if abs(term) < series_tol * abs(total):
+            if abs(term) < HYP2F1_TOL * abs(total):
                 small_streak += 1
                 if small_streak >= 3:
                     break
             else:
                 small_streak = 0
-            if k >= max_terms:
-                raise ConvergenceError(f"no convergence after {max_terms} terms")
+            if k >= HYP2F1_MAX_TERMS:
+                raise ConvergenceError(f"no convergence after {HYP2F1_MAX_TERMS} terms")
     return total if scale is None else scale * total
 
 
@@ -565,7 +563,10 @@ def _positive_weights(
 def _lattice_weights(k: int, weights: Sequence[HalfIntLike], positive: bool) -> np.ndarray:
     """Doubled m' of `weights`, all checked on the k weight lattice of the series."""
     two_mps = doubled(weights)
-    off = ((two_mps - k) % 2 != 0) | ((two_mps if positive else -two_mps) < k)
+    try:
+        off = ((two_mps - k) % 2 != 0) | ((two_mps if positive else -two_mps) < k)
+    except OverflowError:  # numpy cannot hold k
+        raise DomainError(f"k = {k} is too large for the weight lattice") from None
     if off.any():
         _check_discrete_weight(k, HalfInt(int(two_mps[np.argmax(off)])), positive, "m'")  # raises
     return two_mps
@@ -872,16 +873,19 @@ def c_function(args: Su11Args, weights: Optional[Sequence[HalfIntLike]] = None):
     j = -k / 2.0
     m = float(args.m)
     im = 1j * m
-    constant = (
-        math.sqrt(2.0)
-        * 2.0 ** (-j - 2.0)
-        / math.pi
-        * cmath.exp(
-            log_gamma(j + 1.0 + im)
-            + log_gamma((-j - im) / 2.0)
-            + log_gamma((-j + 1.0 + im) / 2.0)
+    try:
+        constant = (
+            math.sqrt(2.0)
+            * 2.0 ** (-j - 2.0)
+            / math.pi
+            * cmath.exp(
+                log_gamma(j + 1.0 + im)
+                + log_gamma((-j - im) / 2.0)
+                + log_gamma((-j + 1.0 + im) / 2.0)
+            )
         )
-    )
+    except OverflowError:
+        raise EntroineqError(f"the mixed-basis normalization overflows the float range at k = {k}, m = {m!r}") from None
     z = (1.0 + 1j * math.sinh(args.t)) / 2.0
     # a = -m' falls from a seed at a >= 0 on the lattice of k/2
     top = (k % 2) / 2.0
@@ -922,9 +926,10 @@ def l_function(args: Su11Args, weights: Optional[Sequence[HalfIntLike]] = None):
     m = float(args.m)
     im = 1j * m
     sigma = args.sigma
-    denominator = (1j**sigma) * cmath.sin(cmath.pi * (-j + sigma - im) / 2.0)
-    if abs(denominator) < 1e-12:
-        raise PoleError("sine denominator of the parity factor vanishes")
+    try:  # |sin| >= 1/sqrt(2), but it passes the float range once pi |s + m| / 2 > about 710
+        denominator = (1j**sigma) * cmath.sin(cmath.pi * (-j + sigma - im) / 2.0)
+    except OverflowError:
+        raise EntroineqError(f"the parity factor overflows the float range at s = {args.s!r}, m = {m!r}") from None
     constant = cmath.exp((j - 1.0) * math.log(2.0) + log_gamma(-j + im)) / denominator
     parity_sign = -1.0 if sigma % 2 else 1.0
     z_plus = (1.0 - 1j * math.sinh(args.t)) / 2.0

@@ -50,10 +50,7 @@ class TruncatedDistribution:
             raise DomainError("a truncated distribution needs at least one value")
         if not (np.isfinite(values) & (values >= 0.0)).all():
             raise DomainError("probabilities must be finite and nonnegative")
-        try:
-            mass = np.array(row_fsums(values.reshape(-1, values.shape[-1])))
-        except OverflowError:
-            raise DomainError("probability mass overflows the float range") from None
+        mass = np.array(row_fsums(values.reshape(-1, values.shape[-1])))
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "truncation", truncation if values.ndim > 1 else values.size)

@@ -1,11 +1,19 @@
 """Shared fixtures."""
 
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import entroineq
 from entroineq import HalfInt, su11
+
+# `python -m entroineq` in a subprocess imports the package under test
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    [str(Path(entroineq.__file__).parents[1]), *filter(None, [os.environ.get("PYTHONPATH")])]
+)
 
 
 @pytest.fixture

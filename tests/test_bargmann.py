@@ -157,6 +157,19 @@ class TestBargmannB:
         with pytest.raises(EntroineqError, match=r"k=2, m=1000000000, t=0\.1 .* budget of 1000000"):
             bargmann_b(discrete_args(2, 180, 2 * 10**9, 0.1))
 
+    def test_family_and_negative_series_edge(self):
+        continuous = Su11Args(series=SeriesKind.CONTINUOUS_INTEGER, m_prime=HalfInt(0), m=0.5, t=0.5, s=0.5)
+        with pytest.raises(DomainError, match="bargmann_b is defined for the discrete series"):
+            bargmann_b(continuous)
+        above_the_edge = discrete_args(2, -2, 0, 0.5, series=SeriesKind.DISCRETE_NEGATIVE)
+        with pytest.raises(DomainError, match="m <= -k/2 required on the negative series"):
+            bargmann_b(above_the_edge)
+
+    def test_k_past_the_int64_range(self):
+        # used to escape as a bare OverflowError from the lattice check
+        with pytest.raises(DomainError, match=f"k = {2**63} is too large"):
+            specfun.boost_column_length(discrete_args(2**63, 2**63, 2**63, 0.5))
+
 
 class TestLargeColumnWeights:
     """Columns where the summed hypergeometric form cancels catastrophically
@@ -284,6 +297,13 @@ class TestColumnNormalization:
                 for column, start in zip(np.abs(columns), top.tolist()):
                     assert column.max() >= 2.0**52 * column[start]
                     assert abs(math.fsum((column * column).tolist()) - 1.0) <= 1e-10
+
+    def test_a_short_backward_start_raises(self, monkeypatch):
+        # the fall check guards the plan: a start two weights past m is too short
+        plan = specfun._boost_plan
+        monkeypatch.setattr(specfun, "_boost_plan", lambda k, n, t: (*plan(k, n, t)[:2], np.full(t.size, n + 2)))
+        with pytest.raises(EntroineqError, match=r"k=2, m=11, t=1\.0 has not fallen by 2\^-50 at its backward start m' - k/2 = 12"):
+            bargmann_b(discrete_args(2, 2, 22, 1.0))
 
 
 class TestRouteEquivalence:
@@ -414,6 +434,17 @@ class TestCFunction:
         with pytest.raises(DomainError):
             c_function(args)  # cosh(1.4) > 1.9
 
+    def test_needs_the_discrete_series(self):
+        args = Su11Args(series=SeriesKind.CONTINUOUS_INTEGER, m_prime=HalfInt(0), m=0.5, t=0.3, s=0.5)
+        with pytest.raises(DomainError, match="c_function needs a discrete-series spin"):
+            c_function(args)
+
+    def test_normalization_past_the_float_range(self):
+        # 2^(k/2 - 2) used to escape as a bare OverflowError
+        args = Su11Args(series=SeriesKind.DISCRETE_POSITIVE, m_prime=HalfInt(3000), m=0.5, t=0.3, k=3000)
+        with pytest.raises(EntroineqError, match="normalization overflows the float range at k = 3000, m = 0.5"):
+            c_function(args)
+
 
 class TestLFunction:
     def continuous_args(self, m_prime=0, sigma=0, t=0.2, s=0.5, m=0.5):
@@ -483,6 +514,18 @@ class TestLFunction:
     def test_rapidity_domain(self):
         with pytest.raises(DomainError):
             l_function(self.continuous_args(t=1.4))
+
+    def test_needs_a_continuous_series(self):
+        args = Su11Args(series=SeriesKind.DISCRETE_POSITIVE, m_prime=HalfInt(2), m=HalfInt(2), t=0.2, k=2)
+        with pytest.raises(DomainError, match="l_function needs a continuous-series spin"):
+            l_function(args)
+
+    @pytest.mark.parametrize("s, m", [(500.0, 0.5), (0.5, -500.0)])
+    def test_parity_factor_past_the_float_range(self, s, m):
+        # |sin| of the parity factor grows like exp(pi |s + m| / 2); it used
+        # to escape as a bare OverflowError
+        with pytest.raises(EntroineqError, match=f"parity factor overflows the float range at s = {s}, m = {m}"):
+            l_function(self.continuous_args(s=s, m=m))
 
 
 @functools.lru_cache(maxsize=None)

@@ -93,6 +93,19 @@ class TestSu2Check:
         assert main(["su2-check", "--j", "1", "--m", "1", "--grid", "0:1:0"]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "grid, message",
+        [
+            ("0:1", "grid must be start:stop:count"),
+            ("0:1:2:3", "grid must be start:stop:count"),
+            ("a:1:3", "cannot parse grid"),
+            ("0:1:2.5", "cannot parse grid"),
+        ],
+    )
+    def test_malformed_grid_is_usage_error(self, grid, message, capsys):
+        assert main(["su2-check", "--j", "1", "--m", "1", "--grid", grid]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+
     @pytest.mark.parametrize("grid", ["0:nan:5", "1:inf:3"])
     def test_non_finite_point_inside_the_grid_is_domain_error(self, grid, capsys):
         assert main(["su2-check", "--j", "1", "--m", "1", "--grid", grid]) == 2
@@ -241,6 +254,10 @@ class TestSu11Check:
         code = main(["su11-check", "--m", "1", "--grid", "0.1:1:2"])
         assert code == 2
         capsys.readouterr()
+
+    def test_missing_s_is_usage_error(self, capsys):
+        assert main(["su11-check", "--series", "continuous", "--m", "0.5", "--grid", "0.1:0.2:2"]) == 2
+        assert capsys.readouterr().err == "error: --s is required for the continuous series\n"
 
     def test_domain_error_exit(self, capsys):
         code = main(["su11-check", "--k", "2", "--m", "1", "--grid", "0.5:2.5:3"])
@@ -401,6 +418,10 @@ class TestHyp2f1Command:
         code = main(["hyp2f1", "--a", "0.5", "--b", "0.5", "--c", "1.5", "--z", "0.97"])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_unparsable_argument_is_usage_error(self, capsys):
+        assert main(["hyp2f1", "--a", "1", "--b", "two", "--c", "2", "--z", "0.5"]) == 2
+        assert capsys.readouterr().err == "error: cannot parse complex number 'two'\n"
 
 
 class TestOutputContracts:
@@ -579,3 +600,59 @@ class TestEmission:
         _, data = run_to_file(tmp_path, "z.json", [*argv, "--format", "json"])
         values = [v for row in json.loads(data)["rows"] for v in row.values() if isinstance(v, float)]
         assert any(v == 0.0 and math.copysign(1.0, v) < 0.0 for v in values)
+
+
+class TestNoTraceback:
+    """Inputs past the float range exit 2 with one error line, through `python -m entroineq`."""
+
+    CONTINUOUS = ["su11-check", "--series", "continuous", "--truncation", "8", "--grid", "0.5:0.5:1"]
+    CASES = (
+        # the parity factor's sin used to overflow: exit 1 and a traceback
+        [*CONTINUOUS, "--s", "0.5", "--m", "453"],
+        [*CONTINUOUS, "--s", "0.5", "--m", "-500"],
+        [*CONTINUOUS, "--s", "500", "--m", "0.5"],
+        [*CONTINUOUS, "--s", "1e300", "--m", "0.5"],
+        [*CONTINUOUS, "--s", "0.5", "--m", "1e300"],
+        [*CONTINUOUS, "--s", "0.5", "--m", "451"],  # the family's float-range guard
+        # k = 2^63 used to overflow numpy's int64 in the lattice check
+        ["su11-check", "--k", str(2**63), "--m", f"{2**63}/2", "--grid", "0.5:0.5:1"],
+        ["su11-check", "--k", str(2**63 - 1), "--m", f"{2**63 - 1}/2", "--grid", "0.5:0.5:1"],
+    )
+
+    @pytest.mark.parametrize("argv", CASES, ids=" ".join)
+    def test_exit_two_with_one_error_line(self, argv):
+        proc = subprocess.run([sys.executable, "-m", "entroineq", *argv], capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert proc.stdout == ""
+
+
+class TestNegativeValues:
+    """A word after a value flag is its value unless it is a flag, as in --flag=value."""
+
+    @pytest.mark.parametrize(
+        "argv, flag, value",
+        [
+            (["su2-check", "--j", "3/2", "--grid", "0:1:3"], "--m", "-1/2"),
+            (["su11-check", "--series", "continuous", "--s", "0.5", "--truncation", "8", "--grid", "0.5:0.5:1"], "--m", "-1e-3"),
+            (["dmat", "--j", "1"], "--theta", "-1e-3"),
+            (["hyp2f1", "--a", "1", "--b", "2", "--c", "3"], "--z", "-1e-3"),
+            (["hyp2f1", "--a", "1", "--b", "2", "--c", "3"], "--z", "-0.5+0.1j"),
+            (["hyp2f1", "--a", "1", "--b", "2", "--c", "3"], "--z", "-1j"),
+            (["hyp2f1", "--b", "1", "--c", "1.5", "--z", "0.5"], "--a", "-0.5-0j"),
+            (["su2-check", "--j", "1", "--m", "0"], "--grid", "-1:1:3"),
+        ],
+    )
+    def test_separate_word_is_the_joined_form(self, argv, flag, value, capsys):
+        separate = main([*argv, flag, value]), capsys.readouterr()
+        joined = main([*argv, f"{flag}={value}"]), capsys.readouterr()
+        assert separate == joined
+        assert separate[1].out or separate[1].err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "argv", [["su2-check", "--j", "--m", "1", "--grid", "0:1:2"], ["hyp2f1", "--a", "1", "--b", "2", "--c", "3", "--z"]]
+    )
+    def test_a_flag_is_never_a_value(self, argv, capsys):
+        assert main(argv) == 2
+        assert "expected one argument" in capsys.readouterr().err

@@ -329,6 +329,10 @@ class TestEnumerateWeights:
         with pytest.raises(ValueError):
             enumerate_weights("bogus", None, 3)
 
+    def test_count_must_be_positive(self):
+        with pytest.raises(DimensionError, match="count must be at least 1"):
+            enumerate_weights(SeriesKind.CONTINUOUS_INTEGER, None, 0)
+
 
 class TestMarginals:
     def test_hand_example(self):

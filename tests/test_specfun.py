@@ -419,6 +419,10 @@ class TestDmatrix:
         with pytest.raises(DomainError, match="finite"):
             dmatrix("1/2", theta)
 
+    def test_rejects_negative_spin(self):
+        with pytest.raises(DomainError, match="j must be nonnegative"):
+            dmatrix(-1, 0.5)
+
     def test_overflow_raises_without_warnings(self, monkeypatch):
         # a real overflow needs 2j >= 1440; plant one in the recurrence output
         def overflowing(a, b, live, x):

@@ -130,6 +130,10 @@ class TestDiscreteSeriesDistribution:
         with pytest.raises(DomainError, match="float range"):
             discrete_series_distribution(2, math.inf, 0.5)
 
+    def test_truncation_must_be_positive(self):
+        with pytest.raises(DomainError, match="truncation must be at least 1"):
+            discrete_series_distribution(2, HalfInt(2), 0.5, truncation=0)
+
     def test_one_column_per_ladder_and_per_grid(self, monkeypatch):
         # one Su11Args, one bargmann_b call and one column evaluation per
         # ladder, fixed or adaptive (the (2, 32, 1.675) ladder used to take
@@ -466,6 +470,15 @@ class TestContinuousSeriesReport:
             s=0.5,
             sigma=sigma,
         )
+
+    def test_truncation_must_be_positive(self):
+        with pytest.raises(DomainError, match="truncation must be at least 1"):
+            continuous_series_report(self.args(), 0)
+
+    def test_a_ladder_without_mass_raises(self, monkeypatch):
+        monkeypatch.setattr(su11, "l_function", lambda args, weights: (0j,) * len(weights))
+        with pytest.raises(NormalizationError, match="no probability mass captured"):
+            continuous_series_report(self.args(), 4)
 
     def test_degenerate_truncation(self):
         report = continuous_series_report(self.args(), 1)
