@@ -14,7 +14,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .errors import DomainError
-from .probability import Distribution, DistributionLike, marginals, row_fsums
+from .probability import Distribution, DistributionLike, _checked, marginals, row_fsums
 
 #: An entropy of one distribution, or an array of them over batch axes.
 Entropy = Union[float, np.ndarray]
@@ -25,15 +25,13 @@ def _sums(p: DistributionLike, term: Callable[..., np.ndarray]) -> Entropy:
 
     `term(v, **mask)` is a ufunc of the entries; given `out` and `where`
     it writes only where they are positive.  The result is a float, or an
-    array over the batch axes of `p`; a plain sequence is one distribution.
+    array over the batch axes of `p`; a plain sequence is validated as one
+    distribution.
     """
-    if isinstance(p, Distribution):
-        array, batch_shape = p.as_array(), p.batch_shape
-    else:
-        array, batch_shape = np.asarray(p, dtype=float), ()
-    rows = array.reshape(math.prod(batch_shape), -1)  # one row without batch axes
+    p = _checked(p)
+    rows = p.as_array().reshape(math.prod(p.batch_shape), -1)  # one row without batch axes
     sums = row_fsums(term(rows, out=np.zeros(rows.shape), where=rows > 0.0))
-    return np.array(sums).reshape(batch_shape) if batch_shape else sums[0]
+    return np.array(sums).reshape(p.batch_shape) if p.batch_shape else sums[0]
 
 
 def check_q(q: float) -> float:

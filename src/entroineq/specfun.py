@@ -186,7 +186,9 @@ def log_gamma(z: Union[complex, float, np.ndarray]) -> Union[complex, np.ndarray
     """Principal-branch log Gamma via the Lanczos approximation, elementwise.
 
     Reflection handles Re z < 0.5; a nonpositive integer anywhere raises
-    PoleError.  A scalar gives a complex, an array a complex array.
+    PoleError, and a reflected z whose sin(pi z) leaves the float range
+    (|Im z| past about 225) raises EntroineqError.  A scalar gives a
+    complex, an array a complex array.
     """
     scalar, z = not np.ndim(z), np.atleast_1d(np.asarray(z, dtype=complex))
     pole = (z.imag == 0.0) & (z.real <= 0.0) & (z.real == np.round(z.real))
@@ -200,7 +202,10 @@ def log_gamma(z: Union[complex, float, np.ndarray]) -> Union[complex, np.ndarray
     if reflect.any():
         z = z[reflect]
         n = np.floor(z.real)  # sin(pi z) with range reduction on the real part
-        sin_pi = np.sin(np.pi * (z - n))
+        with np.errstate(all="ignore"):  # raised below
+            sin_pi = np.sin(np.pi * (z - n))
+        if not np.isfinite(sin_pi).all():
+            raise EntroineqError(f"sin(pi z) of the reflection overflows the float range at z = {complex(z[~np.isfinite(sin_pi)][0])}")
         sin_pi = np.where(n % 2, -sin_pi, sin_pi)
         value[reflect] = math.log(math.pi) - np.log(sin_pi) - value[reflect]
     return complex(value[0]) if scalar else value
@@ -229,11 +234,13 @@ def hyp2f1(
     a nonpositive integer, in which case it terminates and any z is
     accepted.  The sum stops once three consecutive terms fall below
     `HYP2F1_TOL` relative to the partial sum, and raises ConvergenceError
-    after `HYP2F1_MAX_TERMS`.
+    after `HYP2F1_MAX_TERMS`; a partial sum that leaves the float range
+    raises EntroineqError.
     """
     a, b, c, z = complex(a), complex(b), complex(c), complex(z)
+    given = f"a={a}, b={b}, c={c}, z={z}"
     if not (cmath.isfinite(a) and cmath.isfinite(b) and cmath.isfinite(c) and cmath.isfinite(z)):
-        raise DomainError(f"2F1 parameters must be finite, got a={a}, b={b}, c={c}, z={z}")
+        raise DomainError(f"2F1 parameters must be finite, got {given}")
     scale = None
     if z.real < 0.0:
         degree_a, degree_b = _nonpos_int(a), _nonpos_int(b)
@@ -265,6 +272,8 @@ def hyp2f1(
         term = term * numerator * z / ((c + k) * (k + 1))
         total += term
         k += 1
+        if not cmath.isfinite(total):
+            raise EntroineqError(f"the 2F1 partial sum leaves the float range after {k} terms at {given}")
         if n_term is None:
             if abs(term) < HYP2F1_TOL * abs(total):
                 small_streak += 1
@@ -357,26 +366,11 @@ def _canonical_image(two_mp: int, two_m: int) -> tuple[int, int, bool]:
     return two_mp, two_m, flip
 
 
-def _wigner_dispatch(two_j: int, two_mp: int, two_m: int, theta: float) -> float:
-    """d-element for a finite theta; a value that overflows raises."""
-    mp, m, flip = _canonical_image(two_mp, two_m)
-    try:
-        norm = math.exp(0.5 * _log_factorial_ratio(two_j, mp, m))
-    except OverflowError:
-        norm = math.inf
-    a, b = (mp - m) // 2, (mp + m) // 2
-    poly = jacobi((two_j - mp) // 2, float(a), float(b), math.cos(theta))
-    value = norm * math.cos(theta / 2.0) ** b * math.sin(theta / 2.0) ** a * poly
-    if math.isfinite(value):
-        return -value if flip else value
-    raise _overflow_error(two_j, two_mp, two_m, theta)
-
-
 def _canonical_d(two_j: int, two_mp: np.ndarray, two_m: np.ndarray, theta: np.ndarray):
     """d^j_{m'm} at canonical weights m' >= |m| in any order, at a 1-D finite `theta`.
 
     Returns one row per entry and one column per angle.  The element is the
-    Jacobi-polynomial form of `_wigner_dispatch`, of degree j - m'; one
+    Jacobi-polynomial form of `wigner_d`, of degree j - m'; one
     recurrence by falling degree steps every entry and angle at once, so a
     call costs O(j) array operations.  An element that overflows raises,
     naming the first angle where one does and the first such entry there.
@@ -400,14 +394,18 @@ def _canonical_d(two_j: int, two_mp: np.ndarray, two_m: np.ndarray, theta: np.nd
     return value
 
 
-def _wigner_column(two_j: int, two_m: int, theta: np.ndarray) -> np.ndarray:
-    """d^j_{m'm} at every angle of a 1-D finite `theta`, one row per m' = -j..j.
+def _squared_column(j: HalfIntLike, m: HalfIntLike, theta) -> np.ndarray:
+    """|d^j_{m'm}(theta)|^2 over m' = -j..j ascending, the axes of `theta` first.
 
-    Each row is the signed canonical image of its element, all evaluated by
-    one `_canonical_d` call.
+    j and m are checked once (m' = j lies on every lattice), and so is
+    every angle.  Each entry squares its canonical image, all evaluated by
+    one `_canonical_d` call, so the signs of the images drop out.
     """
-    mp, m, flip = np.array([_canonical_image(w, two_m) for w in range(-two_j, two_j + 1, 2)]).T
-    return np.where(flip, -1.0, 1.0)[:, None] * _canonical_d(two_j, mp, m, theta)
+    two_j, _, two_m = _weight_triple(j, j, m)
+    angles = _finite_angles(theta)
+    mp, m, _ = np.array([_canonical_image(w, two_m) for w in range(-two_j, two_j + 1, 2)]).T
+    column = _canonical_d(two_j, mp, m, angles.ravel())
+    return (column * column).T.reshape(angles.shape + (two_j + 1,))
 
 
 def wigner_d(j: HalfIntLike, m_prime: HalfIntLike, m: HalfIntLike, theta: float) -> float:
@@ -421,7 +419,18 @@ def wigner_d(j: HalfIntLike, m_prime: HalfIntLike, m: HalfIntLike, theta: float)
     float range (large j) raises EntroineqError.
     """
     two_j, two_mp, two_m = _weight_triple(j, m_prime, m)
-    return _wigner_dispatch(two_j, two_mp, two_m, _finite_angle(theta))
+    theta = _finite_angle(theta)
+    mp, m, flip = _canonical_image(two_mp, two_m)
+    try:
+        norm = math.exp(0.5 * _log_factorial_ratio(two_j, mp, m))
+    except OverflowError:
+        norm = math.inf
+    a, b = (mp - m) // 2, (mp + m) // 2
+    poly = jacobi((two_j - mp) // 2, float(a), float(b), math.cos(theta))
+    value = norm * math.cos(theta / 2.0) ** b * math.sin(theta / 2.0) ** a * poly
+    if math.isfinite(value):
+        return -value if flip else value
+    raise _overflow_error(two_j, two_mp, two_m, theta)
 
 
 def dmatrix(j: HalfIntLike, theta: float) -> np.ndarray:
@@ -507,8 +516,8 @@ class Su11Args:
         if self.sigma not in (0, 1):
             raise DomainError("sigma must be 0 or 1")
         if self.is_discrete:
-            if self.k is None or int(self.k) < 1:
-                raise DomainError("discrete series need an integer k >= 1")
+            if self.k is None or not (self.k >= 1 and self.k % 1 == 0):
+                raise DomainError(f"discrete series need an integer k >= 1, got k={self.k!r}")
             object.__setattr__(self, "k", int(self.k))
         else:
             if self.s is None or not 0.0 < float(self.s) < math.inf:
@@ -761,6 +770,8 @@ def bargmann_b_continued(args: Su11Args) -> float:
     degree m+j in cosh(t) with half-angle hyperbolic envelopes, an
     algebraically independent route from `bargmann_b`.
     """
+    if np.ndim(args.t):
+        raise DomainError("bargmann_b_continued takes one rapidity")
     k = args.k
     two_m, (two_mp,) = _positive_weights(args, "bargmann_b_continued", (args.m_prime,))
     two_mp = int(two_mp)
@@ -777,13 +788,7 @@ def bargmann_b_continued(args: Su11Args) -> float:
     ch = math.cosh(args.t / 2.0)
     sh = math.sinh(args.t / 2.0)
     poly = jacobi(degree, float(alpha), float(-(two_mp + two_m) // 2), math.cosh(args.t))
-    return (
-        math.exp(log_prefactor)
-        * ch ** (-(two_mp + two_m))
-        * sh ** (2 * alpha)
-        * poly
-        * poly
-    )
+    return math.exp(log_prefactor) * ch ** (-(two_mp + two_m)) * sh ** (2 * alpha) * poly * poly
 
 
 def _regularized_family(j: complex, m: float, z: complex, top: float, count: int) -> list[complex]:

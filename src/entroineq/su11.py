@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence, Union
 
@@ -29,10 +28,11 @@ class TruncatedDistribution:
     `values` follow the series' canonical weight order (a read-only array);
     `captured_mass` is their exact sum, computed once, and `tail_bound` =
     max(0, 1 - captured_mass) bounds the discarded mass.  1-D `values` are
-    one prefix of `truncation` terms.  2-D `values` hold one prefix per row
-    (per rapidity of a grid), its first `truncation[i]` terms then zeros,
-    and the three attributes are arrays over the rows.  Instances compare
-    and hash by identity, as numpy arrays have no truth value.
+    one prefix, its first `truncation` terms (all of them by default) then
+    zeros.  2-D `values` hold one prefix per row (per rapidity of a grid),
+    its first `truncation[i]` terms then zeros, and the three attributes
+    are arrays over the rows.  Instances compare and hash by identity, as
+    numpy arrays have no truth value.
     """
 
     values: np.ndarray
@@ -41,11 +41,11 @@ class TruncatedDistribution:
 
     def __post_init__(self) -> None:
         values = np.array(self.values, dtype=float)
-        rows = () if self.truncation is None else self.truncation
-        truncation = np.array(values.size if values.ndim == 1 else rows, dtype=int)
-        past = np.arange(values.shape[-1]) >= truncation[..., None]
-        if truncation.shape != values.shape[:-1] or values.ndim > 2 or np.any(values[past]):
-            raise DomainError("each row of a grid of prefixes needs its truncation, then zeros")
+        width = values.shape[-1]
+        truncation = np.array(width if self.truncation is None else self.truncation, dtype=int)
+        past = np.arange(width) >= truncation[..., None]
+        if truncation.shape != values.shape[:-1] or values.ndim > 2 or np.any(values[past]) or np.any(truncation > width):
+            raise DomainError("a prefix, or each row of a grid of them, needs its truncation, then zeros")
         if not values.size:
             raise DomainError("a truncated distribution needs at least one value")
         if not (np.isfinite(values) & (values >= 0.0)).all():
@@ -53,7 +53,7 @@ class TruncatedDistribution:
         mass = np.array(row_fsums(values.reshape(-1, values.shape[-1])))
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "truncation", truncation if values.ndim > 1 else values.size)
+        object.__setattr__(self, "truncation", truncation if values.ndim > 1 else int(truncation))
         object.__setattr__(self, "captured_mass", mass if values.ndim > 1 else float(mass[0]))
 
     @property
@@ -85,9 +85,6 @@ def discrete_series_distribution(
     ladders hold more than `BOOST_PART_TERMS` terms runs in parts of about
     that many or of one row, each one `bargmann_b` call.
     """
-    k = int(k)
-    if k < 1:
-        raise DomainError("k must be a positive integer")
     if not 0.0 < eps <= 1e-6:
         raise DomainError("eps must lie in (0, 1e-6]")
     if truncation is not None and truncation < 1:
@@ -96,7 +93,7 @@ def discrete_series_distribution(
         series=SeriesKind.DISCRETE_POSITIVE, m_prime=HalfInt(k), m=HalfInt.coerce(m), t=np.atleast_1d(t), k=k
     )
     count = truncation or min(MAX_TERMS, int(np.max(boost_column_length(args))) + TAIL_RUN)
-    weights, size = k / 2 + np.arange(count), max(1, BOOST_PART_TERMS // count)
+    weights, size = args.k / 2 + np.arange(count), max(1, BOOST_PART_TERMS // count)
     squares, stops = [], []
     for start in range(0, args.t.size, size):
         part = args if size >= args.t.size else replace(args, t=args.t[start : start + size])
@@ -122,7 +119,7 @@ def _stops(squares: np.ndarray, eps: float, args: Su11Args) -> list[int]:
     stops = []
     for values, t, candidates in zip(squares, args.t.tolist(), np.split(at, np.searchsorted(rows, range(1, len(squares))))):
         for i in candidates.tolist():
-            mass = math.fsum(values[: i + 1].tolist())
+            mass = row_fsums(values[None, : i + 1])[0]
             if mass >= 1.0 - eps:
                 stops.append(i + 1)
                 break

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .entropy import (
     SubadditivityReport,
     subadditivity_report,
@@ -12,7 +14,7 @@ from .entropy import (
 from .errors import DomainError
 from .halfint import HalfInt, HalfIntLike
 from .probability import Distribution, bipartite_split
-from .specfun import _finite_angles, _weight_triple, _wigner_column
+from .specfun import _squared_column
 
 
 def column_distribution(j: HalfIntLike, m: HalfIntLike, theta) -> Distribution:
@@ -22,11 +24,7 @@ def column_distribution(j: HalfIntLike, m: HalfIntLike, theta) -> Distribution:
     distribution per angle, its axes leading as batch axes; every angle is
     checked as a single one is.
     """
-    two_j, _, two_m = _weight_triple(j, m, m)
-    angles = _finite_angles(theta)
-    column = _wigner_column(two_j, two_m, angles.ravel())
-    squared = (column * column).T.reshape(angles.shape + (two_j + 1,))
-    return Distribution(squared, angles.ndim)
+    return Distribution(_squared_column(j, m, theta), np.ndim(theta))
 
 
 def su2_subadditivity(j: HalfIntLike, m: HalfIntLike, theta) -> SubadditivityReport:

@@ -319,6 +319,11 @@ class TestRouteEquivalence:
                         continued = bargmann_b_continued(args)
                         assert abs(direct - continued) < 1e-12
 
+    def test_takes_one_rapidity(self):
+        # a grid used to escape as a bare TypeError from math.cosh
+        with pytest.raises(DomainError, match="one rapidity"):
+            bargmann_b_continued(discrete_args(2, 4, 2, np.array([0.5, 1.0])))
+
     def test_identity_element(self):
         assert bargmann_b_continued(discrete_args(2, 2, 2, 0.0)) == pytest.approx(
             1.0, abs=1e-15
@@ -437,6 +442,12 @@ class TestCFunction:
     def test_needs_the_discrete_series(self):
         args = Su11Args(series=SeriesKind.CONTINUOUS_INTEGER, m_prime=HalfInt(0), m=0.5, t=0.3, s=0.5)
         with pytest.raises(DomainError, match="c_function needs a discrete-series spin"):
+            c_function(args)
+
+    def test_seed_past_the_float_range_stops_at_once(self):
+        # the seed's 2F1 sum is NaN from term 129 on; it used to run all 10^6 terms
+        args = Su11Args(series=SeriesKind.DISCRETE_POSITIVE, m_prime=HalfInt(2000), m=0.5, t=0.5, k=2000)
+        with pytest.raises(EntroineqError, match="partial sum leaves the float range after 129 terms"):
             c_function(args)
 
     def test_normalization_past_the_float_range(self):

@@ -614,6 +614,10 @@ class TestNoTraceback:
         [*CONTINUOUS, "--s", "1e300", "--m", "0.5"],
         [*CONTINUOUS, "--s", "0.5", "--m", "1e300"],
         [*CONTINUOUS, "--s", "0.5", "--m", "451"],  # the family's float-range guard
+        # log_gamma's reflection used to print numpy warnings before the error line
+        [*CONTINUOUS, "--s", "250", "--m", "-249.5"],
+        # the 2F1 partial sum used to run on as NaN: nan,nan and exit 0
+        ["hyp2f1", "--a", "-1000", "--b", "-1000", "--c", "1", "--z", "0.9"],
         # k = 2^63 used to overflow numpy's int64 in the lattice check
         ["su11-check", "--k", str(2**63), "--m", f"{2**63}/2", "--grid", "0.5:0.5:1"],
         ["su11-check", "--k", str(2**63 - 1), "--m", f"{2**63 - 1}/2", "--grid", "0.5:0.5:1"],

@@ -252,3 +252,13 @@ def test_zero_padding_leaves_batched_entropies_unchanged():
     for entropy in (shannon, lambda p: tsallis(p, 0.5), lambda p: renyi(p, 2.0)):
         plain = entropy(Distribution(rows, 1))
         assert entropy(Distribution(padded, 1)).tolist() == plain.tolist()
+
+
+@pytest.mark.parametrize("raw", [[2.0, -1.0], [0.1, 0.1]])
+@pytest.mark.parametrize(
+    "entropy", [shannon, lambda p: tsallis(p, 2.0), lambda p: renyi(p, 2.0)], ids=["shannon", "tsallis", "renyi"]
+)
+def test_a_plain_sequence_is_validated_as_a_distribution(entropy, raw):
+    # shannon([2.0, -1.0]) used to return -1.386 and [0.1, 0.1] was summed as given
+    with pytest.raises(DomainError, match="negative probability|entries sum to"):
+        entropy(raw)

@@ -203,6 +203,15 @@ class TestLogGamma:
         with pytest.raises(PoleError, match=re.escape(f"log_gamma pole at {complex(pole)}")):
             log_gamma(np.array([2.5, -0.5 + 1j, pole, 3.0]))
 
+    @pytest.mark.parametrize(
+        "z, first", [(-0.5 - 250j, -0.5 - 250j), (np.array([2.5, -0.5 + 220j, -1.5 + 300j, -0.5 - 250j]), -1.5 + 300j)]
+    )
+    def test_reflection_past_the_float_range_raises(self, z, first):
+        # sin(pi z) used to overflow into inf and NaN with numpy warnings
+        assert cmath.isfinite(log_gamma(-0.5 + 220j))
+        with pytest.raises(EntroineqError, match=re.escape(f"float range at z = {first}")):
+            log_gamma(z)
+
     def test_scalar_gives_a_python_complex(self):
         assert type(log_gamma(3.5)) is complex
         assert type(log_gamma(-2.5 + 1j)) is complex
@@ -295,6 +304,16 @@ class TestHyp2f1:
         params = [0.5, 0.5, 1.5, 0.3]
         params[slot] = bad
         with pytest.raises(DomainError, match="must be finite"):
+            hyp2f1(*params)
+
+    @pytest.mark.parametrize(
+        "params, terms",
+        [((1000.5, 1000.5, 1.0, 0.9), 111), ((-1000.0, -1000.0, 1.0, 0.9), 117), ((-1000.0, 1000.5, 1.5, -0.9), 142)],
+    )
+    def test_a_partial_sum_past_the_float_range_raises(self, params, terms):
+        # the sum used to go on as NaN: to the budget, or to nan,nan and exit 0
+        a, b, c, z = (complex(v) for v in params)
+        with pytest.raises(EntroineqError, match=re.escape(f"after {terms} terms at a={a}, b={b}, c={c}, z={z}")):
             hyp2f1(*params)
 
     def test_nonconvergence_budget(self, monkeypatch):

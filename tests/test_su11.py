@@ -134,6 +134,14 @@ class TestDiscreteSeriesDistribution:
         with pytest.raises(DomainError, match="truncation must be at least 1"):
             discrete_series_distribution(2, HalfInt(2), 0.5, truncation=0)
 
+    @pytest.mark.parametrize("k", [2.5, 2.9, math.nan, math.inf])
+    def test_k_must_be_an_integer(self, k):
+        # k = 2.5 used to run as the k = 2 ladder, bit for bit
+        with pytest.raises(DomainError, match="integer k >= 1"):
+            discrete_series_distribution(k, HalfInt(2), 0.5)
+        with pytest.raises(DomainError, match="integer k >= 1"):
+            Su11Args(series=SeriesKind.DISCRETE_POSITIVE, m_prime=HalfInt(2), m=HalfInt(2), t=0.5, k=k)
+
     def test_one_column_per_ladder_and_per_grid(self, monkeypatch):
         # one Su11Args, one bargmann_b call and one column evaluation per
         # ladder, fixed or adaptive (the (2, 32, 1.675) ladder used to take
@@ -294,6 +302,20 @@ class TestTruncatedDistribution:
             TruncatedDistribution(np.array([[0.5, 0.5]]))
         with pytest.raises(DomainError, match="then zeros"):
             TruncatedDistribution(np.array([[0.5, 0.5]]), [1])
+
+    @pytest.mark.parametrize(
+        "values, truncation",
+        [((0.5, 0.25, 0.25, 0.0), 2), ((0.5, 0.25), 7), (np.array([[0.5, 0.5]]), [3])],
+    )
+    def test_a_prefix_follows_the_row_rule(self, values, truncation):
+        # a 1-D prefix used to ignore its truncation and store its length
+        with pytest.raises(DomainError, match="needs its truncation"):
+            TruncatedDistribution(values, truncation)
+
+    def test_a_prefix_keeps_its_truncation(self):
+        d = TruncatedDistribution((0.5, 0.25, 0.25, 0.0), 3)
+        assert d.truncation == 3 and type(d.truncation) is int
+        assert d.values.tolist() == [0.5, 0.25, 0.25, 0.0] and d.captured_mass == 1.0
 
     def test_rejects_non_finite_values(self):
         for bad in (float("nan"), float("inf")):

@@ -1,6 +1,7 @@
 """Rotation-group distributions, closed forms, and inequality sweeps."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -73,6 +74,14 @@ class TestColumnDistribution:
     def test_rejects_non_finite_angle(self, theta):
         with pytest.raises(DomainError, match="finite"):
             column_distribution(1, 1, theta)
+
+    @pytest.mark.parametrize(
+        "j, m, message", [("1", "1/2", "m must share the parity class of j"), (1, 2, "|m| <= j required")]
+    )
+    def test_a_bad_column_is_reported_as_m(self, j, m, message):
+        # the column label used to be checked twice and reported as m'
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            column_distribution(j, m, 0.3)
 
 
 class TestClosedFormCheck:
