@@ -120,7 +120,7 @@ def _su11(ns: argparse.Namespace):
     grid = _parse_grid(ns.grid)
     dist = discrete_series_distribution(ns.k, m, np.array(grid), eps=ns.eps)
     report = su11_subadditivity(dist)
-    config = {"command": "su11-check", "series": "discrete", "k": ns.k, "m": str(m), "grid": ns.grid}
+    config = {"command": "su11-check", "series": "discrete", "k": ns.k, "m": str(m), "eps": ns.eps, "grid": ns.grid}
     header = ["t", "truncation", "captured_mass", "h_joint", "h1", "h2", "slack"]
     columns = [grid, dist.truncation, dist.captured_mass, report.h_joint, report.h_first, report.h_second, report.slack]
     return config, header, columns, True

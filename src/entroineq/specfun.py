@@ -234,8 +234,8 @@ def hyp2f1(
     a nonpositive integer, in which case it terminates and any z is
     accepted.  The sum stops once three consecutive terms fall below
     `HYP2F1_TOL` relative to the partial sum, and raises ConvergenceError
-    after `HYP2F1_MAX_TERMS`; a partial sum that leaves the float range
-    raises EntroineqError.
+    after `HYP2F1_MAX_TERMS`; a partial sum or a Pfaff-scaled value that
+    leaves the float range raises EntroineqError.
     """
     a, b, c, z = complex(a), complex(b), complex(c), complex(z)
     given = f"a={a}, b={b}, c={c}, z={z}"
@@ -283,7 +283,10 @@ def hyp2f1(
                 small_streak = 0
             if k >= HYP2F1_MAX_TERMS:
                 raise ConvergenceError(f"no convergence after {HYP2F1_MAX_TERMS} terms")
-    return total if scale is None else scale * total
+    value = total if scale is None else scale * total
+    if not cmath.isfinite(value):  # the partial sums are finite, so only the Pfaff product can leave the range
+        raise EntroineqError(f"the Pfaff-scaled 2F1 value leaves the float range at {given}")
+    return value
 
 
 # ----------------------------------------------------------------------

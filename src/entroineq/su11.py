@@ -41,10 +41,12 @@ class TruncatedDistribution:
 
     def __post_init__(self) -> None:
         values = np.array(self.values, dtype=float)
+        if values.ndim not in (1, 2):
+            raise DomainError(f"a prefix is 1-D and a grid of them 2-D, got {values.ndim}-D values")
         width = values.shape[-1]
         truncation = np.array(width if self.truncation is None else self.truncation, dtype=int)
         past = np.arange(width) >= truncation[..., None]
-        if truncation.shape != values.shape[:-1] or values.ndim > 2 or np.any(values[past]) or np.any(truncation > width):
+        if truncation.shape != values.shape[:-1] or np.any(values[past]) or np.any(truncation > width):
             raise DomainError("a prefix, or each row of a grid of them, needs its truncation, then zeros")
         if not values.size:
             raise DomainError("a truncated distribution needs at least one value")
@@ -153,12 +155,12 @@ def su11_subadditivity(d: TruncatedDistribution) -> SubadditivityReport:
 
 
 def _renormalized_report(d: TruncatedDistribution, report_only: bool = False) -> SubadditivityReport:
-    """Report the pair/parity split of each prefix of `d` scaled to unit
-    total, with its captured mass attached as `raw_mass`."""
-    if np.any(d.captured_mass <= 0.0):
+    """Pair/parity report of each prefix of `d` scaled to unit total, with its
+    mass as `raw_mass`; the scaled table is trusted: rows sum to 1 within 4 ulps."""
+    if np.any(d.captured_mass < np.finfo(float).tiny):  # a subnormal total has lost its precision
         raise NormalizationError("no probability mass captured")
     scale = (1.0 / np.asarray(d.captured_mass))[..., None]  # each table is freed once the next is built
-    report = subadditivity_report(interleave_split(Distribution(d.values * scale, d.values.ndim - 1)))
+    report = subadditivity_report(interleave_split(Distribution._trusted(d.values * scale, d.values.ndim - 1)))
     return replace(report, report_only=report_only, raw_mass=d.captured_mass)
 
 

@@ -484,7 +484,7 @@ class TestOutputContracts:
             ),
             (
                 ["su11-check", "--k", "2", "--m", "1", "--grid", "0.1:0.2:2"],
-                ["command", "series", "k", "m", "grid"],
+                ["command", "series", "k", "m", "eps", "grid"],
                 ["t", "truncation", "captured_mass", "h_joint", "h1", "h2", "slack"],
             ),
             (
@@ -506,6 +506,12 @@ class TestOutputContracts:
         assert len(payload["rows"]) == 2
         for row in payload["rows"]:
             assert list(row) == header
+
+    def test_discrete_config_records_eps(self, tmp_path):
+        # runs with different --eps used to write the same config
+        argv = ["su11-check", "--k", "2", "--m", "1", "--grid", "0.1:0.2:2", "--format", "json"]
+        runs = [run_to_file(tmp_path, f"{eps}.json", [*argv, "--eps", eps]) for eps in ("1e-8", "1e-7")]
+        assert [json.loads(data)["config"]["eps"] for _, data in runs] == [1e-8, 1e-7]
 
     def test_module_entry_point(self, tmp_path):
         out = tmp_path / "sub.csv"
@@ -618,6 +624,8 @@ class TestNoTraceback:
         [*CONTINUOUS, "--s", "250", "--m", "-249.5"],
         # the 2F1 partial sum used to run on as NaN: nan,nan and exit 0
         ["hyp2f1", "--a", "-1000", "--b", "-1000", "--c", "1", "--z", "0.9"],
+        # the Pfaff product of finite partial sums used to print inf,0 and exit 0
+        ["hyp2f1", "--a", "-100", "--b", "50.5", "--c", "1", "--z", "-1000"],
         # k = 2^63 used to overflow numpy's int64 in the lattice check
         ["su11-check", "--k", str(2**63), "--m", f"{2**63}/2", "--grid", "0.5:0.5:1"],
         ["su11-check", "--k", str(2**63 - 1), "--m", f"{2**63 - 1}/2", "--grid", "0.5:0.5:1"],

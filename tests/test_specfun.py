@@ -316,6 +316,13 @@ class TestHyp2f1:
         with pytest.raises(EntroineqError, match=re.escape(f"after {terms} terms at a={a}, b={b}, c={c}, z={z}")):
             hyp2f1(*params)
 
+    @pytest.mark.parametrize("params", [(-100.0, 50.5, 1.0, -1000.0), (-90.0, -50.5, 1.0, -2000.0)])
+    def test_a_pfaff_scaled_value_past_the_float_range_raises(self, params):
+        # (1-z)^(-a) times a finite sum used to return inf or -inf
+        a, b, c, z = (complex(v) for v in params)
+        with pytest.raises(EntroineqError, match=re.escape(f"float range at a={a}, b={b}, c={c}, z={z}")):
+            hyp2f1(*params)
+
     def test_nonconvergence_budget(self, monkeypatch):
         monkeypatch.setattr(specfun, "HYP2F1_MAX_TERMS", 5)
         with pytest.raises(ConvergenceError, match="after 5 terms"):

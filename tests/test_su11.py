@@ -8,8 +8,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
-from entroineq import probability, specfun, su11
+from entroineq import entropy, probability, specfun, su11
 from entroineq import (
     DomainError,
     EntroineqError,
@@ -41,6 +43,11 @@ def count_calls(monkeypatch, *targets):
 
         monkeypatch.setattr(module, name, counted)
     return calls
+
+
+def count_validation(monkeypatch):
+    """Count `probability._clean` calls and exact row sums, in every module that imports them."""
+    return count_calls(monkeypatch, (probability, "_clean"), *((module, "row_fsums") for module in (probability, su11, entropy)))
 
 
 def count_coerce(monkeypatch):
@@ -317,6 +324,12 @@ class TestTruncatedDistribution:
         assert d.truncation == 3 and type(d.truncation) is int
         assert d.values.tolist() == [0.5, 0.25, 0.25, 0.0] and d.captured_mass == 1.0
 
+    @pytest.mark.parametrize("values", [0.5, np.zeros((1, 1, 2))])
+    def test_rejects_values_of_other_ranks(self, values):
+        # 0-D values used to escape as a bare IndexError
+        with pytest.raises(DomainError, match="got [03]-D values"):
+            TruncatedDistribution(values)
+
     def test_rejects_non_finite_values(self):
         for bad in (float("nan"), float("inf")):
             with pytest.raises(DomainError):
@@ -332,7 +345,33 @@ class TestTruncatedDistribution:
             TruncatedDistribution(values=(1e308, 1e308))
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    hnp.arrays(
+        np.float64,
+        st.integers(1, 10**4),
+        elements=st.floats(0.0, 1e300),
+        fill=st.sampled_from([0.0, 5e-324, 1e-310, 1e-200, 1.0]),
+    ),
+    st.integers(0, 50),
+)
+def test_a_scaled_prefix_sums_to_one(prefix, padding):
+    # the bound on which the report's trust in a TruncatedDistribution rests
+    d = TruncatedDistribution(np.concatenate([prefix, np.zeros(padding)]), prefix.size)
+    assume(d.captured_mass >= np.finfo(float).tiny)
+    for scaled in (d.values / d.captured_mass, d.values * (1.0 / d.captured_mass)):
+        assert abs(probability.row_fsums(scaled[None])[0] - 1.0) <= 4.5e-16
+
+
 class TestSu11Subadditivity:
+    @pytest.mark.parametrize("t", [1.0, np.linspace(0.12, 1.66, 64)])
+    def test_the_report_trusts_the_ladder(self, monkeypatch, t):
+        # the scaled table used to be copied, cleaned and summed once more
+        d = discrete_series_distribution(2, 2, t)
+        calls = count_validation(monkeypatch)
+        su11_subadditivity(d)
+        assert calls == {"_clean": 0, "row_fsums": 3}
+
     def test_delta_distribution(self):
         d = discrete_series_distribution(2, HalfInt(2), 0.0)
         report = su11_subadditivity(d)
@@ -501,6 +540,20 @@ class TestContinuousSeriesReport:
         monkeypatch.setattr(su11, "l_function", lambda args, weights: (0j,) * len(weights))
         with pytest.raises(NormalizationError, match="no probability mass captured"):
             continuous_series_report(self.args(), 4)
+
+    @pytest.mark.parametrize("element", [2e-160j, 1e-154j])  # totals of 4e-320 and 1e-308
+    def test_a_ladder_with_a_subnormal_total_raises(self, monkeypatch, element):
+        # the scale used to overflow with a RuntimeWarning below about 5.6e-309
+        # (pytest makes any warning an error), and above it the report came
+        # from a total short of 53 significant bits
+        monkeypatch.setattr(su11, "l_function", lambda args, weights: (element,) + (0j,) * (len(weights) - 1))
+        with pytest.raises(NormalizationError, match="no probability mass captured"):
+            continuous_series_report(self.args(), 4)
+
+    def test_one_validation_per_ladder(self, monkeypatch):
+        calls = count_validation(monkeypatch)
+        continuous_series_report(self.args(), 16)
+        assert calls == {"_clean": 0, "row_fsums": 4}
 
     def test_degenerate_truncation(self):
         report = continuous_series_report(self.args(), 1)
