@@ -60,15 +60,25 @@ def _parse_complex(text: str) -> complex:
 def _emit(ns: argparse.Namespace, config: dict, header: Sequence[str], columns: Sequence) -> None:
     """Write one row per index of the columns (arrays or lists, one per header name).
 
-    CSV writes float columns as %.17g with -0.0 folded to 0, the rest as
-    str; JSON writes the values as computed.
+    CSV fills one row template: floats as %.17g with -0.0 folded to 0, the
+    rest as str, and when a quarter of the floats repeat (a d-matrix's do)
+    each distinct one is formatted once.  JSON writes the values as computed.
     """
     arrays = [np.asarray(column) for column in columns]
     if ns.format == "csv":
-        arrays = [array + 0.0 if array.dtype.kind == "f" else array for array in arrays]  # -0.0 + 0.0 is 0.0
-        fmt = ",".join("%.17g" if array.dtype.kind == "f" else "%s" for array in arrays)
-        rows = zip(*(array.tolist() for array in arrays))
-        text = "\n".join([",".join(header), *(fmt % row for row in rows)]) + "\n"
+        floats = [i for i, array in enumerate(arrays) if array.dtype.kind == "f"]
+        cells = np.empty((len(arrays[0]), len(arrays)), dtype=object)
+        for i in set(range(len(arrays))).difference(floats):
+            cells[:, i] = arrays[i]
+        block, spec = np.stack([arrays[i] for i in floats], axis=1) + 0.0, "%.17g"  # -0.0 + 0.0 is 0.0
+        ordered = np.sort(block, axis=None)
+        if 4 * np.count_nonzero(ordered[1:] == ordered[:-1]) >= block.size:  # a quarter repeat: the gather pays
+            distinct, inverse = np.unique(block, return_inverse=True)
+            words = (",".join(["%.17g"] * distinct.size) % tuple(distinct.tolist())).split(",")  # %g writes no comma
+            block, spec = np.array(words, dtype=object)[inverse].reshape(block.shape), "%s"
+        cells[:, floats] = block
+        row = ",".join(spec if i in floats else "%s" for i in range(len(arrays))) + "\n"
+        text = ",".join(header) + "\n" + (row * len(cells)) % tuple(cells.ravel().tolist())
     else:
         rows = zip(*(array.tolist() for array in arrays))
         text = json.dumps({"config": config, "rows": [dict(zip(header, row)) for row in rows]}, indent=2) + "\n"

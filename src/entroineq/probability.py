@@ -32,6 +32,11 @@ DistributionLike = Union["Distribution", Sequence[float], np.ndarray]
 
 def row_fsums(rows: np.ndarray) -> list[float]:
     """`math.fsum` of each row of a 2-D array, a chunk of rows at a time; a sum past the float range raises DomainError."""
+    if rows.shape[1] <= 2:  # one addition rounds as fsum does, and fsum([-0.0]) is 0.0
+        with np.errstate(all="ignore"):
+            sums = rows.sum(axis=1) + 0.0
+        if np.isfinite(sums).all():  # else fsum, which raises past the float range
+            return sums.tolist()
     step = max(1, FSUM_CHUNK // max(1, rows.shape[1]))
     try:
         return [math.fsum(row) for start in range(0, len(rows), step) for row in rows[start : start + step].tolist()]
@@ -67,7 +72,11 @@ class Distribution:
         array = np.array(values, dtype=float)
         if not 0 <= batch_ndim < array.ndim or array.size == 0:
             raise DimensionError("a distribution needs an axis and an entry beyond its batch axes")
-        for total in row_fsums(_clean(array).reshape(math.prod(array.shape[:batch_ndim]), -1)):
+        rows = _clean(array).reshape(math.prod(array.shape[:batch_ndim]), -1)
+        with np.errstate(over="ignore"):  # an overflowing row is summed exactly below, and raises
+            sums = rows.sum(axis=1)  # nonnegative entries: within n u of the exact total, relative; 2nu below
+        unsure = rows[~(np.abs(sums - 1.0) <= SUM_TOLERANCE - rows.shape[1] * 2.0**-52 * sums)]
+        for total in row_fsums(unsure) if len(unsure) else ():
             if abs(total - 1.0) > SUM_TOLERANCE:
                 raise DomainError(f"entries sum to {total!r}, not 1")
         return cls._trusted(array, batch_ndim)

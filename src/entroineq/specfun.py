@@ -8,6 +8,7 @@ mixed / continuous series matrix elements of the hyperbolic analog group.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
@@ -622,9 +623,14 @@ def _boost_plan(k: int, n: int, t: np.ndarray):
     The Liouville-Green sum runs over a first guess, the far decay |ln c|/2
     per weight plus the Airy zone at x+, and four times as far for the rows
     it leaves short, over parts of the rows of about `BOOST_PART_TERMS`
-    entries.
+    entries.  The last plan is kept: an adaptive ladder sizes and then evaluates its grid.
     """
-    c = np.array([math.tanh(v / 2.0) ** 2 for v in t.tolist()])
+    return _last_plan(k, n, tuple(t.tolist()))
+
+
+@functools.lru_cache(maxsize=1)
+def _last_plan(k: int, n: int, t: tuple[float, ...]):
+    c, t = np.array([math.tanh(v / 2.0) ** 2 for v in t]), np.array(t)
     top = np.full(t.size, BOOST_MAX_TERMS)
     if n < BOOST_MAX_TERMS and k < 2**52:  # the floats below stay in range
         centre = (k * c + (1.0 + c) * n) / (1.0 - c)

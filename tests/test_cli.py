@@ -1,5 +1,6 @@
 """Command-line interface: schemas, determinism, exit codes."""
 
+import argparse
 import json
 import math
 import subprocess
@@ -606,6 +607,51 @@ class TestEmission:
         _, data = run_to_file(tmp_path, "z.json", [*argv, "--format", "json"])
         values = [v for row in json.loads(data)["rows"] for v in row.values() if isinstance(v, float)]
         assert any(v == 0.0 and math.copysign(1.0, v) < 0.0 for v in values)
+
+
+def reference_csv(header, columns):
+    """One row at a time: %.17g for a float (-0.0 written as 0), %s for the rest."""
+    lines = [",".join(header)]
+    for row in zip(*(np.asarray(column).tolist() for column in columns)):
+        lines.append(",".join("%.17g" % (v + 0.0) if isinstance(v, float) else "%s" % v for v in row))
+    return "\n".join(lines) + "\n"
+
+
+class TestCsvFormatting:
+    """CSV bytes are those of a per-row formatter, whether a table's floats
+    mostly repeat (each distinct one formatted once) or not."""
+
+    SPECIAL = [0.0, -0.0, 1.5, -1.5, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308, math.inf, -math.inf]
+    TABLES = {
+        "repeats and special values": (
+            ["x", "n", "label", "y"],
+            [SPECIAL, list(range(-5, 6)), [f"m={i}/2" for i in range(11)], SPECIAL[::-1]],
+        ),
+        "distinct values": (["x", "n", "label"], [SPECIAL, list(range(-5, 6)), [f"m={i}/2" for i in range(11)]]),
+        "signed zeros and negatives only": (["a", "b"], [np.array([-0.0, -2.5, 0.0]), np.array([-2.5, -0.0, -1e-310])]),
+        "one row": (["a", "k", "b"], [[-0.0], [3], [1e308]]),
+        "one column": (["a"], [np.array([0.1, 0.1, -0.0, 1 / 3, 0.1])]),
+        "one cell": (["a"], [[-5e-324]]),
+    }
+
+    @staticmethod
+    def emit(capsys, header, columns):
+        cli._emit(argparse.Namespace(format="csv", out=None), {}, header, columns)
+        return capsys.readouterr().out
+
+    @pytest.mark.parametrize("name", TABLES)
+    def test_table_is_the_per_row_reference(self, name, capsys):
+        header, columns = self.TABLES[name]
+        assert self.emit(capsys, header, columns) == reference_csv(header, columns)
+
+    @pytest.mark.parametrize("j, theta", [("20", 1.234567), ("61/2", 2.043911)])
+    def test_dmat_is_the_per_row_reference(self, j, theta, capsys):
+        _, header, columns, _ = cli._dmat(argparse.Namespace(j=j, theta=theta))
+        assert main(["dmat", "--j", j, "--theta", repr(theta)]) == 0
+        out = capsys.readouterr().out
+        assert out == reference_csv(header, columns)
+        floats = np.concatenate(columns[1:])
+        assert len(np.unique(floats)) < 0.6 * floats.size  # the symmetries repeat most entries
 
 
 class TestNoTraceback:

@@ -20,6 +20,9 @@ from entroineq import (
     marginals,
     relabel,
 )
+from entroineq import probability
+from entroineq.probability import SUM_TOLERANCE, row_fsums
+from entroineq.su2 import column_distribution
 
 
 @st.composite
@@ -67,6 +70,81 @@ class TestProbabilityVector:
         # math.fsum raises OverflowError on both
         with pytest.raises(DomainError, match="overflows"):
             Distribution(values)
+
+
+class TestMassCheck:
+    """The float row sum decides the mass check where its rounding bound
+    clears it; every other row is summed exactly, as before."""
+
+    @staticmethod
+    def rows_near(total, count, width, seed):
+        """Positive rows whose exact sums are `total` within a few ulps."""
+        rng = np.random.default_rng(seed)
+        rows = rng.random((count, width))
+        return rows * (total / np.array([math.fsum(row) for row in rows.tolist()]))[:, None]
+
+    @staticmethod
+    def edges():
+        for edge in (1.0 - SUM_TOLERANCE, 1.0 + SUM_TOLERANCE):
+            total = edge
+            for _ in range(6):  # a few ulps either side of each edge
+                total = np.nextafter(total, 0.0)
+            for _ in range(13):
+                yield total
+                total = np.nextafter(total, 2.0)
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 9, 1000])
+    def test_accepts_and_raises_as_the_exact_check(self, width):
+        for seed, total in enumerate(self.edges()):
+            for row in self.rows_near(total, 4, width, seed).tolist():
+                exact = math.fsum(row)
+                if abs(exact - 1.0) > SUM_TOLERANCE:
+                    with pytest.raises(DomainError) as raised:
+                        Distribution(row)
+                    assert str(raised.value) == f"entries sum to {exact!r}, not 1"
+                else:
+                    assert Distribution(row).as_array().tolist() == row
+
+    def test_first_failing_row_of_a_table_raises(self):
+        rows = np.concatenate([self.rows_near(1.0 - 0.5 * SUM_TOLERANCE, 5, 9, 1), self.rows_near(1.2, 1, 9, 2)])
+        rows = np.concatenate([rows, self.rows_near(1.0 + 2.0 * SUM_TOLERANCE, 1, 9, 3), rows[:5]])
+        with pytest.raises(DomainError) as raised:
+            Distribution(rows, 1)
+        assert str(raised.value) == f"entries sum to {math.fsum(rows[5].tolist())!r}, not 1"
+
+    def test_a_valid_table_takes_no_exact_sum(self, monkeypatch):
+        calls = []
+        original = probability.row_fsums
+        monkeypatch.setattr(probability, "row_fsums", lambda rows: calls.append(rows.shape) or original(rows))
+        for j, m in (("1/2", "1/2"), ("4", "1")):
+            column_distribution(j, m, np.linspace(0.01, 3.1, 256))
+        Distribution(self.rows_near(1.0, 256, 9, 4), 1)
+        assert calls == []
+
+
+FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 2).flatmap(lambda width: st.lists(st.lists(FLOATS, min_size=width, max_size=width), min_size=1, max_size=8)))
+def test_short_row_sums_are_fsum_bit_for_bit(rows):
+    try:
+        expected = [math.fsum(row) for row in rows]
+    except OverflowError:
+        with pytest.raises(DomainError, match="overflows"):
+            row_fsums(np.array(rows))
+        return
+    got = row_fsums(np.array(rows))
+    assert np.array(got).view(np.int64).tolist() == np.array(expected).view(np.int64).tolist()
+
+
+@pytest.mark.parametrize("pair", [(1e308, 1e308), (-1.7e308, -1e308), (1.7976931348623157e308, 1e292)])
+def test_an_overflowing_pair_raises(pair):
+    with pytest.raises(DomainError, match="probability mass overflows the float range"):
+        row_fsums(np.array([[0.5, 0.5], pair]))
 
 
 class TestJointTable:

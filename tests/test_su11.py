@@ -166,6 +166,14 @@ class TestDiscreteSeriesDistribution:
             discrete_series_distribution(k, HalfInt(two_m), t, truncation=truncation)
             assert (len(built), calls["bargmann_b"], calls["_boost_column"]) == (1, 1, 1)
 
+    def test_one_plan_per_adaptive_ladder(self):
+        # sizing the request (boost_column_length) and evaluating the column
+        # (bargmann_b) used to plan the grid twice
+        for t in (np.linspace(0.1, 1.675, 64), 1.675, np.array([0.3])):
+            specfun._last_plan.cache_clear()
+            discrete_series_distribution(2, HalfInt(32), t)
+            assert specfun._last_plan.cache_info()[:2] == (1, 1)  # hits, misses
+
     def test_no_halfint_per_weight(self, monkeypatch):
         # the ladder's weights go to bargmann_b as one float array
         calls = count_coerce(monkeypatch)
