@@ -39,8 +39,9 @@ HYP2F1_MAX_TERMS = 10**6
 #: limit keeps it where it was measured within 1e-12 of mpmath.
 DISCRETE_COSH_LIMIT = 2.9
 
-#: A discrete boost column is evaluated over fewer than this many weights;
-#: a longer one raises EntroineqError before its recurrence runs.
+#: A discrete boost column or a mixed or continuous 2F1 family is evaluated
+#: over fewer than this many weights; a longer one raises EntroineqError
+#: before its recurrence runs.
 BOOST_MAX_TERMS = 10**6
 
 #: A rapidity grid runs in parts whose columns hold about this many
@@ -55,9 +56,9 @@ BOOST_FLOOR = 2.0**-48
 #: Mixed/continuous rapidity domain: |z(t)| = cosh(t)/2 < HYP2F1_RADIUS.
 CONTINUOUS_COSH_LIMIT = 2.0 * HYP2F1_RADIUS
 
-#: A log-space factor of a mixed or continuous element is exponentiated
-#: only while its real part stays within this bound, which keeps it and its
-#: reciprocal normal floats with room for the factors it meets.
+#: The log-space factor of a mixed or continuous element, its binary shift
+#: included, is exponentiated only while its real part stays within this
+#: bound, which keeps it a normal float with room for the mantissa it meets.
 LOG_FLOAT_RANGE = 700.0
 
 
@@ -744,21 +745,20 @@ def _three_term(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Returns y as mantissas and binary exponents, y_i = mantissa_i 2^shift_i,
     one row per recurrence: once |y| passes 2^300 the running pair of that
     row is scaled by an exact power of 2.  Several rows run as one array
-    loop; one row runs as a float loop with the same arithmetic, since the
-    array loop's per-step overhead makes it about 15 times slower there
-    (400 steps).
+    loop, real only; one row runs as a float loop with the same arithmetic,
+    real or complex, since the array loop's per-step overhead makes it
+    about 15 times slower there (400 steps).
     """
     if p.shape[0] == 1:
-        previous, current, shift = 0.0, 1.0, 0
-        mantissas, shifts = [1.0], [0]
+        previous, current = 0.0, 1.0
+        mantissas, bumps = [1.0], np.zeros(p.shape[1] + 1, dtype=int)
         for p_i, q_i in zip(p[0].tolist(), q[0].tolist()):
             previous, current = current, p_i * current - q_i * previous
-            if current > 2.0**300 or current < -(2.0**300):
-                e = math.frexp(current)[1]
-                previous, current, shift = math.ldexp(previous, -e), math.ldexp(current, -e), shift + e
+            if abs(current) > 2.0**300:
+                bumps[len(mantissas)] = e = math.frexp(abs(current))[1]
+                previous, current = previous * math.ldexp(1.0, -e), current * math.ldexp(1.0, -e)
             mantissas.append(current)
-            shifts.append(shift)
-        return np.array([mantissas]), np.array([shifts])
+        return np.array([mantissas]), np.cumsum(bumps)[None]
     p, q = p.T.copy(), q.T.copy()
     mantissas, bumps = np.ones((p.shape[0] + 1, p.shape[1])), np.zeros((p.shape[0] + 1, p.shape[1]), dtype=int)
     previous, current = np.zeros(p.shape[1]), mantissas[0]
@@ -800,58 +800,52 @@ def bargmann_b_continued(args: Su11Args) -> float:
     return math.exp(log_prefactor) * ch ** (-(two_mp + two_m)) * sh ** (2 * alpha) * poly * poly
 
 
-def _regularized_family(j: complex, m: float, z: complex, top: float, count: int) -> list[complex]:
-    """P(a) = 2F1(-j+a, j+a+1; a+im+1; z) / Gamma(a+im+1) for a = top, top-1, ...
+def _family(j: complex, m: float, z: complex, top: float, count: int, ratio: complex) -> tuple[np.ndarray, np.ndarray]:
+    """P(a) / P(top) for a = top, top-1, ..., `count` values, as the
+    mantissas and shifts of one `_three_term` row; `ratio` is P(top+1)/P(top).
 
-    Returns `count` values, a falling by one from `top >= 0`.  The seeds at
-    a = top+1 and top come from Euler's transformation (DLMF 15.8.1),
-    P(a) = (1-z)^(im-a) 2F1(j+1+im, -j+im; a+im+1; z) / Gamma(a+im+1),
-    whose numerator parameters do not grow with a.  The rest follow from
-    the contiguous relation in (a, b, c) -> (a-1, b-1, c-1),
-    P(a) = z(1-z)(a+1-j)(a+2+j) P(a+2) + (a+1+im - 2(a+1)z) P(a+1),
+    P(a) = 2F1(-j+a, j+a+1; a+im+1; z) / Gamma(a+im+1) obeys the contiguous
+    relation in (a, b, c) -> (a-1, b-1, c-1),
+    P(a) = (a+1+im - 2(a+1)z) P(a+1) + z(1-z)(a+1-j)(a+2+j) P(a+2),
     run in the falling direction only, where it is numerically satisfactory
     (Gil, Segura and Temme, Math. Comp. 76, 2007).  It has no divisions,
     so it crosses the poles c = 0, -1, ... of the unregularized function.
-    A seed beyond the float range raises EntroineqError.
+    A family of `BOOST_MAX_TERMS` values or more raises EntroineqError
+    before its recurrence runs.
     """
-    im = 1j * m
-    log_one_minus_z = cmath.log(1.0 - z)
-
-    def seed(a: float) -> complex:
-        c = a + im + 1.0
-        log_scale = (im - a) * log_one_minus_z - log_gamma(c)
-        if abs(log_scale.real) > LOG_FLOAT_RANGE:
-            raise EntroineqError(
-                f"the regularized 2F1 family overflows the float range at z = {z}, m' = +-{top:g}"
-            )
-        return cmath.exp(log_scale) * hyp2f1(j + 1.0 + im, -j + im, c, z)
-
-    upper, value = seed(top + 1.0), seed(top)
-    family = [value]
-    z_one_minus_z = z * (1.0 - z)
-    for step in range(1, count):
-        a = top - step
-        upper, value = value, (
-            z_one_minus_z * (a + 1.0 - j) * (a + 2.0 + j) * upper
-            + (a + 1.0 + im - 2.0 * (a + 1.0) * z) * value
+    if count >= BOOST_MAX_TERMS:
+        raise EntroineqError(
+            f"the 2F1 family down to a = -m' = {top - count + 1:g} is longer than the budget of {BOOST_MAX_TERMS} weights"
         )
-        family.append(value)
-    return family
+    up = top - np.arange(count - 1.0)  # a + 1 at each step
+    p = up + 1j * m - 2.0 * z * up
+    q = -z * (1.0 - z) * (up - j) * (up + 1.0 + j)
+    p[:1] -= q[:1] * ratio  # y_1 = p_0 - q_0 P(top+1)/P(top)
+    mantissas, shifts = _three_term(p[None], q[None])
+    return mantissas[0], shifts[0]
 
 
-def _branch(log_norm: np.ndarray, a: np.ndarray, im: complex, z: complex, p: np.ndarray, two_mps: np.ndarray) -> np.ndarray:
-    """exp(log_norm) (1-z)^((a-im)/2) z^((a+im)/2) p over a ladder, the factors
-    in log space.  A value outside the float range raises EntroineqError
-    naming the first such m' (doubled in `two_mps`).
+def _branch(log_norm: np.ndarray, a: np.ndarray, im: complex, z: complex, family: tuple[np.ndarray, np.ndarray], two_mps: np.ndarray) -> np.ndarray:
+    """exp(log_norm) (1-z)^((a-im)/2) z^((a+im)/2) y 2^shift over a ladder,
+    with (y, shift) = `family`, the factors and the shift in log space.
+
+    A value is returned only while its log-space factor stays within
+    `LOG_FLOAT_RANGE` and it is 0 or a normal float: one that leaves the
+    float range, above or below, raises EntroineqError naming the first
+    such m' (doubled in `two_mps`).
     """
-    log_factor = log_norm + (_product((a - im) / 2.0, cmath.log(1.0 - z)) + _product((a + im) / 2.0, cmath.log(z)))
+    mantissas, shifts = family
+    log_factor = log_norm + shifts * math.log(2.0) + (
+        _product((a - im) / 2.0, cmath.log(1.0 - z)) + _product((a + im) / 2.0, cmath.log(z))
+    )
     inside = np.abs(log_factor.real) <= LOG_FLOAT_RANGE
     with np.errstate(all="ignore"):  # raised below
-        value = np.exp(np.where(inside, log_factor, 0.0)) * p
-    bad = ~(inside & np.isfinite(value))
+        value = np.exp(np.where(inside, log_factor, 0.0)) * mantissas
+    size = np.abs(value)
+    bad = ~(inside & (size < np.inf) & ((size == 0.0) | (size >= np.finfo(float).tiny)))
     if bad.any():
         raise EntroineqError(
-            f"the matrix element overflows the float range at z = {z}, m' = {HalfInt(int(two_mps[np.argmax(bad)]))}"
+            f"the matrix element leaves the float range at z = {z}, m' = {HalfInt(int(two_mps[np.argmax(bad)]))}"
         )
     return value
 
@@ -860,13 +854,14 @@ def c_function(args: Su11Args, weights: Optional[Sequence[HalfIntLike]] = None):
     """Mixed-basis element c^j_{m'm}(t): discrete row label, continuous column.
 
     c = N(m') (1-z)^((a-im)/2) z^((a+im)/2) P(a) at a = -m' and
-    z = (1 + i sinh t)/2, with P the regularized 2F1 of
-    `_regularized_family`; 1/Gamma(1-m'+im) of the normalization is its
-    regularizer.  Given `weights`, returns the elements at those m' as a
-    tuple from one family; without, the element at `args.m_prime`, which
-    is the one-weight case of the same route.  An element whose factors
-    leave the float range (m' beyond about 170 to 190, falling with t)
-    raises EntroineqError.
+    z = (1 + i sinh t)/2, with P the regularized 2F1 of `_family` started
+    where it is exact: at a = j = -k/2, P(j) = 1/Gamma(j+1+im) and the
+    coefficient of P(j+1) vanishes.  That start cancels the Gamma(j+1+im)
+    of N, whose other factors stay in log space, so no 2F1 series and no
+    pole is met (m = 0 with even k included).  Given `weights`, returns the
+    elements at those m' as a tuple from one family; without, the element
+    at `args.m_prime`, the one-weight case of the same route.  Errors past
+    the budget or the float range are those of `_family` and `_branch`.
     Only the m' >= -j branch is defined; the complementary branch has no
     closed form here and raises UnsupportedBranchError.  Evaluation only,
     no normalization contract.
@@ -874,9 +869,7 @@ def c_function(args: Su11Args, weights: Optional[Sequence[HalfIntLike]] = None):
     if not args.is_discrete:
         raise DomainError("c_function needs a discrete-series spin j = -k/2")
     if args.series is SeriesKind.DISCRETE_NEGATIVE:
-        raise UnsupportedBranchError(
-            "the m' <= j mixed-basis branch is not defined"
-        )
+        raise UnsupportedBranchError("the m' <= j mixed-basis branch is not defined")
     if weights is None:
         return c_function(args, (args.m_prime,))[0]
     _require_rapidity(args.t, CONTINUOUS_COSH_LIMIT)
@@ -887,27 +880,14 @@ def c_function(args: Su11Args, weights: Optional[Sequence[HalfIntLike]] = None):
     j = -k / 2.0
     m = float(args.m)
     im = 1j * m
-    try:
-        constant = (
-            math.sqrt(2.0)
-            * 2.0 ** (-j - 2.0)
-            / math.pi
-            * cmath.exp(
-                log_gamma(j + 1.0 + im)
-                + log_gamma((-j - im) / 2.0)
-                + log_gamma((-j + 1.0 + im) / 2.0)
-            )
-        )
-    except OverflowError:
-        raise EntroineqError(f"the mixed-basis normalization overflows the float range at k = {k}, m = {m!r}") from None
     z = (1.0 + 1j * math.sinh(args.t)) / 2.0
-    # a = -m' falls from a seed at a >= 0 on the lattice of k/2
-    top = (k % 2) / 2.0
-    family = np.array(_regularized_family(j, m, z, top, (int(two_mps.max()) + k % 2) // 2 + 1))
-    # log Gamma(m'+k/2) + log Gamma(m'-k/2+1), both at positive integers
-    lgamma = np.array([math.lgamma(v) for v in range(1, (int(two_mps.max()) + k) // 2 + 1)])
-    log_norm = -0.5 * (lgamma[(two_mps + k) // 2 - 1] + lgamma[(two_mps - k) // 2])
-    return tuple((constant * _branch(log_norm, -two_mps / 2.0, im, z, family[(two_mps + k % 2) // 2], two_mps)).tolist())
+    x = (two_mps - k) // 2  # a = -m' = j - x
+    mantissas, shifts = _family(j, m, z, j, int(x.max()) + 1, 0.0)
+    # N(m') = sqrt(2) 2^(-j-2) Gamma((-j-im)/2) Gamma((-j+1+im)/2) / (pi sqrt(Gamma(m'+k/2) Gamma(m'-k/2+1)))
+    # times the Gamma(j+1+im) that P(j) cancels; both lgamma arguments are positive integers
+    log_constant = (-j - 1.5) * math.log(2.0) - math.log(math.pi) + log_gamma((-j - im) / 2.0) + log_gamma((-j + 1.0 + im) / 2.0)
+    log_norm = log_constant - 0.5 * np.array([math.lgamma(k + v) + math.lgamma(v + 1) for v in x.tolist()])
+    return tuple(_branch(log_norm, -two_mps / 2.0, im, z, (mantissas[x], shifts[x]), two_mps).tolist())
 
 
 def l_function(args: Su11Args, weights: Optional[Sequence[HalfIntLike]] = None):
@@ -916,13 +896,15 @@ def l_function(args: Su11Args, weights: Optional[Sequence[HalfIntLike]] = None):
     Combines the branches a = m' at z+ = (1 - i sinh t)/2 and a = -m' at
     z- = (1 + i sinh t)/2 with the parity label sigma; each branch is
     (1-z)^((a-im)/2) z^((a+im)/2) P(a) with P the regularized 2F1 of
-    `_regularized_family`, whose 1/Gamma(a+1+im) is the factor of the
-    parity normalization.  Given `weights`, returns the elements at those
-    m' as a tuple from one family per branch over a = -A..A, A = max |m'|;
-    without, the element at `args.m_prime`, which is bit for bit that
-    weight of any ladder with the same A.  An element whose factors leave
-    the float range (|m'| beyond about 170 to 190, falling with t) raises
-    EntroineqError.
+    `_family`, whose 1/Gamma(a+1+im) is the factor of the parity
+    normalization.  Each family falls over a = A..-A, A = max |m'|, from
+    seeds at A+1 and A by Euler's transformation (DLMF 15.8.1),
+    P(a) = (1-z)^(im-a) 2F1(j+1+im, -j+im; a+im+1; z) / Gamma(a+im+1),
+    whose numerator parameters do not grow with a.  Given `weights`,
+    returns the elements at those m' as a tuple from one family per branch;
+    without, the element at `args.m_prime`, which is bit for bit that weight
+    of any ladder with the same A.  Errors past the budget or the float
+    range are those of `_family` and `_branch`.
     Evaluation only, no normalization contract.
     """
     if args.is_discrete:
@@ -946,16 +928,21 @@ def l_function(args: Su11Args, weights: Optional[Sequence[HalfIntLike]] = None):
         raise EntroineqError(f"the parity factor overflows the float range at s = {args.s!r}, m = {m!r}") from None
     constant = cmath.exp((j - 1.0) * math.log(2.0) + log_gamma(-j + im)) / denominator
     parity_sign = -1.0 if sigma % 2 else 1.0
-    z_plus = (1.0 - 1j * math.sinh(args.t)) / 2.0
-    z_minus = (1.0 + 1j * math.sinh(args.t)) / 2.0
     top = int(np.abs(two_mps).max()) / 2.0
-    count = int(2.0 * top) + 1
-    family_plus = np.array(_regularized_family(j, m, z_plus, top, count))
-    family_minus = np.array(_regularized_family(j, m, z_minus, top, count))
     mp = two_mps / 2.0
     log_upper = log_gamma(mp - j)
     # m' + j + 1 is the conjugate of m' - j, since j = -1/2 + is
     log_norm = 0.5 * (log_upper - log_upper.conjugate())
-    plus = _branch(log_norm - log_gamma(-mp - j), mp, im, z_plus, family_plus[(top - mp).astype(int)], two_mps)
-    minus = _branch(log_norm - log_upper, -mp, im, z_minus, family_minus[(top + mp).astype(int)], two_mps)
+
+    def branch(side: int, a: np.ndarray, log_lower: np.ndarray) -> np.ndarray:
+        z = (1.0 - side * 1j * math.sinh(args.t)) / 2.0
+        (log_above, above), (log_seed, seed) = (
+            ((im - b) * cmath.log(1.0 - z) - log_gamma(b + im + 1.0), hyp2f1(j + 1.0 + im, -j + im, b + im + 1.0, z))
+            for b in (top + 1.0, top)
+        )
+        mantissas, shifts = _family(j, m, z, top, int(2.0 * top) + 1, cmath.exp(log_above - log_seed) * above / seed)
+        at = (top - a).astype(int)
+        return _branch(log_norm - log_lower + log_seed, a, im, z, (mantissas[at] * seed, shifts[at]), two_mps)
+
+    plus, minus = branch(1, mp, log_gamma(-mp - j)), branch(-1, -mp, log_upper)
     return tuple((constant * (plus - parity_sign * minus)).tolist())

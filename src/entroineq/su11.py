@@ -173,10 +173,13 @@ def _ladder_report(
 ) -> SubadditivityReport:
     """Report-only `_renormalized_report` of |element|^2 on a weight ladder.
 
-    `element` evaluates the whole ladder in one call.
+    `element` evaluates the whole ladder in one call; a truncation past
+    `MAX_TERMS` raises DomainError before any weight is built.
     """
     if truncation < 1:
         raise DomainError("truncation must be at least 1")
+    if truncation > MAX_TERMS:
+        raise DomainError(f"truncation {truncation} is past the budget of {MAX_TERMS} terms")
     weights = doubled_weights(kind, edge, truncation) / 2.0
     values = np.abs(np.array(element(args, weights))) ** 2
     return _renormalized_report(TruncatedDistribution(values), report_only=True)

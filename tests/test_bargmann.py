@@ -259,6 +259,26 @@ class TestRapidityGrid:
             one = specfun._three_term(p[row : row + 1], q[row : row + 1])
             assert (mantissas[row].tolist(), shifts[row].tolist()) == (one[0][0].tolist(), one[1][0].tolist())
 
+    def test_a_complex_row_is_the_complex_float_loop(self):
+        # y grows like |3+2i|^i, about 3.6^i, so the row rescales every ~160 steps
+        p, q = np.full((1, 2000), 3.0 + 2.0j), np.full((1, 2000), 0.5 - 1.5j)
+        previous, current, shift, want = 0.0, 1.0, 0, [(1.0, 0)]
+        for p_i, q_i in zip(p[0].tolist(), q[0].tolist()):
+            previous, current = current, p_i * current - q_i * previous
+            if abs(current) > 2.0**300:
+                e = math.frexp(abs(current))[1]
+                previous, current, shift = previous * 2.0**-e, current * 2.0**-e, shift + e
+            want.append((current, shift))
+        mantissas, shifts = specfun._three_term(p, q)
+        assert list(zip(mantissas[0].tolist(), shifts[0].tolist())) == want
+        # and y_n = (r1^(n+1) - r2^(n+1)) / (r1 - r2), r1 and r2 the roots of r^2 - p r + q
+        with mpmath.workdps(40):
+            root = mpmath.sqrt(mpmath.mpc(3, 2) ** 2 - 4 * mpmath.mpc(0.5, -1.5))
+            r1, r2 = (mpmath.mpc(3, 2) + root) / 2, (mpmath.mpc(3, 2) - root) / 2
+            exact = (r1**2001 - r2**2001) / (r1 - r2)
+            got = mpmath.mpc(want[-1][0]) * mpmath.mpf(2) ** want[-1][1]
+            assert shift > 3000 and abs(got - exact) <= 1e-12 * abs(exact)
+
     def test_only_the_discrete_series_takes_a_grid(self):
         with pytest.raises(DomainError, match="discrete series"):
             Su11Args(series=SeriesKind.CONTINUOUS_INTEGER, m_prime=0, m=0.5, t=[0.1, 0.2], s=0.5)
@@ -444,17 +464,49 @@ class TestCFunction:
         with pytest.raises(DomainError, match="c_function needs a discrete-series spin"):
             c_function(args)
 
-    def test_seed_past_the_float_range_stops_at_once(self):
-        # the seed's 2F1 sum is NaN from term 129 on; it used to run all 10^6 terms
-        args = Su11Args(series=SeriesKind.DISCRETE_POSITIVE, m_prime=HalfInt(2000), m=0.5, t=0.5, k=2000)
-        with pytest.raises(EntroineqError, match="partial sum leaves the float range after 129 terms"):
-            c_function(args)
+    @pytest.mark.parametrize("k", [20, 50, 100, 200])
+    def test_moderate_k_matches_mpmath(self, k):
+        # the two hyp2f1 seeds of the former route cancelled: 1e-2 off at
+        # k = 20, 1.1e17 at k = 50 and up to 9e113 at k = 200, nothing raised
+        weights = [HalfInt(k + 2 * x) for x in (0, 1, 5, 60)]
+        with mpmath.workdps(40):
+            for m in (0.001, 3.0):
+                for t in (0.1, 1.25):
+                    args = Su11Args(series=SeriesKind.DISCRETE_POSITIVE, m_prime=HalfInt(k), m=m, t=t, k=k)
+                    for w, got in zip(weights, c_function(args, weights)):
+                        want = complex(mp_c_function(k, mpmath.mpf(float(w)), mpmath.mpf(m), mpmath.mpf(t)))
+                        assert abs(got - want) <= 1e-12 * abs(want), (m, t, str(w))
+
+    @pytest.mark.parametrize("k, t", [(1000, 0.5), (2000, 0.5)])
+    def test_large_k_matches_mpmath(self, k, t):
+        # these used to raise: the element's factors at k = 1000, a seed's
+        # 2F1 sum at k = 2000 left the float range; the exact start needs
+        # no seed, and the log-space normalization carries the Gamma growth
+        weights = [HalfInt(k + 2 * x) for x in (0, 1, 20)]
+        args = Su11Args(series=SeriesKind.DISCRETE_POSITIVE, m_prime=HalfInt(k), m=0.5, t=t, k=k)
+        with mpmath.workdps(40):
+            for w, got in zip(weights, c_function(args, weights)):
+                want = complex(mp_c_function(k, mpmath.mpf(float(w)), mpmath.mpf("0.5"), mpmath.mpf(t)))
+                assert abs(got - want) <= 5e-12 * abs(want), str(w)
 
     def test_normalization_past_the_float_range(self):
-        # 2^(k/2 - 2) used to escape as a bare OverflowError
+        # 2^(k/2 - 2) alone is past the float range here; it used to raise
         args = Su11Args(series=SeriesKind.DISCRETE_POSITIVE, m_prime=HalfInt(3000), m=0.5, t=0.3, k=3000)
-        with pytest.raises(EntroineqError, match="normalization overflows the float range at k = 3000, m = 0.5"):
-            c_function(args)
+        with mpmath.workdps(40):
+            want = complex(mp_c_function(3000, mpmath.mpf(1500), mpmath.mpf("0.5"), mpmath.mpf("0.3")))
+        assert abs(c_function(args) - want) <= 5e-12 * abs(want)
+
+    @pytest.mark.parametrize("k", [2, 4, 10])
+    def test_m_zero_with_even_k(self, k):
+        # Gamma(j+1+im) has a pole at m = 0 for even k; the exact start cancels
+        # it, where it used to raise PoleError.  The reference is mpmath at m = 1e-20.
+        weights = [HalfInt(k + 2 * x) for x in (0, 1, 5)]
+        with mpmath.workdps(40):
+            for t in (0.5, 1.25):
+                args = Su11Args(series=SeriesKind.DISCRETE_POSITIVE, m_prime=HalfInt(k), m=0.0, t=t, k=k)
+                for w, got in zip(weights, c_function(args, weights)):
+                    want = complex(mp_c_function(k, mpmath.mpf(float(w)), mpmath.mpf("1e-20"), mpmath.mpf(t)))
+                    assert abs(got - want) <= 1e-13 * abs(want), (t, str(w))
 
 
 class TestLFunction:
@@ -609,15 +661,19 @@ class TestContinuousLadder:
     @pytest.mark.parametrize("t", [0.3, 1.2])
     @pytest.mark.parametrize("kind", list(LADDER_SAMPLES))
     def test_family_matches_mpmath(self, kind, t):
+        # the recurrence alone, from the exact P(top+1) / P(top)
         top = 128.0 if kind is SeriesKind.CONTINUOUS_INTEGER else 127.5
         j = complex(-0.5, 0.5)
         for side in (1, -1):
             z = (1.0 - side * 1j * math.sinh(t)) / 2.0
-            family = specfun._regularized_family(j, 0.5, z, top, int(2 * top) + 1)
+            start = mp_family_value(0.5, 0.5, t, top, side)
+            ratio = complex(mp_family_value(0.5, 0.5, t, top + 1.0, side) / start)
+            mantissas, shifts = specfun._family(j, 0.5, z, top, int(2 * top) + 1, ratio)
             for w in LADDER_SAMPLES[kind]:
                 a = side * float(HalfInt.coerce(w))
-                want = complex(mp_family_value(0.5, 0.5, t, a, side))
-                got = family[int(top - a)]
+                i = int(top - a)
+                want = mp_family_value(0.5, 0.5, t, a, side) / start
+                got = mpmath.mpc(complex(mantissas[i])) * mpmath.mpf(2) ** int(shifts[i])
                 assert abs(got - want) <= 1e-12 * abs(want), (side, a)
 
     @pytest.mark.parametrize("t", [0.3, 1.2])
@@ -675,13 +731,39 @@ class TestContinuousLadder:
         for got in (c_function(args, [HalfInt(305)])[0], c_function(replace(args, m_prime=HalfInt(305)))):
             assert abs(got - want) <= 5e-14 * abs(want)
 
+    def test_past_the_former_float_range(self):
+        # both used to raise "overflows the float range": the mixed family
+        # from its seeds, the continuous one at its top weight
+        mixed = Su11Args(series=SeriesKind.DISCRETE_POSITIVE, m_prime=HalfInt(2), m=0.5, t=0.3, k=2)
+        got = c_function(mixed, [HalfInt(512)])[0]
+        want = complex(mp_c_function(2, mpmath.mpf(256), mpmath.mpf("0.5"), mpmath.mpf("0.3")))
+        assert abs(got - want) <= 1e-12 * abs(want)
+        assert abs(got) ** 2 == pytest.approx(5.19e-4, rel=1e-3)
+        for sigma, square in ((0, 1.29e-3), (1, 1.38e-3)):
+            got = l_function(self.args(t=1.2, sigma=sigma), [HalfInt(400)])[0]
+            want = complex(mp_l_regularized(0.5, 0.5, sigma, 1.2, 200.0))
+            assert abs(got - want) <= 1e-12 * abs(want), sigma
+            assert abs(got) ** 2 == pytest.approx(square, rel=1e-2)
+
     def test_beyond_the_float_range_names_the_weight(self):
-        args = self.args(t=1.2)
-        with pytest.raises(EntroineqError, match="float range at .*m'"):
-            l_function(args, [HalfInt(400)])
-        mixed = Su11Args(series=SeriesKind.DISCRETE_POSITIVE, m_prime=HalfInt(2), m=0.5, t=1.2, k=2)
-        with pytest.raises(EntroineqError, match="m' = 200"):
-            c_function(mixed, [HalfInt(400)])
+        # above the range: one branch of l passes e^700 at large m
+        with pytest.raises(EntroineqError, match="leaves the float range at .*m' = 1"):
+            l_function(self.args(t=0.5, m=440.0), [HalfInt(2), HalfInt(0)])
+        # below it: c falls under 1e-308 at k = 3000, t = 1.2
+        mixed = Su11Args(series=SeriesKind.DISCRETE_POSITIVE, m_prime=HalfInt(3000), m=0.5, t=1.2, k=3000)
+        with pytest.raises(EntroineqError, match="leaves the float range at .*m' = 1500"):
+            c_function(mixed, [HalfInt(3000)])
+
+    def test_a_family_past_the_budget_raises_before_it_runs(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(specfun, "_three_term", lambda *a: calls.append(a))
+        top = specfun.BOOST_MAX_TERMS // 2
+        with pytest.raises(EntroineqError, match="longer than the budget of 1000000 weights"):
+            l_function(self.args(), [HalfInt(2 * top)])
+        mixed = Su11Args(series=SeriesKind.DISCRETE_POSITIVE, m_prime=HalfInt(2), m=0.5, t=0.3, k=2)
+        with pytest.raises(EntroineqError, match="longer than the budget of 1000000 weights"):
+            c_function(mixed, [HalfInt(2 + 2 * specfun.BOOST_MAX_TERMS)])
+        assert not calls
 
 
 def same_bits(a, b):

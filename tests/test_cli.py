@@ -6,6 +6,7 @@ import math
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -234,10 +235,12 @@ class TestSu11Check:
         _, rows = parse_csv(data)
         assert all(math.isfinite(float(v)) for v in rows[0])
 
-    @pytest.mark.parametrize("truncation, code", [(300, 0), (400, 2)])
+    @pytest.mark.parametrize("truncation, code", [(300, 0), (400, 0), (100001, 2)])
     def test_continuous_long_ladders(self, truncation, code, tmp_path, capsys):
-        # 400 used to end in a bare OverflowError (exit 1), 300 printed
-        # raw_mass 1.49e257; now the ladder is right or exits 2 naming m'
+        # 400 used to end in a bare OverflowError (exit 1), later in exit 2
+        # at m' = +-200, and 300 printed raw_mass 1.49e257; each raw mass is
+        # that of a 40-digit mpmath ladder of the same weights.  Past the
+        # term budget the ladder exits 2 before it is built.
         argv = [
             "su11-check", "--series", "continuous", "--s", "0.5", "--m", "0.5",
             "--truncation", str(truncation), "--grid", "1.2:1.2:1",
@@ -246,10 +249,10 @@ class TestSu11Check:
         assert main(argv) == code
         if code == 0:
             _, rows = parse_csv((tmp_path / "u.csv").read_bytes())
-            assert float(rows[0][2]) == pytest.approx(1.6757776951335162, rel=1e-10)
+            raw_mass = {300: 1.6757776951335162, 400: 1.766896901812673}[truncation]
+            assert float(rows[0][2]) == pytest.approx(raw_mass, rel=1e-10)
         else:
-            err = capsys.readouterr().err
-            assert "float range" in err and "200" in err.partition("m' = ")[2]
+            assert "truncation 100001 is past the budget of 100000 terms" in capsys.readouterr().err
 
     def test_missing_k_is_usage_error(self, capsys):
         code = main(["su11-check", "--m", "1", "--grid", "0.1:1:2"])
@@ -658,6 +661,10 @@ class TestNoTraceback:
     """Inputs past the float range exit 2 with one error line, through `python -m entroineq`."""
 
     CONTINUOUS = ["su11-check", "--series", "continuous", "--truncation", "8", "--grid", "0.5:0.5:1"]
+    # past the term budget; it used to build its 2e6 weights before it failed
+    PAST_THE_BUDGET = [
+        "su11-check", "--series", "continuous", "--s", "0.5", "--m", "0.5", "--truncation", "2000000", "--grid", "0.5:0.5:1",
+    ]
     CASES = (
         # the parity factor's sin used to overflow: exit 1 and a traceback
         [*CONTINUOUS, "--s", "0.5", "--m", "453"],
@@ -675,6 +682,7 @@ class TestNoTraceback:
         # k = 2^63 used to overflow numpy's int64 in the lattice check
         ["su11-check", "--k", str(2**63), "--m", f"{2**63}/2", "--grid", "0.5:0.5:1"],
         ["su11-check", "--k", str(2**63 - 1), "--m", f"{2**63 - 1}/2", "--grid", "0.5:0.5:1"],
+        PAST_THE_BUDGET,
     )
 
     @pytest.mark.parametrize("argv", CASES, ids=" ".join)
@@ -684,6 +692,19 @@ class TestNoTraceback:
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
         assert proc.stdout == ""
+
+    def test_past_the_budget_in_little_memory(self, capsys):
+        # it used to build its weights first, peaking at 108 MB RSS (77 MB
+        # above the import); tracemalloc sees numpy's buffers, and unlike
+        # ru_maxrss it is not raised by what ran before in this process
+        tracemalloc.start()
+        try:
+            assert main(self.PAST_THE_BUDGET) == 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert capsys.readouterr().err == "error: truncation 2000000 is past the budget of 100000 terms\n"
 
 
 class TestNegativeValues:

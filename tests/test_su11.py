@@ -496,7 +496,7 @@ class TestMixedSeriesReport:
             calls.update(dict.fromkeys(calls, 0))
             mixed_series_report(self.args(), truncation)
             seen.append(dict(calls))
-        assert seen == [{"c_function": 1, "hyp2f1": 2}] * 2
+        assert seen == [{"c_function": 1, "hyp2f1": 0}] * 2  # the family starts where it is exact
 
     def test_no_special_function_call_per_weight(self, monkeypatch):
         calls = count_calls(monkeypatch, (specfun, "log_gamma"), (specfun, "_branch"))
@@ -505,7 +505,7 @@ class TestMixedSeriesReport:
             calls.update(dict.fromkeys(calls, 0))
             mixed_series_report(self.args(), truncation)
             seen.append(dict(calls))
-        assert seen == [{"log_gamma": 5, "_branch": 1}] * 2
+        assert seen == [{"log_gamma": 2, "_branch": 1}] * 2  # the two Gamma of the normalization
 
     def test_slack_still_nonnegative_after_renormalization(self):
         assert mixed_series_report(self.args(), 32).slack >= -1e-10
@@ -515,10 +515,12 @@ class TestMixedSeriesReport:
         assert report.raw_mass > 0.0
 
     def test_gamma_overflow_is_an_entroineq_error(self):
-        # the normalization of c leaves the float range on the long ladder
-        # (m' beyond about 190); it used to escape as a bare OverflowError
-        with pytest.raises(EntroineqError, match="overflows the float range at z = "):
-            mixed_series_report(self.args(), 256)
+        # the normalization's Gamma factors and 2^(k/2 - 2) are far past the
+        # float range at k = 3000; they stay in log space, and the element
+        # they scale falls below the range at t = 1.2
+        args = Su11Args(series=SeriesKind.DISCRETE_POSITIVE, m_prime=HalfInt(3000), m=0.5, t=1.2, k=3000)
+        with pytest.raises(EntroineqError, match="leaves the float range at z = .*m' = 1500"):
+            mixed_series_report(args, 16)
 
     def test_rejects_continuous_args(self):
         # used to escape as a bare TypeError from HalfInt(-args.k)
@@ -610,9 +612,15 @@ class TestContinuousSeriesReport:
         assert report.raw_mass == pytest.approx(1.6757776951335162, rel=1e-10)
 
     def test_ladder_beyond_the_float_range_names_the_weight(self):
-        # used to escape as a bare OverflowError from the parity factor
-        with pytest.raises(EntroineqError, match=r"float range at .*m' = (\+-)?200"):
-            continuous_series_report(replace(self.args(), t=1.2), 400)
+        # a branch of l passes e^700 at m = 440
+        with pytest.raises(EntroineqError, match=r"float range at .*m' = 0"):
+            continuous_series_report(replace(self.args(), m=440.0), 16)
+
+    def test_a_ladder_past_the_budget_raises_before_it_is_built(self, monkeypatch):
+        calls = count_calls(monkeypatch, (su11, "doubled_weights"), (su11, "l_function"))
+        with pytest.raises(DomainError, match="truncation 100001 is past the budget of 100000 terms"):
+            continuous_series_report(self.args(), su11.MAX_TERMS + 1)
+        assert calls == {"doubled_weights": 0, "l_function": 0}
 
     def test_parity_labels_give_distinct_reports(self):
         r0 = continuous_series_report(self.args(sigma=0), 32)
