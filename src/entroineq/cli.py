@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import re
 import sys
@@ -60,25 +61,32 @@ def _parse_complex(text: str) -> complex:
 def _emit(ns: argparse.Namespace, config: dict, header: Sequence[str], columns: Sequence) -> None:
     """Write one row per index of the columns (arrays or lists, one per header name).
 
-    CSV fills one row template: floats as %.17g with -0.0 folded to 0, the
-    rest as str, and when a quarter of the floats repeat (a d-matrix's do)
-    each distinct one is formatted once.  JSON writes the values as computed.
+    CSV writes floats as %.17g with -0.0 folded to 0, the rest as str.  When
+    a quarter of the floats repeat a magnitude (a d-matrix's do, through its
+    index symmetries), each distinct |x| is formatted once, a negative cell
+    takes "-" and its magnitude's word, and the lines are joined from those
+    words; other tables fill one row template with one % call.  JSON writes
+    the values as computed.
     """
     arrays = [np.asarray(column) for column in columns]
     if ns.format == "csv":
-        floats = [i for i, array in enumerate(arrays) if array.dtype.kind == "f"]
-        cells = np.empty((len(arrays[0]), len(arrays)), dtype=object)
-        for i in set(range(len(arrays))).difference(floats):
-            cells[:, i] = arrays[i]
-        block, spec = np.stack([arrays[i] for i in floats], axis=1) + 0.0, "%.17g"  # -0.0 + 0.0 is 0.0
-        ordered = np.sort(block, axis=None)
+        is_float = [array.dtype.kind == "f" for array in arrays]
+        block = np.stack([array for array, f in zip(arrays, is_float) if f]) + 0.0  # -0.0 + 0.0 is 0.0
+        magnitude = np.abs(block)
+        ordered = np.sort(magnitude, axis=None)
         if 4 * np.count_nonzero(ordered[1:] == ordered[:-1]) >= block.size:  # a quarter repeat: the gather pays
-            distinct, inverse = np.unique(block, return_inverse=True)
+            distinct, inverse = np.unique(magnitude, return_inverse=True)
             words = (",".join(["%.17g"] * distinct.size) % tuple(distinct.tolist())).split(",")  # %g writes no comma
-            block, spec = np.array(words, dtype=object)[inverse].reshape(block.shape), "%s"
-        cells[:, floats] = block
-        row = ",".join(spec if i in floats else "%s" for i in range(len(arrays))) + "\n"
-        text = ",".join(header) + "\n" + (row * len(cells)) % tuple(cells.ravel().tolist())
+            words += ("-" + ",-".join(words)).split(",")  # '%.17g' % -x is "-" + '%.17g' % x, NaN aside
+            index = inverse.reshape(block.shape) + distinct.size * (block < 0.0)
+            texts = iter(np.array(words, dtype=object)[index].tolist())
+            cells = [next(texts) if f else list(map(str, array.tolist())) for array, f in zip(arrays, is_float)]
+            text = "\n".join([",".join(header), *map(",".join, zip(*cells))]) + "\n"
+        else:
+            values = iter(block.tolist())
+            cells = zip(*(next(values) if f else array.tolist() for array, f in zip(arrays, is_float)))
+            row = ",".join("%.17g" if f else "%s" for f in is_float) + "\n"
+            text = ",".join(header) + "\n" + (row * block.shape[1]) % tuple(itertools.chain.from_iterable(cells))
     else:
         rows = zip(*(array.tolist() for array in arrays))
         text = json.dumps({"config": config, "rows": [dict(zip(header, row)) for row in rows]}, indent=2) + "\n"

@@ -127,6 +127,22 @@ def jacobi(n: int, a, b, x):
     return p_curr
 
 
+def _integer_jacobi_coefficients(k: int, total, a2, b2, ab2, x):
+    """`_jacobi_coefficients` at integers a, b >= 0, from a + b, a*a, b*b and 2ab.
+
+    Every integer combination of those below 2^53 is exact, so these are
+    the coefficients bit for bit: the operations that meet x, and so round,
+    keep their order.  Real a and b would move bits, so `jacobi` keeps
+    `_jacobi_coefficients`.
+    """
+    s = 2.0 * k + total
+    s2 = s - 2.0
+    denom = 2.0 * k * (k + total) * s2
+    c1 = (s - 1.0) * (s * s2 * x + a2 - b2)
+    c2 = ((2.0 * k - 2.0) * (k - 1.0 + total) + ab2) * s  # 2(k+a-1)(k+b-1) s
+    return c1, c2, denom
+
+
 def _jacobi_by_degree(a: np.ndarray, b: np.ndarray, live: np.ndarray, x) -> np.ndarray:
     """P_n^(a_i, b_i)(x) for entries sorted by falling degree n_i.
 
@@ -135,7 +151,8 @@ def _jacobi_by_degree(a: np.ndarray, b: np.ndarray, live: np.ndarray, x) -> np.n
     `live[k]` counts the entries of degree >= k, for k = 0..max degree, so
     step k of the recurrence runs over that prefix only; `jacobi` gives
     the degree-one start.  Integer a, b >= 0 keep every denominator
-    positive, so no direct-summation fallback.
+    positive, so no direct-summation fallback, and let each entry's
+    constants of the coefficients be formed once, before the first step.
     """
     out = np.ones(np.broadcast_shapes(a.shape, np.shape(x)))
     if live.size < 2:
@@ -143,11 +160,12 @@ def _jacobi_by_degree(a: np.ndarray, b: np.ndarray, live: np.ndarray, x) -> np.n
     a, b = a[: live[1]], b[: live[1]]
     p_curr = jacobi(1, a, b, x)
     p_prev = np.ones(p_curr.shape)
+    constants = a + b, a * a, b * b, 2.0 * a * b
     for k in range(2, live.size):
         n = live[k]
         out[n : len(p_curr)] = p_curr[n:]  # degree k-1 entries are done
-        a, b, p_prev, p_curr = a[:n], b[:n], p_prev[:n], p_curr[:n]
-        c1, c2, denom = _jacobi_coefficients(k, a, b, x)
+        constants, p_prev, p_curr = [c[:n] for c in constants], p_prev[:n], p_curr[:n]
+        c1, c2, denom = _integer_jacobi_coefficients(k, *constants, x)
         p_prev, p_curr = p_curr, (c1 * p_curr - c2 * p_prev) / denom
     out[: len(p_curr)] = p_curr
     return out

@@ -64,6 +64,15 @@ class TruncatedDistribution:
         return np.maximum(0.0, 1.0 - mass) if self.values.ndim > 1 else max(0.0, 1.0 - mass)
 
 
+def _check_truncation(truncation: int) -> None:
+    """A fixed ladder length is at least 1 and at most `MAX_TERMS`: checked
+    before any weight is built."""
+    if truncation < 1:
+        raise DomainError("truncation must be at least 1")
+    if truncation > MAX_TERMS:
+        raise DomainError(f"truncation {truncation} is past the budget of {MAX_TERMS} terms")
+
+
 def discrete_series_distribution(
     k: int,
     m: HalfIntLike,
@@ -78,10 +87,11 @@ def discrete_series_distribution(
     non-increasing, and at least 1 - eps of the mass is captured.
     `TAIL_RUN` exact zeros after some mass with less than 1 - eps of it
     captured raise NormalizationError, since no later term can add to it.
-    Pass `truncation` to force a fixed number of terms instead.  Either
-    way a ladder is one `bargmann_b` call: the adaptive one reads the whole
-    column (`boost_column_length` weights, then zeros) and applies the
-    stop rule to that array.  `t` is one rapidity, or a 1-D array of them
+    Pass `truncation` to force a fixed number of terms instead, at most
+    `MAX_TERMS`; a longer one raises DomainError before any array is built.
+    Either way a ladder is one `bargmann_b` call: the adaptive one reads
+    the whole column (`boost_column_length` weights, then zeros) and
+    applies the stop rule to that array.  `t` is one rapidity, or a 1-D array of them
     for a 2-D `TruncatedDistribution` from one call, each row bit for bit
     its one-rapidity ladder; the first failing point raises.  A grid whose
     ladders hold more than `BOOST_PART_TERMS` terms runs in parts of about
@@ -89,8 +99,8 @@ def discrete_series_distribution(
     """
     if not 0.0 < eps <= 1e-6:
         raise DomainError("eps must lie in (0, 1e-6]")
-    if truncation is not None and truncation < 1:
-        raise DomainError("truncation must be at least 1")
+    if truncation is not None:
+        _check_truncation(truncation)
     args = Su11Args(  # a scalar t is the one-point grid
         series=SeriesKind.DISCRETE_POSITIVE, m_prime=HalfInt(k), m=HalfInt.coerce(m), t=np.atleast_1d(t), k=k
     )
@@ -176,10 +186,7 @@ def _ladder_report(
     `element` evaluates the whole ladder in one call; a truncation past
     `MAX_TERMS` raises DomainError before any weight is built.
     """
-    if truncation < 1:
-        raise DomainError("truncation must be at least 1")
-    if truncation > MAX_TERMS:
-        raise DomainError(f"truncation {truncation} is past the budget of {MAX_TERMS} terms")
+    _check_truncation(truncation)
     weights = doubled_weights(kind, edge, truncation) / 2.0
     values = np.abs(np.array(element(args, weights))) ** 2
     return _renormalized_report(TruncatedDistribution(values), report_only=True)

@@ -1,6 +1,8 @@
 """Command-line interface: schemas, determinism, exit codes."""
 
 import argparse
+import contextlib
+import io
 import json
 import math
 import subprocess
@@ -11,6 +13,7 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from entroineq import HalfInt, cli, specfun, su11, wigner_oracle
 from entroineq.cli import main
@@ -635,7 +638,23 @@ class TestCsvFormatting:
         "one row": (["a", "k", "b"], [[-0.0], [3], [1e308]]),
         "one column": (["a"], [np.array([0.1, 0.1, -0.0, 1 / 3, 0.1])]),
         "one cell": (["a"], [[-5e-324]]),
+        # no signed value repeats, but 6 of the 16 magnitudes do
+        "repeats only up to sign": (
+            ["x", "y"],
+            [[0.1, 0.2, 0.3, 0.4, 1 / 3, 1e-300, 2.5, 7.0], [-0.1, -0.2, -0.3, -0.4, 1 / 7, -1e-300, 3.5, -7.0]],
+        ),
+        "opposites side by side": (
+            ["a", "b"],
+            [[0.0, math.inf, 5e-324, 1e308, -1e308], [-0.0, -math.inf, -5e-324, -1e308, 1e308]],
+        ),
+        "opposites in one column": (["a"], [[0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324, 1e308, -1e308]]),
+        "int and str columns among repeats": (
+            ["n", "x", "label", "y", "k"],
+            [[-2, -1, 0, 1], [0.5, -0.5, 0.25, -0.25], ["-1/2", "a,b", "", "3"], [-0.25, 0.5, -0.0, 0.5], [10, 20, 30, 40]],
+        ),
     }
+    # values and their opposites, for random tables that mostly repeat a magnitude
+    POOL = [0.0, 0.1, 1 / 3, 2.5, 5e-324, 2.2250738585072014e-308, 1e308, math.inf, math.nan]
 
     @staticmethod
     def emit(capsys, header, columns):
@@ -647,7 +666,36 @@ class TestCsvFormatting:
         header, columns = self.TABLES[name]
         assert self.emit(capsys, header, columns) == reference_csv(header, columns)
 
-    @pytest.mark.parametrize("j, theta", [("20", 1.234567), ("61/2", 2.043911)])
+    @staticmethod
+    def repeats(columns, key):
+        """The share of a table's floats (-0.0 folded) whose key repeats another's."""
+        floats = np.concatenate([array for array in map(np.asarray, columns) if array.dtype.kind == "f"]) + 0.0
+        return 1.0 - len(np.unique(key(floats))) / floats.size
+
+    @pytest.mark.parametrize(
+        "name", ["repeats only up to sign", "opposites side by side", "opposites in one column", "int and str columns among repeats"]
+    )
+    def test_table_repeats_a_quarter_of_its_magnitudes(self, name):
+        # so that it is written from one word per magnitude
+        _, columns = self.TABLES[name]
+        assert self.repeats(columns, np.abs) >= 0.25
+        if name == "repeats only up to sign":
+            assert self.repeats(columns, np.asarray) < 0.25
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_random_signed_table_is_the_per_row_reference(self, data):
+        rows, width = data.draw(st.integers(1, 12)), data.draw(st.integers(1, 5))
+        value = st.builds(lambda v, negative: -v if negative else v, st.sampled_from(self.POOL), st.booleans())
+        columns = [data.draw(st.lists(value, min_size=rows, max_size=rows)) for _ in range(width)]
+        if data.draw(st.booleans()):
+            columns.insert(data.draw(st.integers(0, width)), list(range(rows)))
+        header = [f"c{i}" for i in range(len(columns))]
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            cli._emit(argparse.Namespace(format="csv", out=None), {}, header, columns)
+        assert out.getvalue() == reference_csv(header, columns)
+
+    @pytest.mark.parametrize("j, theta", [("20", 1.234567), ("61/2", 2.043911), ("60", 0.912345), ("121/2", 2.345678)])
     def test_dmat_is_the_per_row_reference(self, j, theta, capsys):
         _, header, columns, _ = cli._dmat(argparse.Namespace(j=j, theta=theta))
         assert main(["dmat", "--j", j, "--theta", repr(theta)]) == 0
@@ -655,6 +703,7 @@ class TestCsvFormatting:
         assert out == reference_csv(header, columns)
         floats = np.concatenate(columns[1:])
         assert len(np.unique(floats)) < 0.6 * floats.size  # the symmetries repeat most entries
+        assert len(np.unique(np.abs(floats))) < 0.3 * floats.size  # and up to sign about three in four
 
 
 class TestNoTraceback:

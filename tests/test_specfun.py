@@ -142,6 +142,23 @@ class TestJacobi:
         with pytest.raises(DomainError):
             jacobi(2, -1.0, -1.0, np.array([-0.7, 0.0, 0.4, 0.9]))
 
+    @pytest.mark.parametrize("x", [0.3, np.cos(np.linspace(0.0, 2.0 * math.pi, 256))], ids=["dmatrix", "sweep"])
+    def test_by_degree_is_the_coefficients_recurrence_bit_for_bit(self, x):
+        # `_jacobi_by_degree` forms each entry's integer constants once; its
+        # values must stay those of stepping `_jacobi_coefficients` itself
+        rng = np.random.default_rng(24)
+        degree = np.sort(rng.integers(0, 241, 40))[::-1]
+        a, b = (rng.integers(0, 241, (40, 1)).astype(float) for _ in range(2))
+        live = np.cumsum(np.bincount(degree)[::-1])[::-1]  # entries of degree >= k
+        got = specfun._jacobi_by_degree(a, b, live, x)
+        assert got.shape == np.broadcast_shapes(a.shape, np.shape(x))
+        for row, n, ai, bi in zip(got, degree.tolist(), a[:, 0].tolist(), b[:, 0].tolist()):
+            p_prev, p_curr = 1.0, (ai + 1.0) + (ai + bi + 2.0) * (x - 1.0) / 2.0
+            for k in range(2, n + 1):
+                c1, c2, denom = specfun._jacobi_coefficients(k, ai, bi, x)
+                p_prev, p_curr = p_curr, (c1 * p_curr - c2 * p_prev) / denom
+            assert row.tobytes() == np.broadcast_to(p_curr if n else 1.0, row.shape).tobytes()
+
 
 class TestLogGamma:
     def test_unit_values(self):

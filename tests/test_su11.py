@@ -141,6 +141,19 @@ class TestDiscreteSeriesDistribution:
         with pytest.raises(DomainError, match="truncation must be at least 1"):
             discrete_series_distribution(2, HalfInt(2), 0.5, truncation=0)
 
+    def test_a_truncation_past_the_budget_raises_in_little_memory(self):
+        # it used to build 2e6-entry weight, column and square arrays first
+        # (a 144 MB tracemalloc peak), as the continuous report once did
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match="truncation 2000000 is past the budget of 100000 terms"):
+                discrete_series_distribution(2, HalfInt(2), 0.5, truncation=2_000_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert discrete_series_distribution(2, HalfInt(2), 0.5, truncation=su11.MAX_TERMS).truncation == su11.MAX_TERMS
+
     @pytest.mark.parametrize("k", [2.5, 2.9, math.nan, math.inf])
     def test_k_must_be_an_integer(self, k):
         # k = 2.5 used to run as the k = 2 ladder, bit for bit

@@ -255,12 +255,12 @@ class TestAngleArrays:
         # a column steps all its rows at once: j - |m| recurrence steps,
         # whether it is taken at one angle or at many
         calls, steps = [], []
-        by_degree, coefficients = specfun._jacobi_by_degree, specfun._jacobi_coefficients
+        by_degree, coefficients = specfun._jacobi_by_degree, specfun._integer_jacobi_coefficients
         monkeypatch.setattr(
             specfun, "_jacobi_by_degree", lambda *args: calls.append(1) or by_degree(*args)
         )
         monkeypatch.setattr(
-            specfun, "_jacobi_coefficients", lambda *args: steps.append(1) or coefficients(*args)
+            specfun, "_integer_jacobi_coefficients", lambda *args: steps.append(1) or coefficients(*args)
         )
         for j, m, top in ((30, 0, 30), ("61/2", "5/2", 28), (4, 4, 0)):
             calls.clear()
