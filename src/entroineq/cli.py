@@ -18,7 +18,7 @@ import numpy as np
 
 from .entropy import check_q
 from .errors import EntroineqError
-from .halfint import HalfInt
+from .halfint import HalfInt, label
 from .probability import SeriesKind
 from .specfun import Su11Args, dmatrix, hyp2f1
 from .su2 import su2_subadditivity, su2_tsallis_subadditivity
@@ -59,7 +59,8 @@ def _parse_complex(text: str) -> complex:
 
 
 def _emit(ns: argparse.Namespace, config: dict, header: Sequence[str], columns: Sequence) -> None:
-    """Write one row per index of the columns (arrays or lists, one per header name).
+    """Write one row per index of the columns (arrays or lists, one per header
+    name, or a 2-D float array for as many names as it has rows).
 
     CSV writes floats as %.17g with -0.0 folded to 0, the rest as str.  When
     a quarter of the floats repeat a magnitude (a d-matrix's do, through its
@@ -68,10 +69,13 @@ def _emit(ns: argparse.Namespace, config: dict, header: Sequence[str], columns: 
     words; other tables fill one row template with one % call.  JSON writes
     the values as computed.
     """
-    arrays = [np.asarray(column) for column in columns]
+    arrays = [array[None] if array.ndim == 1 else array for array in map(np.asarray, columns)]  # one row per column
     if ns.format == "csv":
         is_float = [array.dtype.kind == "f" for array in arrays]
-        block = np.stack([array for array, f in zip(arrays, is_float) if f]) + 0.0  # -0.0 + 0.0 is 0.0
+        block = np.concatenate([array for array, f in zip(arrays, is_float) if f])
+        block += 0.0  # -0.0 + 0.0 is 0.0
+        kinds = [f for array, f in zip(arrays, is_float) for _ in array]
+        others = iter([column for array, f in zip(arrays, is_float) if not f for column in array.tolist()])
         magnitude = np.abs(block)
         ordered = np.sort(magnitude, axis=None)
         if 4 * np.count_nonzero(ordered[1:] == ordered[:-1]) >= block.size:  # a quarter repeat: the gather pays
@@ -80,15 +84,15 @@ def _emit(ns: argparse.Namespace, config: dict, header: Sequence[str], columns: 
             words += ("-" + ",-".join(words)).split(",")  # '%.17g' % -x is "-" + '%.17g' % x, NaN aside
             index = inverse.reshape(block.shape) + distinct.size * (block < 0.0)
             texts = iter(np.array(words, dtype=object)[index].tolist())
-            cells = [next(texts) if f else list(map(str, array.tolist())) for array, f in zip(arrays, is_float)]
+            cells = [next(texts) if f else list(map(str, next(others))) for f in kinds]
             text = "\n".join([",".join(header), *map(",".join, zip(*cells))]) + "\n"
         else:
             values = iter(block.tolist())
-            cells = zip(*(next(values) if f else array.tolist() for array, f in zip(arrays, is_float)))
-            row = ",".join("%.17g" if f else "%s" for f in is_float) + "\n"
+            cells = zip(*(next(values) if f else next(others) for f in kinds))
+            row = ",".join("%.17g" if f else "%s" for f in kinds) + "\n"
             text = ",".join(header) + "\n" + (row * block.shape[1]) % tuple(itertools.chain.from_iterable(cells))
     else:
-        rows = zip(*(array.tolist() for array in arrays))
+        rows = zip(*(column for array in arrays for column in array.tolist()))
         text = json.dumps({"config": config, "rows": [dict(zip(header, row)) for row in rows]}, indent=2) + "\n"
     if ns.out:
         with open(ns.out, "w", encoding="utf-8", newline="\n") as handle:
@@ -106,9 +110,9 @@ def _emit(ns: argparse.Namespace, config: dict, header: Sequence[str], columns: 
 def _dmat(ns: argparse.Namespace):
     j = HalfInt.coerce(ns.j)
     matrix = dmatrix(j, ns.theta)
-    labels = [str(HalfInt(d)) for d in range(-j.doubled, j.doubled + 1, 2)]
-    header = ["m_prime", *(f"m={label}" for label in labels)]
-    return {"command": "dmat", "j": str(j), "theta": ns.theta}, header, [labels, *matrix.T], False
+    labels = list(map(label, range(-j.doubled, j.doubled + 1, 2)))
+    header = ["m_prime", *(f"m={text}" for text in labels)]
+    return {"command": "dmat", "j": str(j), "theta": ns.theta}, header, [labels, matrix.T], False
 
 
 def _su2(ns: argparse.Namespace):

@@ -92,9 +92,13 @@ class HalfInt:
         return self.doubled / 2.0
 
     def __str__(self) -> str:
-        if self.doubled % 2 == 0:
-            return str(self.doubled // 2)
-        return f"{self.doubled}/2"
+        return label(self.doubled)
+
+
+def label(doubled: int) -> str:
+    """The text of the half-integer doubled/2, as `str(HalfInt(doubled))`
+    writes it: "2", "-1", "3/2", "-1/2"."""
+    return str(doubled // 2) if doubled % 2 == 0 else f"{doubled}/2"
 
 
 def doubled(weights: Sequence[HalfIntLike]) -> np.ndarray:

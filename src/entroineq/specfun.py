@@ -456,28 +456,86 @@ def wigner_d(j: HalfIntLike, m_prime: HalfIntLike, m: HalfIntLike, theta: float)
     raise _overflow_error(two_j, two_mp, two_m, theta)
 
 
+def _root_binomials(two_j: int) -> tuple[np.ndarray, np.ndarray]:
+    """sqrt(C(2j, k)) for k = 0..2j as mantissas and binary exponents, from exact integers."""
+    mantissas, exponents = [], []
+    binomial = 1
+    for k in range(two_j // 2 + 1):
+        half = binomial.bit_length() // 2  # binomial / 4^half lies in [1/2, 2)
+        mantissas.append(math.sqrt(binomial / (1 << 2 * half)))
+        exponents.append(half)
+        binomial = binomial * (two_j - k) // (k + 1)
+    mirror = (two_j + 1) // 2  # C(2j, k) = C(2j, 2j - k) past the middle
+    return np.array(mantissas + mantissas[:mirror][::-1]), np.array(exponents + exponents[:mirror][::-1])
+
+
+def _half_angle_powers(x: float, two_j: int) -> tuple[np.ndarray, np.ndarray]:
+    """x^k for k = -n..2j, n = floor(j), as mantissas in [1/2, 1) and binary
+    exponents, with zeros at k < 0.
+
+    With x = f 2^e (frexp), f^k is formed as f^(k mod 512) (f^512)^(k // 512),
+    so no intermediate leaves the normal range below k = 2^18; 0.0^0 is 1.
+    """
+    fraction, exponent = math.frexp(x)
+    block, block_exponent = math.frexp(fraction**512)
+    k = np.arange(two_j + 1)
+    high = k // 512
+    mantissas, exponents = np.frexp(fraction ** (k % 512) * block**high)
+    zeros = np.zeros(two_j // 2, dtype=int)
+    return np.concatenate([zeros, mantissas]), np.concatenate([zeros, exponents + exponent * k + block_exponent * high])
+
+
 def dmatrix(j: HalfIntLike, theta: float) -> np.ndarray:
     """Full (2j+1) x (2j+1) rotation matrix, rows/columns m', m ascending.
 
-    One array recurrence evaluates the canonical sector m' >= |m|, about a
-    quarter of the entries, and the index symmetries of `wigner_d` fill
-    the rest.  Errors are those of `wigner_d`.
+    The canonical sector m' >= |m| comes from the three-term recurrence in m'
+    e(m'+1) d_(m'+1) - 2(m' cos theta - m)/sin theta d_m' + e(m') d_(m'-1) = 0,
+    e(m') = sqrt((j+m')(j-m'+1)), the Krawtchouk analogue (Koekoek, Lesky and
+    Swarttouw 2010, 9.11) of the Meixner recurrence of `_boost_column`, run
+    by one `_three_term` call over all 2j+1 columns, downward from the exact
+    row d_jm = sqrt(C(2j, j+m)) c^(j+m) s^(j-m), c = cos(theta/2) and
+    s = sin(theta/2).  The sector never passes the lower turning point
+    (|m| >= m cos theta), so downward is the dominant direction (Gil, Segura
+    and Temme 2007, ch. 4).  The recurrence runs on
+    y = d 2^(k(j-m')) / (sqrt(C(2j, j+m)) c^(m'+m) s^(m'-m)), whose
+    coefficients are bounded at every angle and divide by no sin theta; the
+    exact 2^k >= 2j+1 keeps y from falling out of the float range at large
+    j.  The binomial, the half-angle powers and y are carried as mantissas
+    and binary exponents joined by one ldexp, so theta = 0 gives the
+    identity and no spin overflows.  The index symmetries
+    d_(m'm) = d_(-m,-m') = (-1)^(m'-m) d_(mm') fill the other entries.  A
+    negative j or a non-finite theta raises DomainError.
     """
     two_j = _doubled_spin(j)
     theta = _finite_angle(theta)
-    group_mp = np.arange(two_j % 2, two_j + 1, 2)
-    two_mp = np.repeat(group_mp, group_mp + 1)
-    two_m = np.concatenate([np.arange(-w, w + 1, 2) for w in group_mp])
-    value = _canonical_d(two_j, two_mp, two_m, np.array([theta]))[:, 0]
-    row = (two_j + two_mp) // 2
-    col = (two_j + two_m) // 2
-    signed = np.where((two_mp - two_m) // 2 % 2 == 1, -value, value)  # (-1)^(m'-m)
+    s, c = math.sin(theta / 2.0), math.cos(theta / 2.0)
+    steps = two_j // 2  # m' = j - i for i = 0..steps, down to 0 or 1/2
+    k = (two_j + 1).bit_length()
+    r, i = np.arange(two_j + 1), np.arange(steps + 1)  # m = r - j
+    t = np.arange(-1.0, steps)
+    root = np.sqrt((two_j - t) * (t + 1.0))  # e(j - t), from e(j+1) = 0
+    mp = two_j / 2.0 - i[:-1]
+    if s * s <= 0.5:  # m' cos theta - m = (m' - m) - 2 m' s^2 = 2 m' c^2 - (m' + m)
+        shifted = (two_j - r[:, None] - i[:-1]) - 2.0 * (s * s) * mp
+    else:
+        shifted = 2.0 * (c * c) * mp - (r[:, None] - i[:-1])
+    scaled = math.ldexp(s * c, k)
+    p = shifted / np.ldexp(root[1:], -k)
+    y, shift = _three_term(p, np.broadcast_to(root[:-1] / root[1:] * (scaled * scaled), p.shape))
+    binomial, binomial_exponent = _root_binomials(two_j)
+    # windows [r, i] of the power tables: c^(m'+m) = c^(r-i) and s^(m'-m) = s^(2j-r-i), zero off the sector,
+    # which drops the junk that the recurrence runs past a column's end
+    c_power, c_exponent = (np.lib.stride_tricks.sliding_window_view(x, steps + 1)[:, ::-1] for x in _half_angle_powers(c, two_j))
+    s_power, s_exponent = (np.lib.stride_tricks.sliding_window_view(x, steps + 1)[::-1, ::-1] for x in _half_angle_powers(s, two_j))
+    value = np.ldexp(
+        binomial[:, None] * c_power * s_power * y, binomial_exponent[:, None] + c_exponent + s_exponent + shift - k * i
+    )
     out = np.empty((two_j + 1, two_j + 1))
-    out[row, col] = value
-    out[two_j - col, two_j - row] = value
-    out[col, row] = signed
-    out[two_j - row, two_j - col] = signed
-    return out
+    out[two_j - steps :][::-1] = value.T  # rows m' = j..0 or 1/2, exact on the sector
+    sign = 1 - 2 * (r % 2)  # (-1)^(m'-m) = sign(r) sign(i) (-1)^(2j) on the sector
+    out[: steps + 1] = (value * np.multiply.outer(sign, sign[i] * sign[two_j])).T[:, ::-1]  # d_(-m',-m) = (-1)^(m'-m) d_(m'm)
+    weights = np.abs(r * 2 - two_j)
+    return np.where(weights > weights[:, None], out.T * np.multiply.outer(sign, sign), out)  # |m| > |m'|: (-1)^(m'-m) d_(mm')
 
 
 def wigner_oracle(j: HalfIntLike, theta: float) -> np.ndarray:

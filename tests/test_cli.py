@@ -39,6 +39,13 @@ class TestDmat:
         out = capsys.readouterr().out
         assert out == "m_prime,m=-1/2,m=1/2\n-1/2,1,0\n1/2,0,1\n"
 
+    def test_integer_spin_labels(self, capsys):
+        # the labels are written by `halfint.label`, the rule of str(HalfInt)
+        assert main(["dmat", "--j", "1", "--theta", "0"]) == 0
+        header, *rows = capsys.readouterr().out.splitlines()
+        assert header == "m_prime,m=-1,m=0,m=1"
+        assert [row.split(",")[0] for row in rows] == ["-1", "0", "1"]
+
     def test_matches_oracle(self, tmp_path):
         code, data = run_to_file(tmp_path, "d.csv", ["dmat", "--j", "2", "--theta", "1.0"])
         assert code == 0
@@ -700,7 +707,7 @@ class TestCsvFormatting:
         _, header, columns, _ = cli._dmat(argparse.Namespace(j=j, theta=theta))
         assert main(["dmat", "--j", j, "--theta", repr(theta)]) == 0
         out = capsys.readouterr().out
-        assert out == reference_csv(header, columns)
+        assert out == reference_csv(header, [columns[0], *columns[1]])  # the matrix is one block, a column per row
         floats = np.concatenate(columns[1:])
         assert len(np.unique(floats)) < 0.6 * floats.size  # the symmetries repeat most entries
         assert len(np.unique(np.abs(floats))) < 0.3 * floats.size  # and up to sign about three in four

@@ -71,6 +71,33 @@ def summation_jacobi(n, a, b, x):
     )
 
 
+def mp_wigner_d(two_j, pairs, theta):
+    """d^j_{m'm}(theta) at the doubled weights (m', m) of `pairs` by the Wigner sum
+    sum_k (-1)^k sqrt((j+m')!(j-m')!(j+m)!(j-m)!) / ((j+m-k)! k! (m'-m+k)! (j-m'-k)!)
+    c^(2j-(m'-m)-2k) s^((m'-m)+2k), c = cos(theta/2), s = sin(theta/2), as floats.
+    Its terms stay below 4^j, so 40 digits past 2j log10(2) make it a 40-digit
+    value; it shares no recurrence, binomial or symmetry with `dmatrix`."""
+    with mpmath.workdps(40 + math.ceil(0.31 * two_j)):
+        half = mpmath.mpf(theta) / 2
+        c, s = mpmath.cos(half), mpmath.sin(half)
+        factorial = [mpmath.mpf(1)]
+        for n in range(1, two_j + 1):
+            factorial.append(factorial[-1] * n)
+        cos_power, sin_power = ([x**n for n in range(two_j + 1)] for x in (c, s))
+        out = []
+        for two_mp, two_m in pairs:
+            jp, jm, kp, km = (two_j + two_mp) // 2, (two_j - two_mp) // 2, (two_j + two_m) // 2, (two_j - two_m) // 2
+            a = (two_mp - two_m) // 2
+            root = mpmath.sqrt(factorial[jp] * factorial[jm] * factorial[kp] * factorial[km])
+            terms = [
+                (-1) ** k * root / (factorial[kp - k] * factorial[k] * factorial[a + k] * factorial[jm - k])
+                * cos_power[two_j - a - 2 * k] * sin_power[a + 2 * k]
+                for k in range(max(0, -a), min(kp, jm) + 1)
+            ]
+            out.append(float(mpmath.fsum(terms)))
+        return np.array(out)
+
+
 LARGE_TWO_J = (0, 1, 40, 41, 81, 120, 121, 200)
 LARGE_THETAS = (0.0, 0.3, 1.3, math.pi, 3.0, 2.0 * math.pi)
 NON_FINITE = (math.nan, math.inf, -math.inf)
@@ -467,7 +494,9 @@ class TestDmatrix:
             dmatrix(-1, 0.5)
 
     def test_overflow_raises_without_warnings(self, monkeypatch):
-        # a real overflow needs 2j >= 1440; plant one in the recurrence output
+        # `dmatrix` no longer overflows; the sweep's `_squared_column` is the
+        # one route through `_canonical_d`.  A real overflow needs 2j >= 1440;
+        # plant one in the recurrence output
         def overflowing(a, b, live, x):
             out = np.ones((a.size, 1))
             out[3] = np.inf
@@ -478,9 +507,55 @@ class TestDmatrix:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(EntroineqError) as info:
-                dmatrix(2, 0.3)
-        # entry 3 of the canonical order (m' ascending, then m) is m'=1, m=1
-        assert "j=2, m'=1, m=1, theta=0.3" in str(info.value)
+                specfun._squared_column(2, 0, 0.3)
+        # entries 3 and 4 of the canonical order (m' ascending) are the images m'=2, m=0
+        assert "j=2, m'=2, m=0, theta=0.3" in str(info.value)
+
+    ANGLES = (1e-8, 0.3, 1.3, 3.0, math.pi, math.pi - 1e-7, 2.0 * math.pi)
+    EXTREME_ANGLES = (0.0, -0.0, 5e-324, 1e-308, -1e-308, 1e-300, -1e-300, math.pi - 1e-7, 2.0 * math.pi, 12.0)
+
+    @staticmethod
+    def full(two_j):
+        weights = range(-two_j, two_j + 1, 2)
+        return [(mp, m) for mp in weights for m in weights]
+
+    @pytest.mark.parametrize("two_j", (1, 2, 5, 40, 41))
+    def test_matches_mpmath(self, two_j):
+        # the Jacobi-by-degree route was off by up to 1.5e-14 here, the scalar `wigner_d` too
+        for theta in self.ANGLES:
+            want = mp_wigner_d(two_j, self.full(two_j), theta).reshape(two_j + 1, two_j + 1)
+            assert np.max(np.abs(dmatrix(HalfInt(two_j), theta) - want)) < 1e-14
+
+    def test_matches_mpmath_at_sampled_entries(self):
+        rng = np.random.default_rng(25)
+        two_j = 121
+        for theta in self.ANGLES:
+            pairs = 2 * rng.integers(0, two_j + 1, (40, 2)) - two_j
+            got = dmatrix(HalfInt(two_j), theta)[tuple(((two_j + pairs) // 2).T)]
+            assert np.max(np.abs(got - mp_wigner_d(two_j, pairs.tolist(), theta))) < 1e-14
+
+    @pytest.mark.parametrize("theta", EXTREME_ANGLES)
+    def test_extreme_angles(self, theta):
+        # from theta = 0 on the recurrence divides by no sin theta and meets no special case
+        for two_j in (1, 4, 41):
+            got = dmatrix(HalfInt(two_j), theta)
+            assert np.isfinite(got).all()
+            assert np.max(np.abs(got @ got.T - np.eye(two_j + 1))) < 1e-13
+            want = mp_wigner_d(two_j, self.full(two_j), theta).reshape(two_j + 1, two_j + 1)
+            assert np.max(np.abs(got - want)) < 1e-14
+            if abs(theta) < 1e-323:
+                assert np.max(np.abs(got - np.eye(two_j + 1))) < 1e-14
+
+    @pytest.mark.parametrize("theta", (1e-300, 1e-8, 0.01, 0.3, math.pi - 1e-7))
+    def test_large_spin(self, theta):
+        # the Jacobi-by-degree route raised "d-element overflows the float range" at j = 1000, theta = 0.01
+        two_j = 2000
+        got = dmatrix(1000, theta)
+        assert np.isfinite(got).all()
+        assert np.max(np.abs(got @ got.T - np.eye(two_j + 1))) < 1e-10
+        pairs = [(2000, 2000), (2000, -2000), (-2000, 1998), (0, 0), (2, -2), (1000, -600), (-1400, 200), (600, 1600)]
+        want = mp_wigner_d(two_j, pairs, theta)
+        assert np.max(np.abs(got[tuple(((two_j + np.array(pairs)) // 2).T)] - want)) < 1e-12
 
 
 # frozen output of the earlier Taylor-series exponential of J_y at j = 2, theta = 1
