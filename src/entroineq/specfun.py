@@ -1,8 +1,10 @@
 """Special functions behind group matrix elements.
 
-Jacobi polynomials, Wigner d-functions with an exact-diagonalisation oracle,
-the Gauss hypergeometric series, complex log-gamma, and the discrete /
-mixed / continuous series matrix elements of the hyperbolic analog group.
+Jacobi polynomials, Wigner d-functions (one element, a squared column over
+an angle grid, or the full matrix, all from one three-term recurrence in
+m') with an exact-diagonalisation oracle, the Gauss hypergeometric series,
+complex log-gamma, and the discrete / mixed / continuous series matrix
+elements of the hyperbolic analog group.
 """
 
 from __future__ import annotations
@@ -44,8 +46,9 @@ DISCRETE_COSH_LIMIT = 2.9
 #: before its recurrence runs.
 BOOST_MAX_TERMS = 10**6
 
-#: A rapidity grid runs in parts whose columns hold about this many
-#: weights in all, so its work arrays take a few MB whatever its size.
+#: A rapidity grid, or an angle grid of squared d-columns, runs in parts
+#: whose columns hold about this many entries in all, so its work arrays
+#: take a few MB whatever its size.
 BOOST_PART_TERMS = 2**16
 
 #: Smallest |b|^2 a discrete boost column keeps to full relative accuracy
@@ -125,50 +128,6 @@ def jacobi(n: int, a, b, x):
             return _jacobi_direct(n, a, b, x)
         p_prev, p_curr = p_curr, (c1 * p_curr - c2 * p_prev) / denom
     return p_curr
-
-
-def _integer_jacobi_coefficients(k: int, total, a2, b2, ab2, x):
-    """`_jacobi_coefficients` at integers a, b >= 0, from a + b, a*a, b*b and 2ab.
-
-    Every integer combination of those below 2^53 is exact, so these are
-    the coefficients bit for bit: the operations that meet x, and so round,
-    keep their order.  Real a and b would move bits, so `jacobi` keeps
-    `_jacobi_coefficients`.
-    """
-    s = 2.0 * k + total
-    s2 = s - 2.0
-    denom = 2.0 * k * (k + total) * s2
-    c1 = (s - 1.0) * (s * s2 * x + a2 - b2)
-    c2 = ((2.0 * k - 2.0) * (k - 1.0 + total) + ab2) * s  # 2(k+a-1)(k+b-1) s
-    return c1, c2, denom
-
-
-def _jacobi_by_degree(a: np.ndarray, b: np.ndarray, live: np.ndarray, x) -> np.ndarray:
-    """P_n^(a_i, b_i)(x) for entries sorted by falling degree n_i.
-
-    Entries run along the first axis of `a` and `b`, which broadcast
-    against `x` (a float, or an array of points for every entry).
-    `live[k]` counts the entries of degree >= k, for k = 0..max degree, so
-    step k of the recurrence runs over that prefix only; `jacobi` gives
-    the degree-one start.  Integer a, b >= 0 keep every denominator
-    positive, so no direct-summation fallback, and let each entry's
-    constants of the coefficients be formed once, before the first step.
-    """
-    out = np.ones(np.broadcast_shapes(a.shape, np.shape(x)))
-    if live.size < 2:
-        return out
-    a, b = a[: live[1]], b[: live[1]]
-    p_curr = jacobi(1, a, b, x)
-    p_prev = np.ones(p_curr.shape)
-    constants = a + b, a * a, b * b, 2.0 * a * b
-    for k in range(2, live.size):
-        n = live[k]
-        out[n : len(p_curr)] = p_curr[n:]  # degree k-1 entries are done
-        constants, p_prev, p_curr = [c[:n] for c in constants], p_prev[:n], p_curr[:n]
-        c1, c2, denom = _integer_jacobi_coefficients(k, *constants, x)
-        p_prev, p_curr = p_curr, (c1 * p_curr - c2 * p_prev) / denom
-    out[: len(p_curr)] = p_curr
-    return out
 
 
 # ----------------------------------------------------------------------
@@ -353,27 +312,6 @@ def _finite_angles(theta) -> np.ndarray:
     return angles
 
 
-def _log_factorial_ratio(two_j, two_mp, two_m, lgamma=math.lgamma):
-    """log[(j+m')!(j-m')! / ((j+m)!(j-m)!)] from doubled weights.
-
-    `lgamma` is only called at positive integers; `_canonical_d` passes a
-    table lookup so that the same expression runs over weight arrays.
-    """
-    return (
-        lgamma((two_j + two_mp) // 2 + 1)
-        + lgamma((two_j - two_mp) // 2 + 1)
-        - lgamma((two_j + two_m) // 2 + 1)
-        - lgamma((two_j - two_m) // 2 + 1)
-    )
-
-
-def _overflow_error(two_j: int, two_mp: int, two_m: int, theta: float) -> EntroineqError:
-    return EntroineqError(
-        f"d-element overflows the float range at j={HalfInt(two_j)}, "
-        f"m'={HalfInt(two_mp)}, m={HalfInt(two_m)}, theta={theta!r}"
-    )
-
-
 def _canonical_image(two_mp: int, two_m: int) -> tuple[int, int, bool]:
     """(m', m) moved into the canonical sector m'+m >= 0, m'-m >= 0.
 
@@ -389,73 +327,6 @@ def _canonical_image(two_mp: int, two_m: int) -> tuple[int, int, bool]:
     return two_mp, two_m, flip
 
 
-def _canonical_d(two_j: int, two_mp: np.ndarray, two_m: np.ndarray, theta: np.ndarray):
-    """d^j_{m'm} at canonical weights m' >= |m| in any order, at a 1-D finite `theta`.
-
-    Returns one row per entry and one column per angle.  The element is the
-    Jacobi-polynomial form of `wigner_d`, of degree j - m'; one
-    recurrence by falling degree steps every entry and angle at once, so a
-    call costs O(j) array operations.  An element that overflows raises,
-    naming the first angle where one does and the first such entry there.
-    """
-    order = np.argsort(two_mp, kind="stable")  # ascending m', so falling degree
-    mp, m = two_mp[order], two_m[order]
-    a = ((mp - m) // 2).astype(float)[:, None]
-    b = ((mp + m) // 2).astype(float)[:, None]
-    live = np.cumsum(np.bincount((two_j - mp) // 2)[::-1])[::-1]  # entries of degree >= k
-    value = np.empty((two_mp.size, theta.size))
-    with np.errstate(all="ignore"):
-        poly = _jacobi_by_degree(a, b, live, np.cos(theta))
-        log_gamma = np.array([math.lgamma(v) for v in range(1, two_j + 2)])
-        norm = np.exp(0.5 * _log_factorial_ratio(two_j, mp, m, lambda v: log_gamma[v - 1]))[:, None]
-        value[order] = norm * np.cos(theta / 2.0) ** b * np.sin(theta / 2.0) ** a * poly
-    finite = np.isfinite(value)
-    if not finite.all():
-        angle = int(np.argmin(finite.all(axis=0)))
-        bad = int(np.argmin(finite[:, angle]))
-        raise _overflow_error(two_j, int(two_mp[bad]), int(two_m[bad]), float(theta[angle]))
-    return value
-
-
-def _squared_column(j: HalfIntLike, m: HalfIntLike, theta) -> np.ndarray:
-    """|d^j_{m'm}(theta)|^2 over m' = -j..j ascending, the axes of `theta` first.
-
-    j and m are checked once (m' = j lies on every lattice), and so is
-    every angle.  Each entry squares its canonical image, all evaluated by
-    one `_canonical_d` call, so the signs of the images drop out.
-    """
-    two_j, _, two_m = _weight_triple(j, j, m)
-    angles = _finite_angles(theta)
-    mp, m, _ = np.array([_canonical_image(w, two_m) for w in range(-two_j, two_j + 1, 2)]).T
-    column = _canonical_d(two_j, mp, m, angles.ravel())
-    return (column * column).T.reshape(angles.shape + (two_j + 1,))
-
-
-def wigner_d(j: HalfIntLike, m_prime: HalfIntLike, m: HalfIntLike, theta: float) -> float:
-    """Rotation matrix element d^j_{m'm}(theta) about the y-axis.
-
-    The canonical sector (m'+m >= 0, m'-m >= 0) is evaluated from the
-    Jacobi-polynomial form with signed half-angle powers; remaining
-    sectors are reached through the index symmetries
-    d_{m'm} = d_{-m,-m'} = (-1)^(m'-m) d_{mm'} = (-1)^(m'-m) d_{-m',-m}.
-    A non-finite theta raises DomainError; an element that overflows the
-    float range (large j) raises EntroineqError.
-    """
-    two_j, two_mp, two_m = _weight_triple(j, m_prime, m)
-    theta = _finite_angle(theta)
-    mp, m, flip = _canonical_image(two_mp, two_m)
-    try:
-        norm = math.exp(0.5 * _log_factorial_ratio(two_j, mp, m))
-    except OverflowError:
-        norm = math.inf
-    a, b = (mp - m) // 2, (mp + m) // 2
-    poly = jacobi((two_j - mp) // 2, float(a), float(b), math.cos(theta))
-    value = norm * math.cos(theta / 2.0) ** b * math.sin(theta / 2.0) ** a * poly
-    if math.isfinite(value):
-        return -value if flip else value
-    raise _overflow_error(two_j, two_mp, two_m, theta)
-
-
 def _root_binomials(two_j: int) -> tuple[np.ndarray, np.ndarray]:
     """sqrt(C(2j, k)) for k = 0..2j as mantissas and binary exponents, from exact integers."""
     mantissas, exponents = [], []
@@ -469,31 +340,44 @@ def _root_binomials(two_j: int) -> tuple[np.ndarray, np.ndarray]:
     return np.array(mantissas + mantissas[:mirror][::-1]), np.array(exponents + exponents[:mirror][::-1])
 
 
-def _half_angle_powers(x: float, two_j: int) -> tuple[np.ndarray, np.ndarray]:
-    """x^k for k = -n..2j, n = floor(j), as mantissas in [1/2, 1) and binary
-    exponents, with zeros at k < 0.
+def _half_angle_powers(x: np.ndarray, two_j: int, pad: int) -> tuple[np.ndarray, np.ndarray]:
+    """x^k for k = -pad..2j down the rows, one column per entry of the 1-D
+    `x`, as mantissas in [1/2, 1) and binary exponents, with zeros at k < 0.
 
     With x = f 2^e (frexp), f^k is formed as f^(k mod 512) (f^512)^(k // 512),
     so no intermediate leaves the normal range below k = 2^18; 0.0^0 is 1.
     """
+    fraction, exponent = np.frexp(x)
+    k = np.arange(two_j + 1)[:, None]
+    power, exponents = fraction ** (k % 512), exponent * k
+    if two_j >= 512:  # f^512 by Python's power, as `_float_power` takes it; numpy's misses it by an ulp for some f
+        block, block_exponent = np.frexp([f**512 for f in fraction.tolist()])
+        power *= block ** (k // 512)
+        exponents += block_exponent * (k // 512)
+    mantissas, shift = np.frexp(power)
+    zeros = np.zeros((pad, x.size), dtype=int)
+    return np.concatenate([zeros, mantissas]), np.concatenate([zeros, exponents + shift])
+
+
+def _float_power(x: float, n: int) -> tuple[float, int]:
+    """x^n as a mantissa in [1/2, 1) and a binary exponent, formed as by `_half_angle_powers`."""
     fraction, exponent = math.frexp(x)
-    block, block_exponent = math.frexp(fraction**512)
-    k = np.arange(two_j + 1)
-    high = k // 512
-    mantissas, exponents = np.frexp(fraction ** (k % 512) * block**high)
-    zeros = np.zeros(two_j // 2, dtype=int)
-    return np.concatenate([zeros, mantissas]), np.concatenate([zeros, exponents + exponent * k + block_exponent * high])
+    block, block_exponent = math.frexp(fraction**512) if n >= 512 else (1.0, 0)
+    mantissa, shift = math.frexp(fraction ** (n % 512) * block ** (n // 512))
+    return mantissa, shift + exponent * n + block_exponent * (n // 512)
 
 
-def dmatrix(j: HalfIntLike, theta: float) -> np.ndarray:
-    """Full (2j+1) x (2j+1) rotation matrix, rows/columns m', m ascending.
+def _canonical_columns(two_j: int, columns: slice, steps: int, s: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """d^j_(m'm) at m = r - j for r in `columns` of 0..2j and m' = j - i for
+    i = 0..`steps`, at the half-angle sines `s` and cosines `c` (1-D, one
+    entry per angle), shape (steps + 1, columns, angles).
 
     The canonical sector m' >= |m| comes from the three-term recurrence in m'
     e(m'+1) d_(m'+1) - 2(m' cos theta - m)/sin theta d_m' + e(m') d_(m'-1) = 0,
     e(m') = sqrt((j+m')(j-m'+1)), the Krawtchouk analogue (Koekoek, Lesky and
     Swarttouw 2010, 9.11) of the Meixner recurrence of `_boost_column`, run
-    by one `_three_term` call over all 2j+1 columns, downward from the exact
-    row d_jm = sqrt(C(2j, j+m)) c^(j+m) s^(j-m), c = cos(theta/2) and
+    by one `_three_term` call over every column and angle, downward from the
+    exact row d_jm = sqrt(C(2j, j+m)) c^(j+m) s^(j-m), c = cos(theta/2) and
     s = sin(theta/2).  The sector never passes the lower turning point
     (|m| >= m cos theta), so downward is the dominant direction (Gil, Segura
     and Temme 2007, ch. 4).  The recurrence runs on
@@ -502,34 +386,117 @@ def dmatrix(j: HalfIntLike, theta: float) -> np.ndarray:
     exact 2^k >= 2j+1 keeps y from falling out of the float range at large
     j.  The binomial, the half-angle powers and y are carried as mantissas
     and binary exponents joined by one ldexp, so theta = 0 gives the
-    identity and no spin overflows.  The index symmetries
+    identity and no spin overflows.  Entries off the sector are 0.
+    """
+    k = (two_j + 1).bit_length()
+    r, i = np.arange(two_j + 1)[columns], np.arange(steps + 1)[:, None, None]
+    t = np.arange(-1.0, steps)[:, None, None]
+    root = np.sqrt((two_j - t) * (t + 1.0))  # e(j - t), from e(j+1) = 0
+    mp = two_j / 2.0 - i[:-1]
+    # m' cos theta - m = (m' - m) - 2 m' s^2 near theta = 0, = 2 m' c^2 - (m' + m) past pi/2
+    s2, c2 = s * s, c * c
+    shifted = np.where(s2 <= 0.5, (two_j - r[:, None] - i[:-1]) - 2.0 * s2 * mp, 2.0 * c2 * mp - (r[:, None] - i[:-1]))
+    p = shifted / np.ldexp(root[1:], -k)
+    scaled = np.ldexp(s * c, k)
+    q = np.repeat(root[:-1] / root[1:] * (scaled * scaled), r.size, axis=1)
+    rows = r.size * s.size  # the angles run fastest, here and in the arrays below
+    y, shift = (x.T.reshape(i.size, r.size, s.size) for x in _three_term(p.reshape(steps, rows).T, q.reshape(steps, rows).T))
+    binomial, binomial_exponent = (x[columns, None] for x in _root_binomials(two_j))
+    # read-only windows [i, w] = x[w + steps - i] of the power tables: c^(m'+m) = c^(r-i) and s^(m'-m) = s^(2j-r-i),
+    # zero off the sector, which drops the junk that the recurrence runs past a column's end
+    power, exponent = (
+        np.lib.stride_tricks.as_strided(
+            x[steps:], (steps + 1, two_j + 1, x.shape[1]), (-x.strides[0], *x.strides), writeable=False
+        )
+        for x in _half_angle_powers(np.concatenate([c, s]), two_j, steps)
+    )
+    c_power, c_exponent = power[:, columns, : c.size], exponent[:, columns, : c.size]
+    s_power, s_exponent = power[:, ::-1][:, columns, c.size :], exponent[:, ::-1][:, columns, c.size :]
+    return np.ldexp(binomial * c_power * s_power * y, (binomial_exponent - k * i) + c_exponent + s_exponent + shift)
+
+
+def _squared_column(j: HalfIntLike, m: HalfIntLike, theta) -> np.ndarray:
+    """|d^j_{m'm}(theta)|^2 over m' = -j..j ascending, the axes of `theta` first.
+
+    j and m are checked once (m' = j lies on every lattice), and so is
+    every angle.  Each entry squares its canonical image, whose column
+    |mu| <= |m| and row m' >= |m| the `_canonical_columns` recurrence runs
+    to, over grid parts of about `BOOST_PART_TERMS` entries.  A square needs
+    no sign, so the recurrence takes |sin theta/2| and |cos theta/2|.
+    """
+    two_j, _, two_m = _weight_triple(j, j, m)
+    angles = _finite_angles(theta)
+    low = abs(two_m)
+    steps = (two_j - low) // 2
+    columns = slice(steps, two_j + 1 - steps)  # mu = r - j, |mu| <= |m|
+    images = [_canonical_image(w, two_m) for w in range(-two_j, two_j + 1, 2)]
+    at = [(two_j - mp) // 2 for mp, _, _ in images], [(mu + low) // 2 for _, mu, _ in images]
+    half = angles.ravel() / 2.0
+    s, c = np.abs(np.sin(half)), np.abs(np.cos(half))
+    size = max(1, BOOST_PART_TERMS // ((low + 1) * (steps + 1)))  # angles per part
+    parts = [
+        _canonical_columns(two_j, columns, steps, s[a : a + size], c[a : a + size])[at]
+        for a in range(0, s.size or 1, size)  # one part for an empty grid too
+    ]
+    column = np.concatenate(parts, axis=1).T
+    return (column * column).reshape(angles.shape + (two_j + 1,))
+
+
+def wigner_d(j: HalfIntLike, m_prime: HalfIntLike, m: HalfIntLike, theta: float) -> float:
+    """Rotation matrix element d^j_{m'm}(theta) about the y-axis.
+
+    The element is moved into the canonical sector (m'+m >= 0, m'-m >= 0)
+    through the index symmetries
+    d_{m'm} = d_{-m,-m'} = (-1)^(m'-m) d_{mm'} = (-1)^(m'-m) d_{-m',-m},
+    where its column runs the recurrence of `_canonical_columns` from the
+    row m' = j down to the element, in Python floats on the one-row loop of
+    `_three_term`.  Any spin is accepted; a non-finite theta raises
+    DomainError.
+    """
+    two_j, two_mp, two_m = _weight_triple(j, m_prime, m)
+    theta = _finite_angle(theta)
+    two_mp, two_m, flip = _canonical_image(two_mp, two_m)
+    s, c = math.sin(theta / 2.0), math.cos(theta / 2.0)
+    k = (two_j + 1).bit_length()
+    r, steps = (two_j + two_m) // 2, (two_j - two_mp) // 2
+    near, s2, c2 = s * s <= 0.5, 2.0 * (s * s), 2.0 * (c * c)
+    scaled = math.ldexp(s * c, k)
+    square = scaled * scaled
+
+    def coefficients():  # those of `_canonical_columns`, carrying e(m'+1) from the step before
+        above = 0.0
+        for i in range(steps):
+            e = math.sqrt((two_j - i) * (i + 1.0))  # e(j - i)
+            shifted = (two_j - r - i) - s2 * (two_j / 2.0 - i) if near else c2 * (two_j / 2.0 - i) - (r - i)
+            yield shifted / math.ldexp(e, -k), above / e * square
+            above = e
+
+    mantissas, bumps = _float_three_term(coefficients())
+    binomial = math.comb(two_j, r)
+    half = binomial.bit_length() // 2  # binomial / 4^half lies in [1/2, 2)
+    c_power, c_exponent = _float_power(c, (two_mp + two_m) // 2)
+    s_power, s_exponent = _float_power(s, (two_mp - two_m) // 2)
+    value = math.ldexp(
+        math.sqrt(binomial / (1 << 2 * half)) * c_power * s_power * mantissas[-1],
+        half + c_exponent + s_exponent + sum(bumps.values()) - k * steps,
+    )
+    return -value if flip else value
+
+
+def dmatrix(j: HalfIntLike, theta: float) -> np.ndarray:
+    """Full (2j+1) x (2j+1) rotation matrix, rows/columns m', m ascending.
+
+    The canonical sector m' >= |m| comes from one `_canonical_columns` run
+    over all 2j+1 columns at the one angle; the index symmetries
     d_(m'm) = d_(-m,-m') = (-1)^(m'-m) d_(mm') fill the other entries.  A
     negative j or a non-finite theta raises DomainError.
     """
     two_j = _doubled_spin(j)
     theta = _finite_angle(theta)
-    s, c = math.sin(theta / 2.0), math.cos(theta / 2.0)
     steps = two_j // 2  # m' = j - i for i = 0..steps, down to 0 or 1/2
-    k = (two_j + 1).bit_length()
+    s, c = np.array([math.sin(theta / 2.0)]), np.array([math.cos(theta / 2.0)])
+    value = _canonical_columns(two_j, slice(None), steps, s, c)[:, :, 0].T
     r, i = np.arange(two_j + 1), np.arange(steps + 1)  # m = r - j
-    t = np.arange(-1.0, steps)
-    root = np.sqrt((two_j - t) * (t + 1.0))  # e(j - t), from e(j+1) = 0
-    mp = two_j / 2.0 - i[:-1]
-    if s * s <= 0.5:  # m' cos theta - m = (m' - m) - 2 m' s^2 = 2 m' c^2 - (m' + m)
-        shifted = (two_j - r[:, None] - i[:-1]) - 2.0 * (s * s) * mp
-    else:
-        shifted = 2.0 * (c * c) * mp - (r[:, None] - i[:-1])
-    scaled = math.ldexp(s * c, k)
-    p = shifted / np.ldexp(root[1:], -k)
-    y, shift = _three_term(p, np.broadcast_to(root[:-1] / root[1:] * (scaled * scaled), p.shape))
-    binomial, binomial_exponent = _root_binomials(two_j)
-    # windows [r, i] of the power tables: c^(m'+m) = c^(r-i) and s^(m'-m) = s^(2j-r-i), zero off the sector,
-    # which drops the junk that the recurrence runs past a column's end
-    c_power, c_exponent = (np.lib.stride_tricks.sliding_window_view(x, steps + 1)[:, ::-1] for x in _half_angle_powers(c, two_j))
-    s_power, s_exponent = (np.lib.stride_tricks.sliding_window_view(x, steps + 1)[::-1, ::-1] for x in _half_angle_powers(s, two_j))
-    value = np.ldexp(
-        binomial[:, None] * c_power * s_power * y, binomial_exponent[:, None] + c_exponent + s_exponent + shift - k * i
-    )
     out = np.empty((two_j + 1, two_j + 1))
     out[two_j - steps :][::-1] = value.T  # rows m' = j..0 or 1/2, exact on the sector
     sign = 1 - 2 * (r % 2)  # (-1)^(m'-m) = sign(r) sign(i) (-1)^(2j) on the sector
@@ -821,31 +788,42 @@ def _three_term(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Returns y as mantissas and binary exponents, y_i = mantissa_i 2^shift_i,
     one row per recurrence: once |y| passes 2^300 the running pair of that
     row is scaled by an exact power of 2.  Several rows run as one array
-    loop, real only; one row runs as a float loop with the same arithmetic,
-    real or complex, since the array loop's per-step overhead makes it
-    about 15 times slower there (400 steps).
+    loop, real only; one row runs as `_float_three_term` with the same
+    arithmetic, real or complex, since the array loop's per-step overhead
+    makes it about 15 times slower there (400 steps).
     """
     if p.shape[0] == 1:
-        previous, current = 0.0, 1.0
-        mantissas, bumps = [1.0], np.zeros(p.shape[1] + 1, dtype=int)
-        for p_i, q_i in zip(p[0].tolist(), q[0].tolist()):
-            previous, current = current, p_i * current - q_i * previous
-            if abs(current) > 2.0**300:
-                bumps[len(mantissas)] = e = math.frexp(abs(current))[1]
-                previous, current = previous * math.ldexp(1.0, -e), current * math.ldexp(1.0, -e)
-            mantissas.append(current)
-        return np.array([mantissas]), np.cumsum(bumps)[None]
-    p, q = p.T.copy(), q.T.copy()
+        mantissas, bumps = _float_three_term(zip(p[0].tolist(), q[0].tolist()))
+        shifts = np.zeros(len(mantissas), dtype=int)
+        shifts[list(bumps)] = list(bumps.values())
+        return np.array([mantissas]), np.cumsum(shifts)[None]
+    p, q = np.ascontiguousarray(p.T), np.ascontiguousarray(q.T)
     mantissas, bumps = np.ones((p.shape[0] + 1, p.shape[1])), np.zeros((p.shape[0] + 1, p.shape[1]), dtype=int)
     previous, current = np.zeros(p.shape[1]), mantissas[0]
+    bumped = False  # numpy's cumsum down a short first axis costs more than a short recurrence
     with np.errstate(over="ignore"):  # in the test below
         for i in range(p.shape[0]):
             previous, current = current, p[i] * current - q[i] * previous
             if not current @ current <= 2.0**600:  # some |y| may pass 2^300
-                bumps[i + 1] = np.where(np.abs(current) > 2.0**300, np.frexp(current)[1], 0)
+                bumped, bumps[i + 1] = True, np.where(np.abs(current) > 2.0**300, np.frexp(current)[1], 0)
                 previous, current = np.ldexp(previous, -bumps[i + 1]), np.ldexp(current, -bumps[i + 1])
             mantissas[i + 1] = current
-    return mantissas.T, np.cumsum(bumps, axis=0).T
+    return mantissas.T, (np.cumsum(bumps, axis=0) if bumped else bumps).T
+
+
+def _float_three_term(coefficients) -> tuple[list, dict[int, int]]:
+    """The `_three_term` recurrence of one row as a float loop over its
+    (p_i, q_i) pairs: the mantissas of y_0, y_1, ... and, at each step i
+    where |y| passed 2^300, the binary exponent taken out there."""
+    previous, current = 0.0, 1.0
+    mantissas, bumps = [1.0], {}
+    for p_i, q_i in coefficients:
+        previous, current = current, p_i * current - q_i * previous
+        if abs(current) > 2.0**300:
+            bumps[len(mantissas)] = e = math.frexp(abs(current))[1]
+            previous, current = previous * math.ldexp(1.0, -e), current * math.ldexp(1.0, -e)
+        mantissas.append(current)
+    return mantissas, bumps
 
 
 def bargmann_b_continued(args: Su11Args) -> float:

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from entroineq import HalfInt, cli, su11
+from entroineq import HalfInt, SeriesKind, Su11Args, cli, specfun, su11
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -40,6 +40,13 @@ def run_sweeps(tmp_path):
         assert cli.main([*argv, "--out", str(tmp_path / f"{index}.csv")]) == 0
 
 
+def run_oracle():
+    # no CLI sweep reaches `jacobi`; the benchmark's discrete-ladder check
+    # does, through this oracle
+    args = Su11Args(SeriesKind.DISCRETE_POSITIVE, HalfInt(8), HalfInt(6), 0.5, k=2)
+    assert specfun.bargmann_b_continued(args) > 0.0
+
+
 def test_every_span_resolves(spans):
     for module, attr, name in spans.SPANS:
         assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr} ({name})"
@@ -50,6 +57,7 @@ def test_every_span_on_the_sweep_paths_is_called(spans, tmp_path):
     tracer.install()
     try:
         run_sweeps(tmp_path)
+        run_oracle()
     finally:
         tracer.remove()
     names = {name for _, _, name in spans.SPANS} - OFF_PATH
@@ -69,5 +77,6 @@ def test_every_wrapped_attribute_is_called(spans, tmp_path, monkeypatch):
             keys.append(key)
             monkeypatch.setattr(module, attr, tracer.wrap(key, getattr(module, attr)))
     run_sweeps(tmp_path)
+    run_oracle()
     su11.su11_subadditivity(su11.discrete_series_distribution(2, HalfInt(2), 0.5, truncation=40))
     assert [key for key in keys if tracer.calls[key] == 0] == []

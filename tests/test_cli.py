@@ -155,6 +155,13 @@ class TestSu2Check:
             if min(abs(theta - root) for root in (0.0, math.pi, 2 * math.pi)) > 1.0:
                 assert slack > 1e-3
 
+    def test_large_spin_exit_zero(self, tmp_path):
+        # exited 2 with "d-element overflows the float range at j=1000, m'=529"
+        code, data = run_to_file(tmp_path, "s.csv", ["su2-check", "--j", "1000", "--m", "0", "--grid", "0.01:0.01:1"])
+        assert code == 0
+        _, rows = parse_csv(data)
+        assert len(rows) == 1 and float(rows[0][5]) >= -1e-10
+
     def test_lhs_column_consistent(self, tmp_path):
         _, data = run_to_file(
             tmp_path, "s.csv", ["su2-check", "--j", "3/2", "--m", "1/2", "--grid", "0.3:2.1:5"]

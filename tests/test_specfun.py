@@ -3,7 +3,6 @@
 import cmath
 import math
 import re
-import warnings
 
 import mpmath
 import numpy as np
@@ -168,23 +167,6 @@ class TestJacobi:
     def test_degenerate_recurrence_needs_scalar_x(self):
         with pytest.raises(DomainError):
             jacobi(2, -1.0, -1.0, np.array([-0.7, 0.0, 0.4, 0.9]))
-
-    @pytest.mark.parametrize("x", [0.3, np.cos(np.linspace(0.0, 2.0 * math.pi, 256))], ids=["dmatrix", "sweep"])
-    def test_by_degree_is_the_coefficients_recurrence_bit_for_bit(self, x):
-        # `_jacobi_by_degree` forms each entry's integer constants once; its
-        # values must stay those of stepping `_jacobi_coefficients` itself
-        rng = np.random.default_rng(24)
-        degree = np.sort(rng.integers(0, 241, 40))[::-1]
-        a, b = (rng.integers(0, 241, (40, 1)).astype(float) for _ in range(2))
-        live = np.cumsum(np.bincount(degree)[::-1])[::-1]  # entries of degree >= k
-        got = specfun._jacobi_by_degree(a, b, live, x)
-        assert got.shape == np.broadcast_shapes(a.shape, np.shape(x))
-        for row, n, ai, bi in zip(got, degree.tolist(), a[:, 0].tolist(), b[:, 0].tolist()):
-            p_prev, p_curr = 1.0, (ai + 1.0) + (ai + bi + 2.0) * (x - 1.0) / 2.0
-            for k in range(2, n + 1):
-                c1, c2, denom = specfun._jacobi_coefficients(k, ai, bi, x)
-                p_prev, p_curr = p_curr, (c1 * p_curr - c2 * p_prev) / denom
-            assert row.tobytes() == np.broadcast_to(p_curr if n else 1.0, row.shape).tobytes()
 
 
 class TestLogGamma:
@@ -436,14 +418,12 @@ class TestWignerD:
     @pytest.mark.parametrize(
         "j, mp, m", ((1000, 200, -200), (800, 500, -500), (1100, 1100, 0))
     )
-    def test_overflow_raises_with_parameters(self, j, mp, m):
-        # the first two used to return nan from the recurrence, the last
-        # raised OverflowError from the factorial ratio
-        with pytest.raises(EntroineqError) as info:
-            wigner_d(j, mp, m, 0.3)
-        message = str(info.value)
-        for part in (f"j={j},", f"m'={mp},", f"m={m},", "theta=0.3"):
-            assert part in message
+    def test_large_spin_matches_mpmath(self, j, mp, m):
+        # the Jacobi route returned nan for the first two and raised
+        # OverflowError, later "d-element overflows the float range", for all
+        got = wigner_d(j, mp, m, 0.3)
+        assert math.isfinite(got)
+        assert abs(got - mp_wigner_d(2 * j, [(2 * mp, 2 * m)], 0.3)[0]) < 1e-15
 
 
 class TestDmatrix:
@@ -475,14 +455,32 @@ class TestDmatrix:
 
     def test_matches_scalar_route_entrywise(self):
         # covers the four-way symmetry scatter and its signs
-        for two_j in (*range(0, 6), 40, 41):
+        for two_j in (*range(0, 6), 40, 41, 121):
             weights = [HalfInt(w) for w in range(-two_j, two_j + 1, 2)]
             for theta in (*LARGE_THETAS, 4.5):
                 got = dmatrix(HalfInt(two_j), theta)
                 want = np.array(
                     [[wigner_d(HalfInt(two_j), mp, m, theta) for m in weights] for mp in weights]
                 )
-                assert np.max(np.abs(got - want)) < 1e-13
+                assert np.max(np.abs(got - want)) < 1e-15
+
+    def test_matches_scalar_route_at_large_spin(self):
+        rng = np.random.default_rng(26)
+        two_j = 2000
+        for theta in (1e-8, 0.3, 1.3, math.pi - 1e-7):
+            got = dmatrix(HalfInt(two_j), theta)
+            for two_mp, two_m in (2 * rng.integers(0, two_j + 1, (40, 2)) - two_j).tolist():
+                want = wigner_d(HalfInt(two_j), HalfInt(two_mp), HalfInt(two_m), theta)
+                assert abs(got[(two_j + two_mp) // 2, (two_j + two_m) // 2] - want) < 1e-15
+
+    @pytest.mark.parametrize("two_j", (40, 121, 400, 2000))
+    def test_group_law_on_the_middle_column(self, two_j):
+        # d(a) d(b) = d(a + b), on the column m = 0 or -1/2
+        middle = two_j // 2
+        for a, b in ((0.3, 1.0), (1e-8, 2.0), (1.5, 1.6)):
+            j = HalfInt(two_j)
+            got = dmatrix(j, a) @ dmatrix(j, b)[:, middle]
+            assert np.max(np.abs(got - dmatrix(j, a + b)[:, middle])) < 1e-12
 
     @pytest.mark.parametrize("theta", NON_FINITE)
     def test_rejects_non_finite_angle(self, theta):
@@ -492,24 +490,6 @@ class TestDmatrix:
     def test_rejects_negative_spin(self):
         with pytest.raises(DomainError, match="j must be nonnegative"):
             dmatrix(-1, 0.5)
-
-    def test_overflow_raises_without_warnings(self, monkeypatch):
-        # `dmatrix` no longer overflows; the sweep's `_squared_column` is the
-        # one route through `_canonical_d`.  A real overflow needs 2j >= 1440;
-        # plant one in the recurrence output
-        def overflowing(a, b, live, x):
-            out = np.ones((a.size, 1))
-            out[3] = np.inf
-            out[4] = np.nan
-            return out
-
-        monkeypatch.setattr(specfun, "_jacobi_by_degree", overflowing)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(EntroineqError) as info:
-                specfun._squared_column(2, 0, 0.3)
-        # entries 3 and 4 of the canonical order (m' ascending) are the images m'=2, m=0
-        assert "j=2, m'=2, m=0, theta=0.3" in str(info.value)
 
     ANGLES = (1e-8, 0.3, 1.3, 3.0, math.pi, math.pi - 1e-7, 2.0 * math.pi)
     EXTREME_ANGLES = (0.0, -0.0, 5e-324, 1e-308, -1e-308, 1e-300, -1e-300, math.pi - 1e-7, 2.0 * math.pi, 12.0)
@@ -556,6 +536,19 @@ class TestDmatrix:
         pairs = [(2000, 2000), (2000, -2000), (-2000, 1998), (0, 0), (2, -2), (1000, -600), (-1400, 200), (600, 1600)]
         want = mp_wigner_d(two_j, pairs, theta)
         assert np.max(np.abs(got[tuple(((two_j + np.array(pairs)) // 2).T)] - want)) < 1e-12
+
+
+class TestSquaredColumn:
+    def test_matches_mpmath(self):
+        # the Jacobi-by-degree column was off by up to 2.1e-13 here; one grid
+        # call gives the squared columns at every angle
+        two_j = 121
+        thetas = (1e-8, 0.3, 1.3, math.pi - 1e-7)
+        for two_m in (-121, -115, -53, 1, 53, 115, 121):
+            got = specfun._squared_column(HalfInt(two_j), HalfInt(two_m), np.array(thetas))
+            for row, theta in zip(got, thetas):
+                want = mp_wigner_d(two_j, [(mp, two_m) for mp in range(-two_j, two_j + 1, 2)], theta) ** 2
+                assert np.max(np.abs(row - want)) < 1e-14
 
 
 # frozen output of the earlier Taylor-series exponential of J_y at j = 2, theta = 1

@@ -8,7 +8,6 @@ import pytest
 
 from entroineq import (
     DomainError,
-    EntroineqError,
     HalfInt,
     bipartite_split,
     closed_form_check,
@@ -22,6 +21,7 @@ from entroineq import (
     tsallis_subadditivity_report,
     wigner_d,
 )
+from entroineq.probability import SUM_TOLERANCE
 
 TWO_PI = 2.0 * math.pi
 GRID = np.linspace(0.0, TWO_PI, 256)
@@ -252,25 +252,27 @@ class TestAngleArrays:
 
     @pytest.mark.parametrize("angles", [0.7, GRID])
     def test_one_recurrence_per_column(self, monkeypatch, angles):
-        # a column steps all its rows at once: j - |m| recurrence steps,
-        # whether it is taken at one angle or at many
-        calls, steps = [], []
-        by_degree, coefficients = specfun._jacobi_by_degree, specfun._integer_jacobi_coefficients
-        monkeypatch.setattr(
-            specfun, "_jacobi_by_degree", lambda *args: calls.append(1) or by_degree(*args)
-        )
-        monkeypatch.setattr(
-            specfun, "_integer_jacobi_coefficients", lambda *args: steps.append(1) or coefficients(*args)
-        )
-        for j, m, top in ((30, 0, 30), ("61/2", "5/2", 28), (4, 4, 0)):
+        # a column runs its canonical columns |mu| <= |m| down to row |m| in
+        # one `_three_term` call of j - |m| steps per grid part, whether it
+        # is taken at one angle or at many
+        calls = []
+        three_term = specfun._three_term
+        monkeypatch.setattr(specfun, "_three_term", lambda p, q: calls.append(p.shape) or three_term(p, q))
+        count = np.size(angles)
+        for j, m, columns, top in ((30, 0, 1, 30), ("61/2", "5/2", 6, 28), (4, 4, 9, 0)):
             calls.clear()
-            steps.clear()
             column_distribution(j, m, angles)
-            assert (len(calls), len(steps)) == (1, max(top - 1, 0))
+            assert calls == [(count * columns, top)]
+        # at j = 1000 a column holds 1001 entries per angle, so a grid runs in parts
+        calls.clear()
+        column_distribution(1000, 0, angles)
+        size = specfun.BOOST_PART_TERMS // 1001
+        assert calls == [(min(size, count - a), 1000) for a in range(0, count, size)]
 
-    def test_overflow_names_the_first_bad_angle(self):
-        # at j = 1000 the m = 0 column leaves the float range near theta = 0
-        # and theta = pi, but not in between
-        column_distribution(1000, 0, np.array([0.5, 1.5, 2.5]))
-        with pytest.raises(EntroineqError, match=r"at j=1000, m'=-?\d+, m=0, theta=3.1$"):
-            column_distribution(1000, 0, np.array([0.5, 1.5, 3.1, 0.05]))
+    def test_large_spin_columns_have_unit_mass(self):
+        # the Jacobi-by-degree route raised "d-element overflows the float
+        # range" for the m = 0 column at j = 1000, theta = 3.1 and 0.05
+        for m in (0, 500):
+            p = column_distribution(1000, m, np.array([0.05, 1.5, 3.1])).as_array()
+            assert np.isfinite(p).all()
+            assert np.max(np.abs(p.sum(axis=1) - 1.0)) <= SUM_TOLERANCE
