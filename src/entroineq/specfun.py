@@ -327,44 +327,41 @@ def _canonical_image(two_mp: int, two_m: int) -> tuple[int, int, bool]:
     return two_mp, two_m, flip
 
 
-def _root_binomials(two_j: int) -> tuple[np.ndarray, np.ndarray]:
-    """sqrt(C(2j, k)) for k = 0..2j as mantissas and binary exponents, from exact integers."""
+def _root_binomials(two_j: int, first: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """sqrt(C(2j, k)) for k = first..first+count-1 as mantissas and binary exponents, from exact integers."""
+    last = first + count - 1
+    low, high = min(first, two_j - last), min(last, two_j - first, two_j // 2)  # C(2j, k) = C(2j, 2j - k)
     mantissas, exponents = [], []
-    binomial = 1
-    for k in range(two_j // 2 + 1):
+    binomial = math.comb(two_j, low)
+    for n in range(low, high + 1):
         half = binomial.bit_length() // 2  # binomial / 4^half lies in [1/2, 2)
         mantissas.append(math.sqrt(binomial / (1 << 2 * half)))
         exponents.append(half)
-        binomial = binomial * (two_j - k) // (k + 1)
-    mirror = (two_j + 1) // 2  # C(2j, k) = C(2j, 2j - k) past the middle
-    return np.array(mantissas + mantissas[:mirror][::-1]), np.array(exponents + exponents[:mirror][::-1])
+        binomial = binomial * (two_j - n) // (n + 1)
+    k = np.arange(first, last + 1)
+    at = np.minimum(k, two_j - k) - low
+    return np.array(mantissas)[at], np.array(exponents)[at]
 
 
-def _half_angle_powers(x: np.ndarray, two_j: int, pad: int) -> tuple[np.ndarray, np.ndarray]:
-    """x^k for k = -pad..2j down the rows, one column per entry of the 1-D
-    `x`, as mantissas in [1/2, 1) and binary exponents, with zeros at k < 0.
+def _half_angle_powers(x: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """x^k as mantissas in [1/2, 1) and binary exponents, for the integer
+    array `k` broadcast against the array `x`, with zeros at k < 0.
 
     With x = f 2^e (frexp), f^k is formed as f^(k mod 512) (f^512)^(k // 512),
-    so no intermediate leaves the normal range below k = 2^18; 0.0^0 is 1.
+    the second factor by the same rule on the mantissa of f^512, so no
+    intermediate leaves the normal range at any k; 0.0^0 is 1.
     """
     fraction, exponent = np.frexp(x)
-    k = np.arange(two_j + 1)[:, None]
-    power, exponents = fraction ** (k % 512), exponent * k
-    if two_j >= 512:  # f^512 by Python's power, as `_float_power` takes it; numpy's misses it by an ulp for some f
-        block, block_exponent = np.frexp([f**512 for f in fraction.tolist()])
-        power *= block ** (k // 512)
-        exponents += block_exponent * (k // 512)
+    n = np.maximum(k, 0)
+    power, exponents = fraction ** (n % 512), exponent * n
+    if n.max(initial=0) >= 512:  # f^512 by Python's power; numpy's misses it by an ulp for some f
+        block, block_exponent = np.frexp(np.reshape([f**512 for f in fraction.ravel().tolist()], fraction.shape))
+        block_power, block_shift = _half_angle_powers(block, n // 512)
+        power, exponents = power * block_power, exponents + block_exponent * (n // 512) + block_shift
     mantissas, shift = np.frexp(power)
-    zeros = np.zeros((pad, x.size), dtype=int)
-    return np.concatenate([zeros, mantissas]), np.concatenate([zeros, exponents + shift])
-
-
-def _float_power(x: float, n: int) -> tuple[float, int]:
-    """x^n as a mantissa in [1/2, 1) and a binary exponent, formed as by `_half_angle_powers`."""
-    fraction, exponent = math.frexp(x)
-    block, block_exponent = math.frexp(fraction**512) if n >= 512 else (1.0, 0)
-    mantissa, shift = math.frexp(fraction ** (n % 512) * block ** (n // 512))
-    return mantissa, shift + exponent * n + block_exponent * (n // 512)
+    if k.min(initial=0) >= 0:
+        return mantissas, exponents + shift
+    return np.where(k < 0, 0.0, mantissas), np.where(k < 0, 0, exponents + shift)
 
 
 def _canonical_columns(two_j: int, columns: slice, steps: int, s: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -401,17 +398,18 @@ def _canonical_columns(two_j: int, columns: slice, steps: int, s: np.ndarray, c:
     q = np.repeat(root[:-1] / root[1:] * (scaled * scaled), r.size, axis=1)
     rows = r.size * s.size  # the angles run fastest, here and in the arrays below
     y, shift = (x.T.reshape(i.size, r.size, s.size) for x in _three_term(p.reshape(steps, rows).T, q.reshape(steps, rows).T))
-    binomial, binomial_exponent = (x[columns, None] for x in _root_binomials(two_j))
+    binomial, binomial_exponent = (x[:, None] for x in _root_binomials(two_j, r[0], r.size))
     # read-only windows [i, w] = x[w + steps - i] of the power tables: c^(m'+m) = c^(r-i) and s^(m'-m) = s^(2j-r-i),
     # zero off the sector, which drops the junk that the recurrence runs past a column's end
+    lowest = np.array([[r[0] - steps], [two_j - r[-1] - steps]])  # the first power of the c and s tables
     power, exponent = (
         np.lib.stride_tricks.as_strided(
-            x[steps:], (steps + 1, two_j + 1, x.shape[1]), (-x.strides[0], *x.strides), writeable=False
+            x[steps:], (steps + 1, r.size, *x.shape[1:]), (-x.strides[0], *x.strides), writeable=False
         )
-        for x in _half_angle_powers(np.concatenate([c, s]), two_j, steps)
+        for x in _half_angle_powers(np.array([c, s]), np.arange(r.size + steps)[:, None, None] + lowest)
     )
-    c_power, c_exponent = power[:, columns, : c.size], exponent[:, columns, : c.size]
-    s_power, s_exponent = power[:, ::-1][:, columns, c.size :], exponent[:, ::-1][:, columns, c.size :]
+    c_power, c_exponent = power[:, :, 0], exponent[:, :, 0]
+    s_power, s_exponent = power[:, ::-1, 1], exponent[:, ::-1, 1]
     return np.ldexp(binomial * c_power * s_power * y, (binomial_exponent - k * i) + c_exponent + s_exponent + shift)
 
 
@@ -448,38 +446,16 @@ def wigner_d(j: HalfIntLike, m_prime: HalfIntLike, m: HalfIntLike, theta: float)
     The element is moved into the canonical sector (m'+m >= 0, m'-m >= 0)
     through the index symmetries
     d_{m'm} = d_{-m,-m'} = (-1)^(m'-m) d_{mm'} = (-1)^(m'-m) d_{-m',-m},
-    where its column runs the recurrence of `_canonical_columns` from the
-    row m' = j down to the element, in Python floats on the one-row loop of
-    `_three_term`.  Any spin is accepted; a non-finite theta raises
-    DomainError.
+    where `_canonical_columns` runs its one column from the row m' = j down
+    to the element, as `dmatrix` does at the same angle.  Any spin is
+    accepted; a non-finite theta raises DomainError.
     """
     two_j, two_mp, two_m = _weight_triple(j, m_prime, m)
     theta = _finite_angle(theta)
     two_mp, two_m, flip = _canonical_image(two_mp, two_m)
-    s, c = math.sin(theta / 2.0), math.cos(theta / 2.0)
-    k = (two_j + 1).bit_length()
     r, steps = (two_j + two_m) // 2, (two_j - two_mp) // 2
-    near, s2, c2 = s * s <= 0.5, 2.0 * (s * s), 2.0 * (c * c)
-    scaled = math.ldexp(s * c, k)
-    square = scaled * scaled
-
-    def coefficients():  # those of `_canonical_columns`, carrying e(m'+1) from the step before
-        above = 0.0
-        for i in range(steps):
-            e = math.sqrt((two_j - i) * (i + 1.0))  # e(j - i)
-            shifted = (two_j - r - i) - s2 * (two_j / 2.0 - i) if near else c2 * (two_j / 2.0 - i) - (r - i)
-            yield shifted / math.ldexp(e, -k), above / e * square
-            above = e
-
-    mantissas, bumps = _float_three_term(coefficients())
-    binomial = math.comb(two_j, r)
-    half = binomial.bit_length() // 2  # binomial / 4^half lies in [1/2, 2)
-    c_power, c_exponent = _float_power(c, (two_mp + two_m) // 2)
-    s_power, s_exponent = _float_power(s, (two_mp - two_m) // 2)
-    value = math.ldexp(
-        math.sqrt(binomial / (1 << 2 * half)) * c_power * s_power * mantissas[-1],
-        half + c_exponent + s_exponent + sum(bumps.values()) - k * steps,
-    )
+    s, c = np.array([math.sin(theta / 2.0)]), np.array([math.cos(theta / 2.0)])
+    value = float(_canonical_columns(two_j, slice(r, r + 1), steps, s, c)[-1, 0, 0])
     return -value if flip else value
 
 
@@ -788,15 +764,20 @@ def _three_term(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Returns y as mantissas and binary exponents, y_i = mantissa_i 2^shift_i,
     one row per recurrence: once |y| passes 2^300 the running pair of that
     row is scaled by an exact power of 2.  Several rows run as one array
-    loop, real only; one row runs as `_float_three_term` with the same
-    arithmetic, real or complex, since the array loop's per-step overhead
-    makes it about 15 times slower there (400 steps).
+    loop, real only; one row runs as a float loop with the same arithmetic,
+    real or complex, since the array loop's per-step overhead makes it
+    about 15 times slower there (400 steps).
     """
     if p.shape[0] == 1:
-        mantissas, bumps = _float_three_term(zip(p[0].tolist(), q[0].tolist()))
-        shifts = np.zeros(len(mantissas), dtype=int)
-        shifts[list(bumps)] = list(bumps.values())
-        return np.array([mantissas]), np.cumsum(shifts)[None]
+        previous, current = 0.0, 1.0
+        mantissas, bumps = [1.0], np.zeros(p.shape[1] + 1, dtype=int)
+        for p_i, q_i in zip(p[0].tolist(), q[0].tolist()):
+            previous, current = current, p_i * current - q_i * previous
+            if abs(current) > 2.0**300:
+                bumps[len(mantissas)] = e = math.frexp(abs(current))[1]
+                previous, current = previous * math.ldexp(1.0, -e), current * math.ldexp(1.0, -e)
+            mantissas.append(current)
+        return np.array([mantissas]), np.cumsum(bumps)[None]
     p, q = np.ascontiguousarray(p.T), np.ascontiguousarray(q.T)
     mantissas, bumps = np.ones((p.shape[0] + 1, p.shape[1])), np.zeros((p.shape[0] + 1, p.shape[1]), dtype=int)
     previous, current = np.zeros(p.shape[1]), mantissas[0]
@@ -809,21 +790,6 @@ def _three_term(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                 previous, current = np.ldexp(previous, -bumps[i + 1]), np.ldexp(current, -bumps[i + 1])
             mantissas[i + 1] = current
     return mantissas.T, (np.cumsum(bumps, axis=0) if bumped else bumps).T
-
-
-def _float_three_term(coefficients) -> tuple[list, dict[int, int]]:
-    """The `_three_term` recurrence of one row as a float loop over its
-    (p_i, q_i) pairs: the mantissas of y_0, y_1, ... and, at each step i
-    where |y| passed 2^300, the binary exponent taken out there."""
-    previous, current = 0.0, 1.0
-    mantissas, bumps = [1.0], {}
-    for p_i, q_i in coefficients:
-        previous, current = current, p_i * current - q_i * previous
-        if abs(current) > 2.0**300:
-            bumps[len(mantissas)] = e = math.frexp(abs(current))[1]
-            previous, current = previous * math.ldexp(1.0, -e), current * math.ldexp(1.0, -e)
-        mantissas.append(current)
-    return mantissas, bumps
 
 
 def bargmann_b_continued(args: Su11Args) -> float:

@@ -1,4 +1,5 @@
-"""The benchmark's layer spans still name live attributes on live paths.
+"""The benchmark's layer spans still name live attributes, each called on
+the path that reaches it: the CLI sweeps, or the oracle for `jacobi`.
 
 `bench/spans.py` times a traced run by replacing module attributes where
 one layer looks the next one up.  A rename, or a caller that captures a
@@ -25,8 +26,9 @@ SWEEPS = (
     ],
 )
 
-#: spans that only `dmat` reaches
-OFF_PATH = {"specfun.dmatrix"}
+#: spans that no sweep reaches: `dmatrix` runs under `dmat` only, and
+#: `jacobi` under the `bargmann_b_continued` oracle only (checked below)
+OFF_PATH = {"specfun.dmatrix", "specfun.jacobi"}
 
 
 @pytest.fixture
@@ -40,13 +42,6 @@ def run_sweeps(tmp_path):
         assert cli.main([*argv, "--out", str(tmp_path / f"{index}.csv")]) == 0
 
 
-def run_oracle():
-    # no CLI sweep reaches `jacobi`; the benchmark's discrete-ladder check
-    # does, through this oracle
-    args = Su11Args(SeriesKind.DISCRETE_POSITIVE, HalfInt(8), HalfInt(6), 0.5, k=2)
-    assert specfun.bargmann_b_continued(args) > 0.0
-
-
 def test_every_span_resolves(spans):
     for module, attr, name in spans.SPANS:
         assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr} ({name})"
@@ -57,12 +52,24 @@ def test_every_span_on_the_sweep_paths_is_called(spans, tmp_path):
     tracer.install()
     try:
         run_sweeps(tmp_path)
-        run_oracle()
     finally:
         tracer.remove()
     names = {name for _, _, name in spans.SPANS} - OFF_PATH
     assert {name for name in names if tracer.calls[name] == 0} == set()
     assert tracer.counts["su11.ladder_terms"] > 0
+
+
+def test_the_jacobi_span_is_called_by_the_oracle(spans):
+    # the benchmark's discrete-ladder check reaches `jacobi` through the
+    # `bargmann_b_continued` oracle
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        args = Su11Args(SeriesKind.DISCRETE_POSITIVE, HalfInt(8), HalfInt(6), 0.5, k=2)
+        assert specfun.bargmann_b_continued(args) > 0.0
+    finally:
+        tracer.remove()
+    assert tracer.calls["specfun.jacobi"] > 0
     assert tracer.counts["specfun.jacobi.recurrence_steps"] > 0
 
 
@@ -77,6 +84,5 @@ def test_every_wrapped_attribute_is_called(spans, tmp_path, monkeypatch):
             keys.append(key)
             monkeypatch.setattr(module, attr, tracer.wrap(key, getattr(module, attr)))
     run_sweeps(tmp_path)
-    run_oracle()
     su11.su11_subadditivity(su11.discrete_series_distribution(2, HalfInt(2), 0.5, truncation=40))
     assert [key for key in keys if tracer.calls[key] == 0] == []

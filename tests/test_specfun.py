@@ -425,6 +425,20 @@ class TestWignerD:
         assert math.isfinite(got)
         assert abs(got - mp_wigner_d(2 * j, [(2 * mp, 2 * m)], 0.3)[0]) < 1e-15
 
+    @pytest.mark.parametrize(
+        "j, mp, m, theta",
+        (
+            (300000, 300000, 300000, 0.0),
+            (300000, -300000, -300000, 2.0 * math.pi),
+            (300000, -300000, 300000, math.pi),
+            (HalfInt(600001), HalfInt(600001), HalfInt(600001), 0.0),
+        ),
+    )
+    def test_unit_elements_past_2j_of_2_18(self, j, mp, m, theta):
+        # c^(2j) or s^(2j) at c or s = 1; a power table that formed it as
+        # 0.5^(2j mod 512) (0.5^512)^(2j // 512) underflowed to 0 here
+        assert abs(wigner_d(j, mp, m, theta)) == 1.0
+
 
 class TestDmatrix:
     def test_spin_one_half_turn_antidiagonal(self):
@@ -454,7 +468,8 @@ class TestDmatrix:
                 assert np.max(np.abs(got - wigner_oracle(HalfInt(two_j), theta))) < 1e-9
 
     def test_matches_scalar_route_entrywise(self):
-        # covers the four-way symmetry scatter and its signs
+        # covers the four-way symmetry scatter and its signs; `wigner_d` runs
+        # the same recurrence on one column, so the values agree bit for bit
         for two_j in (*range(0, 6), 40, 41, 121):
             weights = [HalfInt(w) for w in range(-two_j, two_j + 1, 2)]
             for theta in (*LARGE_THETAS, 4.5):
@@ -462,7 +477,7 @@ class TestDmatrix:
                 want = np.array(
                     [[wigner_d(HalfInt(two_j), mp, m, theta) for m in weights] for mp in weights]
                 )
-                assert np.max(np.abs(got - want)) < 1e-15
+                assert np.array_equal(got, want)
 
     def test_matches_scalar_route_at_large_spin(self):
         rng = np.random.default_rng(26)
@@ -471,7 +486,7 @@ class TestDmatrix:
             got = dmatrix(HalfInt(two_j), theta)
             for two_mp, two_m in (2 * rng.integers(0, two_j + 1, (40, 2)) - two_j).tolist():
                 want = wigner_d(HalfInt(two_j), HalfInt(two_mp), HalfInt(two_m), theta)
-                assert abs(got[(two_j + two_mp) // 2, (two_j + two_m) // 2] - want) < 1e-15
+                assert got[(two_j + two_mp) // 2, (two_j + two_m) // 2] == want
 
     @pytest.mark.parametrize("two_j", (40, 121, 400, 2000))
     def test_group_law_on_the_middle_column(self, two_j):
@@ -538,6 +553,22 @@ class TestDmatrix:
         assert np.max(np.abs(got[tuple(((two_j + np.array(pairs)) // 2).T)] - want)) < 1e-12
 
 
+class TestHalfAnglePowers:
+    @pytest.mark.parametrize("x", (1.0, 0.5, 0.9999, 0.3, 0.0))
+    def test_matches_mpmath_at_any_power(self, x):
+        k = np.array([[0], [1], [511], [512], [2**18], [2**20 + 3], [10**7]])
+        mantissas, exponents = specfun._half_angle_powers(np.array([x]), k)
+        for n, mantissa, exponent in zip(k.ravel().tolist(), mantissas.ravel().tolist(), exponents.ravel().tolist()):
+            want = mpmath.mpf(x) ** n
+            assert mantissa == 0.0 if want == 0 else 0.5 <= mantissa < 1.0
+            assert abs(mpmath.ldexp(mantissa, exponent) - want) <= 1e-10 * want
+
+    def test_negative_powers_are_zero(self):
+        mantissas, exponents = specfun._half_angle_powers(np.array([0.7, 1.0]), np.array([[-2], [-1], [0]]))
+        assert mantissas.tolist() == [[0.0, 0.0], [0.0, 0.0], [0.5, 0.5]]
+        assert exponents.tolist() == [[0, 0], [0, 0], [1, 1]]
+
+
 class TestSquaredColumn:
     def test_matches_mpmath(self):
         # the Jacobi-by-degree column was off by up to 2.1e-13 here; one grid
@@ -549,6 +580,16 @@ class TestSquaredColumn:
             for row, theta in zip(got, thetas):
                 want = mp_wigner_d(two_j, [(mp, two_m) for mp in range(-two_j, two_j + 1, 2)], theta) ** 2
                 assert np.max(np.abs(row - want)) < 1e-14
+
+    def test_grid_ends_give_the_unit_vectors(self):
+        # d(0) = 1 and d(2 pi) = (-1)^(2j) pick m' = m, d(pi) picks m' = -m
+        thetas = np.array([0.0, math.pi, 2.0 * math.pi])
+        for two_j in (1, 4, 121, 2000):
+            for two_m in sorted({-two_j, -(two_j % 2), two_j % 2, two_j - 2, two_j}):
+                got = specfun._squared_column(HalfInt(two_j), HalfInt(two_m), thetas)
+                want = np.zeros((3, two_j + 1))
+                want[[0, 1, 2], [(two_j + two_m) // 2, (two_j - two_m) // 2, (two_j + two_m) // 2]] = 1.0
+                assert np.max(np.abs(got - want)) < 1e-14
 
 
 # frozen output of the earlier Taylor-series exponential of J_y at j = 2, theta = 1
