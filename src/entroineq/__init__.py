@@ -3,9 +3,12 @@
 Squared matrix elements of unitary irreducible representations form
 probability distributions; invertible index mappings relabel them as
 joint tables whose Shannon/Tsallis entropies obey subadditivity.  This
-package computes the matrix elements (Jacobi-polynomial and Gauss-
-hypergeometric routes, each with an independent cross-check), applies
-the mappings, and verifies the inequalities numerically.
+package computes the matrix elements (three-term recurrences in m' for
+the rotation and discrete-series elements, contiguous Gauss-
+hypergeometric families for the mixed and continuous ones; exact
+diagonalisation and a Jacobi polynomial are the independent rotation and
+discrete-series oracles), applies the mappings, and verifies the
+inequalities numerically.
 """
 
 from .entropy import (

@@ -87,45 +87,31 @@ def _jacobi_direct(n: int, a: float, b: float, x: float) -> float:
     )
 
 
-def _jacobi_coefficients(k: int, a, b, x):
-    """(c1, c2, denominator) of P_k = (c1 P_(k-1) - c2 P_(k-2)) / denominator.
-
-    The coefficients do not depend on the previous values, so a and b may
-    be float arrays that step many polynomials at once.
-    """
-    s = 2.0 * k + a + b
-    denom = 2.0 * k * (k + a + b) * (s - 2.0)
-    c1 = (s - 1.0) * (s * (s - 2.0) * x + a * a - b * b)
-    c2 = 2.0 * (k + a - 1.0) * (k + b - 1.0) * s
-    return c1, c2, denom
-
-
-def jacobi(n: int, a, b, x):
+def jacobi(n: int, a: float, b: float, x):
     """Jacobi polynomial P_n^(a,b)(x) by the three-term recurrence.
 
-    The recurrence coefficients depend on (k, a, b) only, so `x`, `a` and
-    `b` may be float arrays that broadcast together: one recurrence steps
-    every entry.  Scalar (a, b) may be any reals; degenerate recurrence
-    denominators (possible for negative integer a+b) fall back to direct
-    summation, which takes a scalar x only.  Array (a, b) need a, b > -1,
-    which keeps every denominator positive.
+    `a` and `b` are scalars, any reals; an array a or b raises DomainError.
+    `x` may be a float array, whose entries one recurrence steps at once.
+    Degenerate recurrence denominators (possible for negative integer a+b)
+    fall back to direct summation, which takes a scalar x only.
     """
     if n < 0:
         raise DomainError("polynomial degree must be nonnegative")
-    scalar_parameters = not (np.ndim(a) or np.ndim(b))
-    if not scalar_parameters and np.min(np.minimum(a, b)) <= -1.0:
-        raise DomainError("array parameters need a, b > -1")
+    if np.ndim(a) or np.ndim(b):
+        raise DomainError("Jacobi parameters a and b must be scalars")
     if n == 0:
-        shape = np.broadcast(a, b, x).shape
-        return np.ones(shape) if shape else 1.0
+        return np.ones(np.shape(x)) if np.ndim(x) else 1.0
     p_prev = 1.0
     p_curr = (a + 1.0) + (a + b + 2.0) * (x - 1.0) / 2.0
     for k in range(2, n + 1):
-        c1, c2, denom = _jacobi_coefficients(k, a, b, x)
-        if scalar_parameters and abs(denom) < 1e-6:
+        s = 2.0 * k + a + b
+        denom = 2.0 * k * (k + a + b) * (s - 2.0)
+        if abs(denom) < 1e-6:
             if np.ndim(x):
                 raise DomainError("a degenerate Jacobi recurrence needs a scalar x")
             return _jacobi_direct(n, a, b, x)
+        c1 = (s - 1.0) * (s * (s - 2.0) * x + a * a - b * b)
+        c2 = 2.0 * (k + a - 1.0) * (k + b - 1.0) * s
         p_prev, p_curr = p_curr, (c1 * p_curr - c2 * p_prev) / denom
     return p_curr
 
@@ -295,20 +281,12 @@ def _weight_triple(
     return two_j, doubled[0], doubled[1]
 
 
-def _finite_angle(theta: float) -> float:
-    """The rotation angle as a float; NaN and infinities raise DomainError."""
-    theta = float(theta)
-    if not math.isfinite(theta):
-        raise DomainError(f"rotation angle must be finite, got theta={theta}")
-    return theta
-
-
 def _finite_angles(theta) -> np.ndarray:
-    """One angle or an array of angles as a float array, checked as above."""
+    """One angle or an array of angles as a float array; NaN and infinities raise DomainError."""
     angles = np.asarray(theta, dtype=float)
     finite = np.isfinite(angles)
     if not finite.all():
-        _finite_angle(angles[~finite][0])
+        raise DomainError(f"rotation angle must be finite, got theta={float(angles[~finite][0])}")
     return angles
 
 
@@ -451,7 +429,7 @@ def wigner_d(j: HalfIntLike, m_prime: HalfIntLike, m: HalfIntLike, theta: float)
     accepted; a non-finite theta raises DomainError.
     """
     two_j, two_mp, two_m = _weight_triple(j, m_prime, m)
-    theta = _finite_angle(theta)
+    theta = float(_finite_angles(theta))
     two_mp, two_m, flip = _canonical_image(two_mp, two_m)
     r, steps = (two_j + two_m) // 2, (two_j - two_mp) // 2
     s, c = np.array([math.sin(theta / 2.0)]), np.array([math.cos(theta / 2.0)])
@@ -468,7 +446,7 @@ def dmatrix(j: HalfIntLike, theta: float) -> np.ndarray:
     negative j or a non-finite theta raises DomainError.
     """
     two_j = _doubled_spin(j)
-    theta = _finite_angle(theta)
+    theta = float(_finite_angles(theta))
     steps = two_j // 2  # m' = j - i for i = 0..steps, down to 0 or 1/2
     s, c = np.array([math.sin(theta / 2.0)]), np.array([math.cos(theta / 2.0)])
     value = _canonical_columns(two_j, slice(None), steps, s, c)[:, :, 0].T
@@ -490,7 +468,7 @@ def wigner_oracle(j: HalfIntLike, theta: float) -> np.ndarray:
     non-finite theta raises DomainError.
     """
     two_j = _doubled_spin(j)
-    theta = _finite_angle(theta)
+    theta = float(_finite_angles(theta))
     two_m = np.arange(-two_j, two_j, 2)
     coupling = 0.25j * np.sqrt((two_j - two_m) * (two_j + two_m + 2))
     generator = np.diag(coupling, -1) - np.diag(coupling, 1)
@@ -614,7 +592,9 @@ def bargmann_b(args: Su11Args, weights: Optional[Sequence[HalfIntLike]] = None):
     gives an array, one row per rapidity bit for bit its one-rapidity call.
     Each call evaluates the whole column of m by `_boost_column`, so a
     ladder holds exactly the values of its one-weight calls.  On the
-    positive series b = i^(m'-m) psi(m'); the negative series mirrors
+    positive series b = i^|m'-m| psi(m'), so that b_(m'm) = b_(mm') on both
+    sides of the diagonal: the columns then form a unitary matrix, and
+    B(t1) B(t2) = B(t1 + t2).  The negative series mirrors
     (m', m) -> (-m', -m) and conjugates the phase.  Weights past
     `boost_column_length` are exactly 0.
     """
@@ -623,7 +603,7 @@ def bargmann_b(args: Su11Args, weights: Optional[Sequence[HalfIntLike]] = None):
         return values[:, 0] if np.ndim(args.t) else values[0]
     two_m, two_mps = _positive_weights(args, "bargmann_b", weights)
     n, x = (two_m - args.k) // 2, (two_mps - args.k) // 2
-    turns = (x - n) % 4 if args.series is SeriesKind.DISCRETE_POSITIVE else (n - x) % 4
+    turns = np.abs(x - n) % 4 if args.series is SeriesKind.DISCRETE_POSITIVE else -np.abs(x - n) % 4
     values = np.array([1.0, 1j, -1.0, -1j])[turns] * _boost_column(args.k, n, np.atleast_1d(args.t), x)
     return values if np.ndim(args.t) else tuple(values[0].tolist())
 
@@ -890,6 +870,8 @@ def c_function(args: Su11Args, weights: Optional[Sequence[HalfIntLike]] = None):
         raise DomainError("c_function needs a discrete-series spin j = -k/2")
     if args.series is SeriesKind.DISCRETE_NEGATIVE:
         raise UnsupportedBranchError("the m' <= j mixed-basis branch is not defined")
+    if np.ndim(args.t):
+        raise DomainError("c_function takes one rapidity")
     if weights is None:
         return c_function(args, (args.m_prime,))[0]
     _require_rapidity(args.t, CONTINUOUS_COSH_LIMIT)

@@ -22,6 +22,7 @@ from entroineq import (
     c_function,
     enumerate_weights,
     l_function,
+    mixed_series_report,
 )
 from entroineq import specfun
 
@@ -41,11 +42,10 @@ def mp_boost(k, two_mp, two_m, t):
     For m' >= m, b = N z^((m'-m)/2) (1-z)^((m'+m)/2)
     2F1(m'-j, m'+j+1; m'-m+1; z) / (m'-m)! with j = -k/2,
     z = (1 - cosh t)/2 and N^2 = Gamma(m'-j) Gamma(m'+j+1) / (Gamma(m-j)
-    Gamma(m+j+1)); below the diagonal b_{m'm} = (-1)^(m-m') b_{mm'}.
+    Gamma(m+j+1)); below the diagonal b_{m'm} = b_{mm'}, which makes the
+    matrix of columns unitary.
     """
-    sign = 1
     if two_mp < two_m:
-        sign = -1 if ((two_m - two_mp) // 2) % 2 else 1
         two_mp, two_m = two_m, two_mp
     with mpmath.workdps(50):
         mp_, m, j = mpmath.mpf(two_mp) / 2, mpmath.mpf(two_m) / 2, -mpmath.mpf(k) / 2
@@ -59,7 +59,7 @@ def mp_boost(k, two_mp, two_m, t):
             norm * mpmath.power(mpmath.mpc(z), mpmath.mpf(degree) / 2) * mpmath.power(1 - z, (mp_ + m) / 2)
             * mpmath.hyp2f1(mp_ - j, mp_ + j + 1, degree + 1, z) / mpmath.factorial(degree)
         )
-        return sign * complex(value)
+        return complex(value)
 
 
 def check_against_mpmath(k, two_m, t, length, samples):
@@ -169,6 +169,33 @@ class TestBargmannB:
         # used to escape as a bare OverflowError from the lattice check
         with pytest.raises(DomainError, match=f"k = {2**63} is too large"):
             specfun.boost_column_length(discrete_args(2**63, 2**63, 2**63, 0.5))
+
+
+def boost_matrix(k, t, rows, columns, series):
+    """B[m', m] over the first `rows` weights m' and `columns` weights m of
+    the series, one axis per rapidity of the grid `t` first."""
+    sign = 1 if series is SeriesKind.DISCRETE_POSITIVE else -1
+    weights = [HalfInt(sign * (k + 2 * i)) for i in range(rows)]
+    args = discrete_args(k, sign * k, sign * k, np.array(t), series=series)
+    return np.stack([bargmann_b(replace(args, m=weights[c]), weights) for c in range(columns)], axis=-1)
+
+
+@pytest.mark.parametrize("series", [SeriesKind.DISCRETE_POSITIVE, SeriesKind.DISCRETE_NEGATIVE])
+class TestBoostRepresentation:
+    """The signed elements form a unitary representation, with the phase
+    i^|m'-m| that gives b_(m'm) = b_(mm').  Each truncation holds the
+    columns' mass."""
+
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_columns_are_orthonormal(self, k, series):
+        for b in boost_matrix(k, [0.3, 0.9, 1.5], 900, 30, series):
+            assert np.max(np.abs(b.conj().T @ b - np.eye(30))) <= 1e-12
+
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_group_law(self, k, series):
+        first = boost_matrix(k, [0.4], 600, 600, series)[0]
+        second, product = boost_matrix(k, [0.5, 0.9], 600, 20, series)
+        assert np.max(np.abs((first @ second)[:100] - product[:100])) <= 1e-12
 
 
 class TestLargeColumnWeights:
@@ -463,6 +490,14 @@ class TestCFunction:
         args = Su11Args(series=SeriesKind.CONTINUOUS_INTEGER, m_prime=HalfInt(0), m=0.5, t=0.3, s=0.5)
         with pytest.raises(DomainError, match="c_function needs a discrete-series spin"):
             c_function(args)
+
+    @pytest.mark.parametrize("t", [[0.3, 0.5], [0.3]])
+    def test_rapidity_grid_is_a_domain_error(self, t):
+        # a grid used to escape from math.sinh as a bare TypeError
+        args = Su11Args(SeriesKind.DISCRETE_POSITIVE, HalfInt(2), HalfInt(2), np.array(t), k=2)
+        for evaluate in (c_function, lambda a: mixed_series_report(a, 8)):
+            with pytest.raises(DomainError, match="c_function takes one rapidity"):
+                evaluate(args)
 
     @pytest.mark.parametrize("k", [20, 50, 100, 200])
     def test_moderate_k_matches_mpmath(self, k):

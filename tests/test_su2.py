@@ -12,6 +12,7 @@ from entroineq import (
     bipartite_split,
     closed_form_check,
     column_distribution,
+    dmatrix,
     shannon,
     specfun,
     su2_subadditivity,
@@ -19,7 +20,6 @@ from entroineq import (
     subadditivity_report,
     tsallis,
     tsallis_subadditivity_report,
-    wigner_d,
 )
 from entroineq.probability import SUM_TOLERANCE
 
@@ -185,16 +185,12 @@ class TestAngleArrays:
 
     @pytest.mark.parametrize("two_j", [*range(1, 9), 20, 60])
     def test_matches_per_angle_reference(self, two_j):
-        # every column over 256 angles against scalar wigner_d and scalar
-        # entropies; at 2j = 60 the scalar reference (61 x 61 elements per
-        # angle) is taken at every 8th angle to keep the test short
+        # every column over 256 angles against the squared columns of one
+        # dmatrix per angle, whose entries are wigner_d's bit for bit
+        # (test_matches_scalar_route_entrywise), and scalar entropies
         j = HalfInt(two_j)
         weights = [HalfInt(w) for w in range(-two_j, two_j + 1, 2)]
-        step = 8 if two_j > 20 else 1
-        squared = {
-            index: [[wigner_d(j, mp, m, float(GRID[index])) ** 2 for mp in weights] for m in weights]
-            for index in range(0, GRID.size, step)
-        }
+        squared = {index: (dmatrix(j, float(GRID[index])) ** 2).T.tolist() for index in range(GRID.size)}
         for column, m in enumerate(weights):
             table = bipartite_split(column_distribution(j, m, GRID))
             for q, entropy in self.ENTROPIES:
