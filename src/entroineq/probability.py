@@ -24,22 +24,28 @@ NEGATIVE_CLAMP = 1e-12
 #: Allowed deviation of a total probability mass from 1.
 SUM_TOLERANCE = 1e-9
 
-#: Exact row sums take this many entries at a time as Python floats.
-FSUM_CHUNK = 2**16
+#: Every grid (exact row sums, squared d-columns, boost plans, columns and
+#: ladders) runs in `parts` of about this many entries, a few MB of work arrays.
+PART_TERMS = 2**16
 
 DistributionLike = Union["Distribution", Sequence[float], np.ndarray]
 
 
+def parts(count: int, width: int) -> list[slice]:
+    """Slices of `count` rows of `width` entries, max(1, PART_TERMS // max(1, width)) rows or fewer each; one for no rows."""
+    size = max(1, PART_TERMS // max(1, width))
+    return [slice(start, start + size) for start in range(0, count or 1, size)]
+
+
 def row_fsums(rows: np.ndarray) -> list[float]:
-    """`math.fsum` of each row of a 2-D array, a chunk of rows at a time; a sum past the float range raises DomainError."""
+    """`math.fsum` of each row of a 2-D array, a part of rows at a time; a sum past the float range raises DomainError."""
     if rows.shape[1] <= 2:  # one addition rounds as fsum does, and fsum([-0.0]) is 0.0
         with np.errstate(all="ignore"):
             sums = rows.sum(axis=1) + 0.0
         if np.isfinite(sums).all():  # else fsum, which raises past the float range
             return sums.tolist()
-    step = max(1, FSUM_CHUNK // max(1, rows.shape[1]))
     try:
-        return [math.fsum(row) for start in range(0, len(rows), step) for row in rows[start : start + step].tolist()]
+        return [math.fsum(row) for part in parts(len(rows), rows.shape[1]) for row in rows[part].tolist()]
     except OverflowError:
         raise DomainError("probability mass overflows the float range") from None
 

@@ -25,7 +25,7 @@ from .errors import (
     UnsupportedBranchError,
 )
 from .halfint import HalfInt, HalfIntLike, doubled
-from .probability import SeriesKind
+from .probability import SeriesKind, parts
 
 #: Series evaluation of the hypergeometric function needs |z| <= this.
 HYP2F1_RADIUS = 0.95
@@ -45,11 +45,6 @@ DISCRETE_COSH_LIMIT = 2.9
 #: over fewer than this many weights; a longer one raises EntroineqError
 #: before its recurrence runs.
 BOOST_MAX_TERMS = 10**6
-
-#: A rapidity grid, or an angle grid of squared d-columns, runs in parts
-#: whose columns hold about this many entries in all, so its work arrays
-#: take a few MB whatever its size.
-BOOST_PART_TERMS = 2**16
 
 #: Smallest |b|^2 a discrete boost column keeps to full relative accuracy
 #: (about 3.6e-15, below the adaptive ladder's 1e-14 floor); the column is
@@ -282,11 +277,11 @@ def _weight_triple(
 
 
 def _finite_angles(theta) -> np.ndarray:
-    """One angle or an array of angles as a float array; NaN and infinities raise DomainError."""
+    """One angle or an array of angles as a float array; NaN, infinities and None raise DomainError naming the value."""
     angles = np.asarray(theta, dtype=float)
     finite = np.isfinite(angles)
     if not finite.all():
-        raise DomainError(f"rotation angle must be finite, got theta={float(angles[~finite][0])}")
+        raise DomainError(f"rotation angle must be finite, got theta={np.asarray(theta, dtype=object)[~finite][0]}")
     return angles
 
 
@@ -305,8 +300,9 @@ def _canonical_image(two_mp: int, two_m: int) -> tuple[int, int, bool]:
     return two_mp, two_m, flip
 
 
-def _root_binomials(two_j: int, first: int, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """sqrt(C(2j, k)) for k = first..first+count-1 as mantissas and binary exponents, from exact integers."""
+def _root_binomials(two_j: int, first: int, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The columns k = first..first+count-1 and sqrt(C(2j, k)) as (count, 1)
+    mantissas and binary exponents, from exact integers."""
     last = first + count - 1
     low, high = min(first, two_j - last), min(last, two_j - first, two_j // 2)  # C(2j, k) = C(2j, 2j - k)
     mantissas, exponents = [], []
@@ -318,7 +314,7 @@ def _root_binomials(two_j: int, first: int, count: int) -> tuple[np.ndarray, np.
         binomial = binomial * (two_j - n) // (n + 1)
     k = np.arange(first, last + 1)
     at = np.minimum(k, two_j - k) - low
-    return np.array(mantissas)[at], np.array(exponents)[at]
+    return k, np.array(mantissas)[at, None], np.array(exponents)[at, None]
 
 
 def _half_angle_powers(x: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -342,10 +338,10 @@ def _half_angle_powers(x: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.nda
     return np.where(k < 0, 0.0, mantissas), np.where(k < 0, 0, exponents + shift)
 
 
-def _canonical_columns(two_j: int, columns: slice, steps: int, s: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """d^j_(m'm) at m = r - j for r in `columns` of 0..2j and m' = j - i for
-    i = 0..`steps`, at the half-angle sines `s` and cosines `c` (1-D, one
-    entry per angle), shape (steps + 1, columns, angles).
+def _canonical_columns(two_j: int, steps: int, s: np.ndarray, c: np.ndarray, binomials: tuple) -> np.ndarray:
+    """d^j_(m'm) at m = r - j for the columns r of the `_root_binomials` table
+    `binomials` and m' = j - i for i = 0..`steps`, at the half-angle sines
+    `s` and cosines `c` (1-D, one entry per angle), shape (steps+1, r, angles).
 
     The canonical sector m' >= |m| comes from the three-term recurrence in m'
     e(m'+1) d_(m'+1) - 2(m' cos theta - m)/sin theta d_m' + e(m') d_(m'-1) = 0,
@@ -364,7 +360,7 @@ def _canonical_columns(two_j: int, columns: slice, steps: int, s: np.ndarray, c:
     identity and no spin overflows.  Entries off the sector are 0.
     """
     k = (two_j + 1).bit_length()
-    r, i = np.arange(two_j + 1)[columns], np.arange(steps + 1)[:, None, None]
+    (r, binomial, binomial_exponent), i = binomials, np.arange(steps + 1)[:, None, None]
     t = np.arange(-1.0, steps)[:, None, None]
     root = np.sqrt((two_j - t) * (t + 1.0))  # e(j - t), from e(j+1) = 0
     mp = two_j / 2.0 - i[:-1]
@@ -376,7 +372,6 @@ def _canonical_columns(two_j: int, columns: slice, steps: int, s: np.ndarray, c:
     q = np.repeat(root[:-1] / root[1:] * (scaled * scaled), r.size, axis=1)
     rows = r.size * s.size  # the angles run fastest, here and in the arrays below
     y, shift = (x.T.reshape(i.size, r.size, s.size) for x in _three_term(p.reshape(steps, rows).T, q.reshape(steps, rows).T))
-    binomial, binomial_exponent = (x[:, None] for x in _root_binomials(two_j, r[0], r.size))
     # read-only windows [i, w] = x[w + steps - i] of the power tables: c^(m'+m) = c^(r-i) and s^(m'-m) = s^(2j-r-i),
     # zero off the sector, which drops the junk that the recurrence runs past a column's end
     lowest = np.array([[r[0] - steps], [two_j - r[-1] - steps]])  # the first power of the c and s tables
@@ -397,24 +392,23 @@ def _squared_column(j: HalfIntLike, m: HalfIntLike, theta) -> np.ndarray:
     j and m are checked once (m' = j lies on every lattice), and so is
     every angle.  Each entry squares its canonical image, whose column
     |mu| <= |m| and row m' >= |m| the `_canonical_columns` recurrence runs
-    to, over grid parts of about `BOOST_PART_TERMS` entries.  A square needs
+    to, over grid `parts` that share one binomial table.  A square needs
     no sign, so the recurrence takes |sin theta/2| and |cos theta/2|.
     """
     two_j, _, two_m = _weight_triple(j, j, m)
     angles = _finite_angles(theta)
     low = abs(two_m)
     steps = (two_j - low) // 2
-    columns = slice(steps, two_j + 1 - steps)  # mu = r - j, |mu| <= |m|
     images = [_canonical_image(w, two_m) for w in range(-two_j, two_j + 1, 2)]
     at = [(two_j - mp) // 2 for mp, _, _ in images], [(mu + low) // 2 for _, mu, _ in images]
     half = angles.ravel() / 2.0
     s, c = np.abs(np.sin(half)), np.abs(np.cos(half))
-    size = max(1, BOOST_PART_TERMS // ((low + 1) * (steps + 1)))  # angles per part
-    parts = [
-        _canonical_columns(two_j, columns, steps, s[a : a + size], c[a : a + size])[at]
-        for a in range(0, s.size or 1, size)  # one part for an empty grid too
+    binomials = _root_binomials(two_j, steps, low + 1)  # the columns mu = r - j, |mu| <= |m|
+    blocks = [
+        _canonical_columns(two_j, steps, s[part], c[part], binomials)[at]
+        for part in parts(s.size, (low + 1) * (steps + 1))  # one part for an empty grid too
     ]
-    column = np.concatenate(parts, axis=1).T
+    column = np.concatenate(blocks, axis=1).T
     return (column * column).reshape(angles.shape + (two_j + 1,))
 
 
@@ -433,7 +427,7 @@ def wigner_d(j: HalfIntLike, m_prime: HalfIntLike, m: HalfIntLike, theta: float)
     two_mp, two_m, flip = _canonical_image(two_mp, two_m)
     r, steps = (two_j + two_m) // 2, (two_j - two_mp) // 2
     s, c = np.array([math.sin(theta / 2.0)]), np.array([math.cos(theta / 2.0)])
-    value = float(_canonical_columns(two_j, slice(r, r + 1), steps, s, c)[-1, 0, 0])
+    value = float(_canonical_columns(two_j, steps, s, c, _root_binomials(two_j, r, 1))[-1, 0, 0])
     return -value if flip else value
 
 
@@ -449,7 +443,7 @@ def dmatrix(j: HalfIntLike, theta: float) -> np.ndarray:
     theta = float(_finite_angles(theta))
     steps = two_j // 2  # m' = j - i for i = 0..steps, down to 0 or 1/2
     s, c = np.array([math.sin(theta / 2.0)]), np.array([math.cos(theta / 2.0)])
-    value = _canonical_columns(two_j, slice(None), steps, s, c)[:, :, 0].T
+    value = _canonical_columns(two_j, steps, s, c, _root_binomials(two_j, 0, two_j + 1))[:, :, 0].T
     r, i = np.arange(two_j + 1), np.arange(steps + 1)  # m = r - j
     out = np.empty((two_j + 1, two_j + 1))
     out[two_j - steps :][::-1] = value.T  # rows m' = j..0 or 1/2, exact on the sector
@@ -622,8 +616,8 @@ def _boost_plan(k: int, n: int, t: np.ndarray):
 
     The Liouville-Green sum runs over a first guess, the far decay |ln c|/2
     per weight plus the Airy zone at x+, and four times as far for the rows
-    it leaves short, over parts of the rows of about `BOOST_PART_TERMS`
-    entries.  The last plan is kept: an adaptive ladder sizes and then evaluates its grid.
+    it leaves short, over the `parts` of the rows of that span.  The last
+    plan is kept: an adaptive ladder sizes and then evaluates its grid.
     """
     return _last_plan(k, n, tuple(t.tolist()))
 
@@ -642,12 +636,10 @@ def _last_plan(k: int, n: int, t: tuple[float, ...]):
         airy = np.cbrt(np.sqrt(c[live]) * first[live] / (1.0 - np.sqrt(c[live])) ** 2)
         span = int(np.max(2.0 * goal / -np.log(c[live]) + 2.0 * goal ** (2.0 / 3.0) * airy, initial=0.0)) + 16
         while live.size and span < BOOST_MAX_TERMS:
-            short, size = [], max(1, BOOST_PART_TERMS // span)
-            for part in (live[i : i + size] for i in range(0, live.size, size)):
-                x, r = first[part, None] + np.arange(span + 1.0), c[part, None]
-                e = np.sqrt(r * x * (x + k - 1.0))
-                x, e, e_next = x[:, :-1], e[:, :-1], e[:, 1:]
-                d = x * (1.0 + r) + (k * r - (1.0 - r) * n)
+            short = []
+            for part in (live[rows] for rows in parts(live.size, span)):
+                d, e = _meixner(k, n, first[part, None] + np.arange(span + 1.0), c[part, None])
+                d, e, e_next = d[:, :-1], e[:, :-1], e[:, 1:]
                 root = np.maximum(d + np.sqrt(np.maximum(d * d - 4.0 * e * e_next, 0.0)), 2.0 * e)
                 fall = np.cumsum(np.log(root / (2.0 * e)), axis=1) >= goal  # -log |phi(x+1)/phi(first)| >= goal
                 top[part] = first[part].astype(int) + np.argmax(fall, axis=1) + 1
@@ -663,11 +655,16 @@ def _boost_error(k: int, n: int, t: float, what: str) -> EntroineqError:
     return EntroineqError(f"the boost column at k={k}, m={HalfInt(2 * n + k)}, t={float(t)!r} {what}")
 
 
+def _meixner(k: int, n: int, x: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """d(x) - (1-c)n and e(x) of the `_boost_column` recurrence at the weights `x`, broadcast against `c`."""
+    return x * (1.0 + c) + (k * c - (1.0 - c) * n), np.sqrt(c * x * (x + k - 1.0))
+
+
 def _boost_column(k: int, n: int, t: np.ndarray, x: np.ndarray) -> np.ndarray:
     """psi(x) = (-1)^min(x, n) phi(x) at the integers `x`: the boost columns of m.
 
-    One row per rapidity of the 1-D `t`, zero past each start, run in
-    parts of `BOOST_PART_TERMS` weights or one row.
+    One row per rapidity of the 1-D `t`, zero past each start, run over
+    the `parts` of the rows of max(top) + 2 weights.
     x = m' - k/2 and n = m - k/2 on the positive series; phi
     is an eigenvector of the tridiagonal Meixner-Jacobi matrix (Koekoek,
     Lesky and Swarttouw, Hypergeometric Orthogonal Polynomials, 2010, 9.10).
@@ -689,9 +686,7 @@ def _boost_column(k: int, n: int, t: np.ndarray, x: np.ndarray) -> np.ndarray:
     is raised.  t = 0 gives the identity's column, which ends at x = n.
     """
     c, lower, top = _boost_plan(k, n, t)
-    size = max(1, BOOST_PART_TERMS // (int(top.max()) + 2))  # rows per part
-    parts = (slice(i, i + size) for i in range(0, t.size, size))
-    columns = (_boost_rows(k, n, t[s], c[s], lower[s], top[s]) for s in parts)  # one part at a time
+    columns = (_boost_rows(k, n, t[s], c[s], lower[s], top[s]) for s in parts(t.size, int(top.max()) + 2))  # one at a time
     return np.concatenate([column[:, np.minimum(x, column.shape[1] - 1)] for column in columns])
 
 
@@ -703,9 +698,7 @@ def _boost_rows(k: int, n: int, t: np.ndarray, c: np.ndarray, lower: np.ndarray,
     if not rows.size:
         return out
     c, lower, top, column = c[rows, None], lower[rows], top[rows], np.arange(rows.size)[:, None]
-    x = np.arange(top.max() + 2.0)
-    d = x * (1.0 + c) + (k * c - (1.0 - c) * n)  # d(x) - (1-c)n
-    e = np.sqrt(c * x * (x + k - 1.0))
+    d, e = _meixner(k, n, np.arange(top.max() + 2.0), c)  # d(x) - (1-c)n, e(x)
     # a row run past its column's end is junk that nothing reads
     width = lower.max()
     forward, f_shift = _three_term(d[:, :width] / e[:, 1 : width + 1], e[:, :width] / e[:, 1 : width + 1])

@@ -10,8 +10,8 @@ import numpy as np
 from .entropy import SubadditivityReport, subadditivity_report
 from .errors import ConvergenceError, DomainError, NormalizationError
 from .halfint import HalfInt, HalfIntLike
-from .probability import Distribution, SeriesKind, doubled_weights, interleave_split, row_fsums
-from .specfun import BOOST_PART_TERMS, Su11Args, bargmann_b, boost_column_length, c_function, l_function
+from .probability import Distribution, SeriesKind, doubled_weights, interleave_split, parts, row_fsums
+from .specfun import Su11Args, bargmann_b, boost_column_length, c_function, l_function
 
 #: Adaptive truncation: stop once terms fall below this ...
 TERM_FLOOR = 1e-14
@@ -93,9 +93,8 @@ def discrete_series_distribution(
     the whole column (`boost_column_length` weights, then zeros) and
     applies the stop rule to that array.  `t` is one rapidity, or a 1-D array of them
     for a 2-D `TruncatedDistribution` from one call, each row bit for bit
-    its one-rapidity ladder; the first failing point raises.  A grid whose
-    ladders hold more than `BOOST_PART_TERMS` terms runs in parts of about
-    that many or of one row, each one `bargmann_b` call.
+    its one-rapidity ladder; the first failing point raises.  A grid runs
+    in `parts` of one ladder per row, one `bargmann_b` call per part.
     """
     if not 0.0 < eps <= 1e-6:
         raise DomainError("eps must lie in (0, 1e-6]")
@@ -105,10 +104,10 @@ def discrete_series_distribution(
         series=SeriesKind.DISCRETE_POSITIVE, m_prime=HalfInt(k), m=HalfInt.coerce(m), t=np.atleast_1d(t), k=k
     )
     count = truncation or min(MAX_TERMS, int(np.max(boost_column_length(args))) + TAIL_RUN)
-    weights, size = args.k / 2 + np.arange(count), max(1, BOOST_PART_TERMS // count)
+    weights, rows = args.k / 2 + np.arange(count), parts(args.t.size, count)
     squares, stops = [], []
-    for start in range(0, args.t.size, size):
-        part = args if size >= args.t.size else replace(args, t=args.t[start : start + size])
+    for at in rows:
+        part = args if len(rows) == 1 else replace(args, t=args.t[at])
         squares.append(np.abs(np.asarray(bargmann_b(part, weights))) ** 2)
         stops += [truncation] * len(squares[-1]) if truncation else _stops(squares[-1], eps, part)
     squares = np.concatenate(squares)[:, : max(stops)]

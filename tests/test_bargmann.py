@@ -24,7 +24,7 @@ from entroineq import (
     l_function,
     mixed_series_report,
 )
-from entroineq import specfun
+from entroineq import probability, specfun
 
 mpmath.mp.dps = 30
 
@@ -270,7 +270,7 @@ class TestRapidityGrid:
         grid = np.linspace(0.05, 1.7, 30)
         args, weights = discrete_args(3, 3, 61, grid), [HalfInt(3 + 2 * i) for i in range(300)]
         whole = bargmann_b(args, weights)
-        monkeypatch.setattr(specfun, "BOOST_PART_TERMS", 400)
+        monkeypatch.setattr(probability, "PART_TERMS", 400)
         calls = []
         original = specfun._boost_rows
         monkeypatch.setattr(specfun, "_boost_rows", lambda *a: calls.append(a[2].size) or original(*a))

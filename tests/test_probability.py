@@ -1,6 +1,7 @@
 """Distributions of any rank, `relabel` and its named layouts, marginals."""
 
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -15,12 +16,13 @@ from entroineq import (
     HalfInt,
     SeriesKind,
     bipartite_split,
+    discrete_series_distribution,
     enumerate_weights,
     interleave_split,
     marginals,
     relabel,
 )
-from entroineq import probability
+from entroineq import probability, specfun, su11
 from entroineq.probability import SUM_TOLERANCE, row_fsums
 from entroineq.su2 import column_distribution
 
@@ -145,6 +147,50 @@ def test_short_row_sums_are_fsum_bit_for_bit(rows):
 def test_an_overflowing_pair_raises(pair):
     with pytest.raises(DomainError, match="probability mass overflows the float range"):
         row_fsums(np.array([[0.5, 0.5], pair]))
+
+
+class TestParts:
+    def test_slices(self):
+        assert probability.parts(0, 10) == [slice(0, 6553)]
+        assert probability.parts(5, 0) == [slice(0, 65536)]
+        assert probability.parts(3, 2**17) == [slice(0, 1), slice(1, 2), slice(2, 3)]
+        assert probability.parts(10, 2**14) == [slice(0, 4), slice(4, 8), slice(8, 12)]
+
+    def test_one_patch_splits_every_grid(self, monkeypatch):
+        # one part size rules an exact row sum, a squared-column grid, a boost
+        # plan, a boost column and a discrete ladder grid: at 400 entries each
+        # runs in several parts, and each result is its one-part result bit for bit
+        grid = np.linspace(0.12, 1.66, 64)
+        runs = {
+            "row_fsums": lambda: row_fsums(np.random.default_rng(7).random((50, 30))),
+            "_squared_column": lambda: specfun._squared_column(20, 3, grid).tolist(),
+            "_last_plan": lambda: [x.tolist() for x in specfun._boost_plan(3, 2, grid)],
+            "_boost_column": lambda: specfun._boost_column(3, 2, grid, np.arange(80)).tolist(),
+            "discrete_series_distribution": lambda: [
+                (d.values.tolist(), d.truncation.tolist(), d.captured_mass.tolist())
+                for d in [discrete_series_distribution(3, HalfInt(7), grid)]
+            ],
+        }
+        counts = {}
+        original = probability.parts
+
+        def counted(count, width):
+            out = original(count, width)
+            counts.setdefault(sys._getframe(1).f_code.co_name, []).append(len(out))
+            return out
+
+        for module in (probability, specfun, su11):
+            monkeypatch.setattr(module, "parts", counted)
+        results = {}
+        for size in (probability.PART_TERMS, 400):
+            monkeypatch.setattr(probability, "PART_TERMS", size)
+            for site, run in runs.items():
+                specfun._last_plan.cache_clear()
+                counts.clear()
+                results.setdefault(site, []).append(run())
+                assert (max(counts[site]) > 1) == (size == 400), (site, size)
+        for site, (whole, split) in results.items():
+            assert split == whole, site
 
 
 class TestJointTable:

@@ -409,6 +409,14 @@ class TestWignerD:
         with pytest.raises(DomainError, match="finite"):
             wigner_d(1, 0, 0, theta)
 
+    def test_a_missing_angle_names_itself(self):
+        # None converts to NaN, which the message used to blame
+        with pytest.raises(DomainError, match=r"got theta=None$"):
+            wigner_d(1, 0, 0, None)
+        # a numeric string and a bool still convert
+        assert wigner_d(1, 0, 0, "0.5") == wigner_d(1, 0, 0, 0.5)
+        assert wigner_d(1, 0, 0, True) == wigner_d(1, 0, 0, 1.0)
+
     @pytest.mark.parametrize(
         "j, mp, m", ((1000, 200, -200), (800, 500, -500), (1100, 1100, 0))
     )
@@ -574,6 +582,16 @@ class TestSquaredColumn:
             for row, theta in zip(got, thetas):
                 want = mp_wigner_d(two_j, [(mp, two_m) for mp in range(-two_j, two_j + 1, 2)], theta) ** 2
                 assert np.max(np.abs(row - want)) < 1e-14
+
+    def test_one_binomial_table_per_call(self, monkeypatch):
+        # at j = 1000, m = 0 the 256 angles run in 4 parts of 65; the binomial
+        # table, whose cost is quadratic in j, was formed again for every part
+        calls = []
+        binomials, columns = specfun._root_binomials, specfun._canonical_columns
+        monkeypatch.setattr(specfun, "_root_binomials", lambda *a: calls.append("table") or binomials(*a))
+        monkeypatch.setattr(specfun, "_canonical_columns", lambda *a: calls.append("part") or columns(*a))
+        specfun._squared_column(1000, 0, np.linspace(0.01, 3.1, 256))
+        assert calls == ["table", "part", "part", "part", "part"]
 
     def test_grid_ends_give_the_unit_vectors(self):
         # d(0) = 1 and d(2 pi) = (-1)^(2j) pick m' = m, d(pi) picks m' = -m

@@ -202,8 +202,7 @@ class TestDiscreteSeriesDistribution:
         # few rows at a time; each row stays bit for bit the same
         grid = np.linspace(0.12, 1.66, 64)
         whole = discrete_series_distribution(3, HalfInt(7), grid)
-        for module in (specfun, su11):
-            monkeypatch.setattr(module, "BOOST_PART_TERMS", 400)
+        monkeypatch.setattr(probability, "PART_TERMS", 400)
         calls = count_calls(monkeypatch, (su11, "bargmann_b"), (specfun, "_boost_rows"))
         parts = discrete_series_distribution(3, HalfInt(7), grid)
         assert parts.values.tolist() == whole.values.tolist()
@@ -465,8 +464,8 @@ class TestSu11Subadditivity:
         finally:
             tracemalloc.stop()
         assert peak <= 5 * d.values.nbytes
-        # chunks of any size give the same exact sums
-        monkeypatch.setattr(probability, "FSUM_CHUNK", 3 * columns - 1)
+        # parts of any size give the same exact sums
+        monkeypatch.setattr(probability, "PART_TERMS", 3 * columns - 1)
         small = su11_subadditivity(d)
         for name in ("h_joint", "h_first", "h_second", "slack"):
             assert np.array_equal(getattr(small, name), getattr(report, name))

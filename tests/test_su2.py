@@ -13,6 +13,7 @@ from entroineq import (
     closed_form_check,
     column_distribution,
     dmatrix,
+    probability,
     shannon,
     specfun,
     su2_subadditivity,
@@ -31,6 +32,10 @@ class TestColumnDistribution:
     def test_zero_rotation_is_delta(self):
         p = column_distribution("3/2", "-1/2", 0.0)
         assert p.as_array().tolist() == [0.0, 1.0, 0.0, 0.0]
+
+    def test_a_missing_angle_in_a_list_names_itself(self):
+        with pytest.raises(DomainError, match=r"got theta=None$"):
+            column_distribution(1, 0, [0.1, None])
 
     def test_spin_three_half_closed_forms(self):
         theta = 1.1
@@ -103,6 +108,10 @@ class TestClosedFormCheck:
 class TestSu2Subadditivity:
     def test_zero_rotation_slack_vanishes(self):
         assert abs(su2_subadditivity("3/2", "3/2", 0.0).slack) <= 1e-9
+
+    def test_a_missing_angle_names_itself(self):
+        with pytest.raises(DomainError, match=r"got theta=None$"):
+            su2_subadditivity("1", "0", None)
 
     def test_half_turn_equality_point(self):
         assert abs(su2_subadditivity("3/2", "3/2", math.pi).slack) <= 1e-9
@@ -262,7 +271,7 @@ class TestAngleArrays:
         # at j = 1000 a column holds 1001 entries per angle, so a grid runs in parts
         calls.clear()
         column_distribution(1000, 0, angles)
-        size = specfun.BOOST_PART_TERMS // 1001
+        size = probability.PART_TERMS // 1001
         assert calls == [(min(size, count - a), 1000) for a in range(0, count, size)]
 
     def test_large_spin_columns_have_unit_mass(self):
